@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all ci build vet test race race-cache race-explore bench bench-json bench-smoke bench-guard experiments examples fuzz cover clean serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
+.PHONY: all ci build vet test perfbench-test race race-cache race-explore bench bench-json bench-smoke bench-guard experiments examples fuzz cover clean serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
 
 all: build vet test
 
 # Everything the CI workflow runs.
-ci: build vet test race race-explore bench-smoke bench-guard serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
+ci: build vet test perfbench-test race race-explore bench-smoke bench-guard serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The repository benchmark (perfbench/) is a module of its own that
+# `go test ./...` at the root does not reach; run its tests with the
+# module settings perfbench/run.sh builds it under.
+perfbench-test:
+	cd perfbench && GOWORK=off GOFLAGS=-mod=mod GOTOOLCHAIN=local $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

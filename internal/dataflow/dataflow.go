@@ -223,7 +223,7 @@ func Evaluate(l dnn.Layer, elemBytes int, m Mapping, hw HW) (c Cost, err error) 
 	default:
 		return Cost{}, fmt.Errorf("dataflow: unknown partition %d", int(m.Partition))
 	}
-	if !evaluate(&l, elemBytes, m, &hw, &c) {
+	if !EvaluateInto(&l, elemBytes, m, &hw, &c) {
 		err = fmt.Errorf("dataflow: tile working set %s exceeds VM %v (layer %s, NTile %d)",
 			c.TileWorkingSet.String(), hw.VMBytes, l.Name, c.NTileEffective)
 		c = Cost{}
@@ -231,34 +231,34 @@ func Evaluate(l dnn.Layer, elemBytes int, m Mapping, hw HW) (c Cost, err error) 
 	return c, err
 }
 
-// TryEvaluate is the allocation-free variant of Evaluate for hot search
-// loops: any failure — invalid inputs or a tile working set exceeding VM
-// — is reported as ok=false instead of a constructed error. The success
-// path is bit-identical to Evaluate.
-func TryEvaluate(l dnn.Layer, elemBytes int, m Mapping, hw HW) (c Cost, ok bool) {
-	if elemBytes <= 0 || m.NTile <= 0 || hw.Validate() != nil {
-		return Cost{}, false
-	}
-	switch m.Dataflow {
+// Evaluable reports whether every input check Evaluate makes, except
+// the per-mapping NTile > 0, passes: positive element width, known
+// dataflow and partition, and valid hardware. Loops that evaluate one
+// (layer, dataflow, partition, hardware) tuple at many positive tile
+// counts check it once and then call EvaluateInto per count.
+func Evaluable(elemBytes int, df Dataflow, part Partition, hw *HW) bool {
+	switch df {
 	case WS, OS, IS:
 	default:
-		return Cost{}, false
+		return false
 	}
-	switch m.Partition {
+	switch part {
 	case ByChannel, BySpatial:
 	default:
-		return Cost{}, false
+		return false
 	}
-	ok = evaluate(&l, elemBytes, m, &hw, &c)
-	return c, ok
+	return elemBytes > 0 && hw.Validate() == nil
 }
 
-// evaluate is the validated cost-model core, writing into *c to spare
-// the callers a copy of the sizeable Cost struct per hop. It reports
-// ok=false only for the one data-dependent failure — the tile working
-// set exceeding VM — filling TileWorkingSet and NTileEffective so
-// Evaluate can build its diagnostic without redoing the math.
-func evaluate(l *dnn.Layer, elemBytes int, m Mapping, hw *HW, c *Cost) bool {
+// EvaluateInto is the validated cost-model core, writing into *c so hot
+// loops can reuse one Cost and pass the layer and hardware by pointer
+// instead of copying the sizeable structs per tile count. The caller
+// must have checked Evaluable(elemBytes, m.Dataflow, m.Partition, hw)
+// and m.NTile > 0. It reports false only for the one data-dependent
+// failure — the tile working set exceeding VM — filling TileWorkingSet
+// and NTileEffective so Evaluate can build its diagnostic without
+// redoing the math. The success path is bit-identical to Evaluate.
+func EvaluateInto(l *dnn.Layer, elemBytes int, m Mapping, hw *HW, c *Cost) bool {
 	ext := partitionExtent(l, m.Partition)
 	n := m.NTile
 	if n > ext {
@@ -348,25 +348,27 @@ func evaluate(l *dnn.Layer, elemBytes int, m Mapping, hw *HW, c *Cost) bool {
 		}
 	}
 
-	*c = Cost{
-		Layer:          l.Name,
-		Mapping:        m,
-		NTileEffective: n,
-		TileMACs:       tileMACs,
-		TileReadBytes:  units.Bytes(tileIn + tileW),
-		TileWriteBytes: units.Bytes(tileOut),
-		TileVMBytes:    units.Bytes(vmTile),
-		TileWorkingSet: units.Bytes(workingSet),
-		TileEnergy:     units.Energy(tileEnergy),
-		TileNVMEnergy:  units.Energy(tileNVM),
-		TileTime:       units.Seconds(tileTime),
-		MACs:           macs,
-		ReadBytes:      units.Bytes((tileIn + tileW) * float64(n)),
-		WriteBytes:     units.Bytes(tileOut * float64(n)),
-		VMBytes:        units.Bytes(vmTile * float64(n)),
-		EDf:            units.Energy(tileEnergy * float64(n)),
-		TDf:            units.Seconds(tileTime * float64(n)),
-	}
+	// Every field is assigned one by one: a composite literal stored
+	// through a pointer is built in a zeroed temporary and then copied,
+	// which costs more than the arithmetic above.
+	// TestEvaluateIntoOverwritesEveryField catches a field left out.
+	c.Layer = l.Name
+	c.Mapping = m
+	c.NTileEffective = n
+	c.TileMACs = tileMACs
+	c.TileReadBytes = units.Bytes(tileIn + tileW)
+	c.TileWriteBytes = units.Bytes(tileOut)
+	c.TileVMBytes = units.Bytes(vmTile)
+	c.TileWorkingSet = units.Bytes(workingSet)
+	c.TileEnergy = units.Energy(tileEnergy)
+	c.TileNVMEnergy = units.Energy(tileNVM)
+	c.TileTime = units.Seconds(tileTime)
+	c.MACs = macs
+	c.ReadBytes = units.Bytes((tileIn + tileW) * float64(n))
+	c.WriteBytes = units.Bytes(tileOut * float64(n))
+	c.VMBytes = units.Bytes(vmTile * float64(n))
+	c.EDf = units.Energy(tileEnergy * float64(n))
+	c.TDf = units.Seconds(tileTime * float64(n))
 	return true
 }
 
@@ -472,6 +474,12 @@ func AppendCandidateNTiles(dst []int, l dnn.Layer, p Partition) []int {
 // StaticEnergy returns the static-memory term of Eq. 5 for an execution
 // of duration t: T · N_mem · p_mem (plus idle power when provided).
 func StaticEnergy(hw HW, t units.Seconds) units.Energy {
+	return hw.StaticEnergy(t)
+}
+
+// StaticEnergy is the package-level StaticEnergy read through a pointer,
+// for hot loops that must not copy the HW struct per call.
+func (hw *HW) StaticEnergy(t units.Seconds) units.Energy {
 	return units.MulPT(hw.PMemPerByte, t)*units.Energy(float64(hw.VMBytes)) +
 		units.MulPT(hw.PIdle, t)
 }

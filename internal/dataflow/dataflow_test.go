@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -79,6 +80,62 @@ func TestEvaluateInputValidation(t *testing.T) {
 	bad.NPE = -1
 	if _, err := Evaluate(l, 1, Mapping{NTile: 1}, bad); err == nil {
 		t.Error("invalid HW should fail")
+	}
+}
+
+// TestEvaluableMatchesEvaluate checks Evaluable reports exactly the
+// inputs Evaluate accepts at a positive tile count.
+func TestEvaluableMatchesEvaluate(t *testing.T) {
+	l := convLayer(t)
+	bad := testHW()
+	bad.NPE = -1
+	for _, hw := range []HW{testHW(), bad} {
+		for _, eb := range []int{-1, 0, 1, 2} {
+			for _, df := range []Dataflow{WS, OS, IS, Dataflow(9)} {
+				for _, part := range []Partition{ByChannel, BySpatial, Partition(9)} {
+					_, err := Evaluate(l, eb, Mapping{Dataflow: df, Partition: part, NTile: 4}, hw)
+					if got := Evaluable(eb, df, part, &hw); got != (err == nil) {
+						t.Errorf("Evaluable(%d, %v, %v, NPE=%d) = %v, Evaluate err %v", eb, df, part, hw.NPE, got, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEvaluateIntoOverwritesEveryField checks EvaluateInto, which
+// assigns its result field by field, leaves nothing of a reused Cost
+// behind: over a Cost with every field set, it must produce exactly
+// Evaluate's result.
+func TestEvaluateIntoOverwritesEveryField(t *testing.T) {
+	l := convLayer(t)
+	hw := testHW()
+	m := Mapping{Dataflow: WS, Partition: BySpatial, NTile: 4}
+	want, err := Evaluate(l, 2, m, hw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c Cost
+	v := reflect.ValueOf(&c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString("stale")
+		case reflect.Int, reflect.Int64:
+			f.SetInt(7)
+		case reflect.Float64:
+			f.SetFloat(7)
+		case reflect.Struct:
+			f.Set(reflect.ValueOf(Mapping{Dataflow: IS, Partition: ByChannel, NTile: 7}))
+		default:
+			t.Fatalf("Cost field %s has unhandled kind %v", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	if !EvaluateInto(&l, 2, m, &hw, &c) {
+		t.Fatal("EvaluateInto reported the feasible mapping infeasible")
+	}
+	if !reflect.DeepEqual(c, want) {
+		t.Fatalf("EvaluateInto left stale fields:\n%+v\nwant\n%+v", c, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"chrysalis/internal/accel"
 	"chrysalis/internal/dataflow"
+	"chrysalis/internal/dnn"
 	"chrysalis/internal/energy"
 	"chrysalis/internal/intermittent"
 	"chrysalis/internal/obs"
@@ -62,21 +63,28 @@ type dfCtx struct {
 // fingerprint: the dataflow contexts the inner optimizer explores and,
 // per layer, one ladder per (dataflow, partition) pair. It is immutable
 // after construction and therefore shared freely across goroutines.
+//
+// The set owns the inputs its ladders point at: one copy of the
+// workload's layers and one HW per dataflow context, shared by every
+// ladder instead of copied into each.
 type ladderSet struct {
-	ctxs []dfCtx
-	// ladders[layer][2*ctxIndex + int(partition)]
-	ladders [][]intermittent.Ladder
+	ctxs   []dfCtx
+	layers []dnn.Layer
+	// ladders[(layer*len(ctxs) + ctxIndex)*2 + int(partition)]
+	ladders []intermittent.Ladder
 }
 
 // ladderAt returns the ladder for (layer, dataflow context, partition).
 func (ls *ladderSet) ladderAt(layer, ctx int, part dataflow.Partition) *intermittent.Ladder {
-	return &ls.ladders[layer][2*ctx+int(part)]
+	return &ls.ladders[(layer*len(ls.ctxs)+ctx)*2+int(part)]
 }
 
 // buildLadderSet computes every ladder the inner search needs for one
 // hardware fingerprint, in the exact order the per-call search explored
 // them (dataflows outer, partitions inner) so scans reproduce the old
-// trajectory bit for bit.
+// trajectory bit for bit. A layer's candidate tile counts depend only on
+// the layer and the partition, so they are enumerated once per pair and
+// shared by every dataflow's ladder.
 func buildLadderSet(sc Scenario, cand Candidate) (*ladderSet, error) {
 	dfs := dataflowChoices(sc)
 	ls := &ladderSet{ctxs: make([]dfCtx, 0, len(dfs))}
@@ -87,19 +95,25 @@ func buildLadderSet(sc Scenario, cand Candidate) (*ladderSet, error) {
 		}
 		ls.ctxs = append(ls.ctxs, dfCtx{df: df, hw: hw})
 	}
-	ls.ladders = make([][]intermittent.Ladder, len(sc.Workload.Layers))
-	for li, l := range sc.Workload.Layers {
-		row := make([]intermittent.Ladder, 2*len(ls.ctxs))
-		for ci, ctx := range ls.ctxs {
-			for _, part := range []dataflow.Partition{dataflow.ByChannel, dataflow.BySpatial} {
-				ld, err := intermittent.BuildLadderTraced(sc.Trace, l, sc.Workload.ElemBytes, ctx.df, part, ctx.hw, sc.Rexc)
+	ls.layers = append([]dnn.Layer(nil), sc.Workload.Layers...)
+	ls.ladders = make([]intermittent.Ladder, 2*len(ls.ctxs)*len(ls.layers))
+	parts := [2]dataflow.Partition{dataflow.ByChannel, dataflow.BySpatial}
+	var ntiles [2][]int
+	for li := range ls.layers {
+		l := &ls.layers[li]
+		for _, part := range parts {
+			ntiles[part] = dataflow.AppendCandidateNTiles(ntiles[part][:0], *l, part)
+		}
+		for ci := range ls.ctxs {
+			ctx := &ls.ctxs[ci]
+			for _, part := range parts {
+				ld, err := intermittent.BuildLadderShared(sc.Trace, l, sc.Workload.ElemBytes, ctx.df, part, ntiles[part], &ctx.hw, sc.Rexc)
 				if err != nil {
 					return nil, err
 				}
-				row[2*ci+int(part)] = ld
+				*ls.ladderAt(li, ci, part) = ld
 			}
 		}
-		ls.ladders[li] = row
 	}
 	return ls, nil
 }

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"chrysalis/internal/accel"
+	"chrysalis/internal/dataflow"
 	"chrysalis/internal/dnn"
+	"chrysalis/internal/obs"
 )
 
 // mspCandidates spans the energy genes the outer search varies on the
@@ -139,5 +141,107 @@ func TestEvaluatorCacheConcurrent(t *testing.T) {
 	}
 	if misses < int64(len(cands)) {
 		t.Errorf("misses = %d, want >= %d distinct fingerprints", misses, len(cands))
+	}
+}
+
+// TestTracedColdSearchBuildLadderSpans covers the traced ladder-build
+// path. A traced cold serial search records one "ladder-build" span per
+// plan-cache miss and, per miss, exactly layers × dataflows × 2
+// "build-ladder" spans, each carrying its tuple identity and rung count.
+// A traced evaluator's spans then match the ladders of the set it built,
+// in build order.
+func TestTracedColdSearchBuildLadderSpans(t *testing.T) {
+	tpu := accel.TPU
+	sc := Scenario{Workload: dnn.HAR(), Platform: Accel, Objective: LatSP, Arch: &tpu, Trace: obs.NewTrace(1 << 16)}
+	cfg := smallGA(11)
+	cfg.Workers = -1
+	out, err := Explore(sc, Full, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sc.Trace.Dropped(); n != 0 {
+		t.Fatalf("trace ring dropped %d events; enlarge it", n)
+	}
+	var sets, ladders int
+	for _, ev := range sc.Trace.Events() {
+		switch ev.Name {
+		case "ladder-build":
+			sets++
+		case "build-ladder":
+			ladders++
+			if rungs, ok := ev.Args["rungs"].(int); !ok || rungs < 0 {
+				t.Fatalf("build-ladder span without a rung count: %+v", ev.Args)
+			}
+			for _, k := range []string{"layer", "dataflow", "partition"} {
+				if _, ok := ev.Args[k].(string); !ok {
+					t.Fatalf("build-ladder span without %q: %+v", k, ev.Args)
+				}
+			}
+		}
+	}
+	perMiss := len(sc.Workload.Layers) * len(dataflow.Dataflows()) * 2
+	if out.CacheMisses == 0 || int64(sets) != out.CacheMisses || int64(ladders) != out.CacheMisses*int64(perMiss) {
+		t.Fatalf("%d misses recorded %d ladder-build and %d build-ladder spans, want %d and %d",
+			out.CacheMisses, sets, ladders, out.CacheMisses, out.CacheMisses*int64(perMiss))
+	}
+
+	sc.Trace = obs.NewTrace(1 << 12)
+	e, err := NewEvaluator(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := e.cache.get(e.sc, accelCandidates()[2], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := 0
+	for _, ev := range sc.Trace.Events() {
+		if ev.Name != "build-ladder" {
+			continue
+		}
+		if k >= len(ls.ladders) {
+			t.Fatalf("more build-ladder spans than the %d ladders built", len(ls.ladders))
+		}
+		ld := &ls.ladders[k]
+		want := map[string]any{"layer": ld.Layer.Name, "dataflow": ld.Dataflow.String(),
+			"partition": ld.Partition.String(), "rungs": len(ld.Rungs), "err": false}
+		for key, v := range want {
+			if ev.Args[key] != v {
+				t.Fatalf("span %d: %s = %v, want %v", k, key, ev.Args[key], v)
+			}
+		}
+		k++
+	}
+	if k != len(ls.ladders) {
+		t.Fatalf("%d build-ladder spans for %d ladders", k, len(ls.ladders))
+	}
+}
+
+// BenchmarkBuildLadderSet times one cold ladder-set build — every
+// (layer, dataflow, partition) ladder of a workload on one hardware
+// fingerprint — the unit of work behind each plan-cache miss.
+func BenchmarkBuildLadderSet(b *testing.B) {
+	cases := []struct {
+		name string
+		sc   Scenario
+		cand Candidate
+	}{
+		{"accel-resnet18", Scenario{Workload: dnn.ResNet18(), Platform: Accel, Objective: LatSP}, accelCandidates()[2]},
+		{"accel-vgg16", Scenario{Workload: dnn.VGG16(), Platform: Accel, Objective: LatSP}, accelCandidates()[1]},
+		{"msp-cifar10", Scenario{Workload: dnn.CIFAR10(), Platform: MSP, Objective: LatSP}, mspCandidates()[0]},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			e, err := NewEvaluator(tc.sc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := buildLadderSet(e.sc, tc.cand); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"unsafe"
 
 	"chrysalis/internal/dataflow"
+	"chrysalis/internal/dnn"
 	"chrysalis/internal/intermittent"
 )
 
@@ -320,24 +321,26 @@ func (c *WarmCache) removeLocked(sh *warmShard, e *warmEntry) {
 	c.entries.Add(-1)
 }
 
-// ladderSetBytes estimates a set's resident size: the struct spines
-// plus every ladder's rung slice and layer-name string. Rungs dominate
-// (a deep workload's set holds thousands of 32-byte rungs); the spine
-// terms keep shallow sets from rounding to zero.
+// ladderSetBytes estimates a set's resident size: the struct spines,
+// the set-owned layers (with their names) and HW contexts counted once,
+// and every ladder's rung slice by capacity. Rungs dominate (a deep
+// workload's set holds thousands of 32-byte rungs); the other terms
+// keep shallow sets from rounding to zero.
 func ladderSetBytes(ls *ladderSet) int64 {
 	const (
 		setSize    = int64(unsafe.Sizeof(ladderSet{}))
 		ctxSize    = int64(unsafe.Sizeof(dfCtx{}))
+		layerSize  = int64(unsafe.Sizeof(dnn.Layer{}))
 		ladderSize = int64(unsafe.Sizeof(intermittent.Ladder{}))
 		rungSize   = int64(unsafe.Sizeof(intermittent.Rung{}))
-		rowHeader  = int64(unsafe.Sizeof([]intermittent.Ladder{}))
 	)
-	sz := setSize + int64(len(ls.ctxs))*ctxSize
-	for _, row := range ls.ladders {
-		sz += rowHeader
-		for i := range row {
-			sz += ladderSize + int64(len(row[i].Layer.Name)) + int64(cap(row[i].Rungs))*rungSize
-		}
+	sz := setSize + int64(cap(ls.ctxs))*ctxSize + int64(cap(ls.layers))*layerSize +
+		int64(cap(ls.ladders))*ladderSize
+	for i := range ls.layers {
+		sz += int64(len(ls.layers[i].Name))
+	}
+	for i := range ls.ladders {
+		sz += int64(cap(ls.ladders[i].Rungs)) * rungSize
 	}
 	return sz
 }

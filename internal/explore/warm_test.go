@@ -6,9 +6,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"chrysalis/internal/accel"
 	"chrysalis/internal/dnn"
+	"chrysalis/internal/intermittent"
 	"chrysalis/internal/units"
 )
 
@@ -150,6 +152,18 @@ func TestWarmCacheByteBoundAdversarial(t *testing.T) {
 	one := ladderSetBytes(ls)
 	if one <= 0 {
 		t.Fatalf("ladderSetBytes = %d, want > 0", one)
+	}
+	// The estimate must cover what the set really holds: every rung and
+	// one copy of each workload layer (with its name).
+	var held int64
+	for i := range ls.ladders {
+		held += int64(len(ls.ladders[i].Rungs)) * int64(unsafe.Sizeof(intermittent.Rung{}))
+	}
+	for _, l := range sc.Workload.Layers {
+		held += int64(unsafe.Sizeof(l)) + int64(len(l.Name))
+	}
+	if one < held {
+		t.Fatalf("ladderSetBytes = %d, below the %d bytes of rungs and layers the set holds", one, held)
 	}
 	warm := NewWarmCache(one * 2 * warmShards) // ~2 sets per shard
 	const distinct = 64

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"chrysalis/internal/dataflow"
 	"chrysalis/internal/dnn"
@@ -33,25 +32,36 @@ const DefaultExceptionRate = 0.05
 const PlanModelVersion = 1
 
 // SaveEnergy returns the energy to persist b bytes of volatile state.
-func SaveEnergy(hw dataflow.HW, b units.Bytes) units.Energy {
-	return units.Energy(float64(hw.ENVMWritePerByte) * float64(b))
-}
+func SaveEnergy(hw dataflow.HW, b units.Bytes) units.Energy { return saveEnergy(&hw, b) }
 
 // ResumeEnergy returns the energy to restore b bytes from NVM.
-func ResumeEnergy(hw dataflow.HW, b units.Bytes) units.Energy {
-	return units.Energy(float64(hw.ENVMReadPerByte) * float64(b))
-}
+func ResumeEnergy(hw dataflow.HW, b units.Bytes) units.Energy { return resumeEnergy(&hw, b) }
 
 // CheckpointEnergy is the paper's per-checkpoint cost N_ckpt·(e_r+e_w):
 // one save plus the matching resume.
-func CheckpointEnergy(hw dataflow.HW, b units.Bytes) units.Energy {
-	return SaveEnergy(hw, b) + ResumeEnergy(hw, b)
-}
+func CheckpointEnergy(hw dataflow.HW, b units.Bytes) units.Energy { return checkpointEnergy(&hw, b) }
 
 // CheckpointTime returns the time to stream b bytes to or from NVM.
 // Unbounded-bandwidth hardware checkpoints "instantly" (the energy cost
 // still applies).
-func CheckpointTime(hw dataflow.HW, b units.Bytes) units.Seconds {
+func CheckpointTime(hw dataflow.HW, b units.Bytes) units.Seconds { return checkpointTime(&hw, b) }
+
+// The pointer forms below are the single definitions of the checkpoint
+// costs; the exported wrappers above and the rung kernel share them.
+
+func saveEnergy(hw *dataflow.HW, b units.Bytes) units.Energy {
+	return units.Energy(float64(hw.ENVMWritePerByte) * float64(b))
+}
+
+func resumeEnergy(hw *dataflow.HW, b units.Bytes) units.Energy {
+	return units.Energy(float64(hw.ENVMReadPerByte) * float64(b))
+}
+
+func checkpointEnergy(hw *dataflow.HW, b units.Bytes) units.Energy {
+	return saveEnergy(hw, b) + resumeEnergy(hw, b)
+}
+
+func checkpointTime(hw *dataflow.HW, b units.Bytes) units.Seconds {
 	if hw.NVMBytesPerSec <= 0 {
 		return 0
 	}
@@ -108,34 +118,62 @@ func PlanLayer(l dnn.Layer, elemBytes int, m dataflow.Mapping, hw dataflow.HW, r
 	if err != nil {
 		return Plan{}, err
 	}
-	return planFromCost(l, c, hw, rexc), nil
+	var p Plan
+	planFromCost(&l, &c, &hw, rexc, &p)
+	return p, nil
 }
 
-// planFromCost adds the checkpoint accounting of Eq. 4–5 to an
-// already-evaluated dataflow cost. rexc must be normalized.
-func planFromCost(l dnn.Layer, c dataflow.Cost, hw dataflow.HW, rexc float64) Plan {
+// tileCost is the checkpoint accounting of Eq. 4–5 for one evaluated
+// dataflow cost, reduced to the scalars a Plan and a Rung are built
+// from. tileCostOf is the one place it is computed, so a ladder's rungs
+// and the plans PlanAt rematerializes cannot drift apart.
+type tileCost struct {
+	perCkpt    units.Energy // N_ckpt·(e_r+e_w): one save plus its resume
+	n          float64      // effective tile count
+	tileStatic units.Energy
+	tileE      units.Energy
+	tileT      units.Seconds
+}
+
+// tileCostOf computes c's checkpoint accounting. rexc must be normalized.
+func tileCostOf(c *dataflow.Cost, hw *dataflow.HW, rexc float64) tileCost {
 	// The checkpoint captures the tile's volatile working set (paper
 	// Fig. 4 step ⑥: "all data in VM and the processing hardware").
 	ckptB := c.TileWorkingSet
-	perCkpt := CheckpointEnergy(hw, ckptB)
-	n := float64(c.NTileEffective)
+	perCkpt := checkpointEnergy(hw, ckptB)
+	tileT := c.TileTime + units.Seconds(float64(checkpointTime(hw, ckptB))*(1+rexc))
+	tileStatic := hw.StaticEnergy(tileT)
+	return tileCost{
+		perCkpt:    perCkpt,
+		n:          float64(c.NTileEffective),
+		tileStatic: tileStatic,
+		tileE:      c.TileEnergy + tileStatic + units.Energy((1+rexc)*float64(perCkpt)),
+		tileT:      tileT,
+	}
+}
 
-	tileStaticT := c.TileTime + units.Seconds(float64(CheckpointTime(hw, ckptB))*(1+rexc))
-	tileStatic := dataflow.StaticEnergy(hw, tileStaticT)
-	tileE := c.TileEnergy + tileStatic + units.Energy((1+rexc)*float64(perCkpt))
-	tileT := tileStaticT
+// energy is the layer's total E_all (Eq. 5).
+func (tc *tileCost) energy() units.Energy { return units.Energy(float64(tc.tileE) * tc.n) }
 
-	return Plan{
-		Layer:        l,
-		Cost:         c,
+// power is the average draw during one tile (Plan.TilePower).
+func (tc *tileCost) power() units.Power { return units.DivET(tc.tileE, tc.tileT) }
+
+// planFromCost writes the plan of an already-evaluated dataflow cost —
+// the cost plus its checkpoint accounting — into dst. rexc must be
+// normalized.
+func planFromCost(l *dnn.Layer, c *dataflow.Cost, hw *dataflow.HW, rexc float64, dst *Plan) {
+	tc := tileCostOf(c, hw, rexc)
+	*dst = Plan{
+		Layer:        *l,
+		Cost:         *c,
 		Rexc:         rexc,
-		CkptBytes:    ckptB,
-		TileEnergy:   tileE,
-		TileTime:     tileT,
-		Energy:       units.Energy(float64(tileE) * n),
-		Time:         units.Seconds(float64(tileT) * n),
-		CkptEnergy:   units.Energy(n * (1 + rexc) * float64(perCkpt)),
-		StaticEnergy: units.Energy(n * float64(tileStatic)),
+		CkptBytes:    c.TileWorkingSet,
+		TileEnergy:   tc.tileE,
+		TileTime:     tc.tileT,
+		Energy:       tc.energy(),
+		Time:         units.Seconds(float64(tc.tileT) * tc.n),
+		CkptEnergy:   units.Energy(tc.n * (1 + rexc) * float64(tc.perCkpt)),
+		StaticEnergy: units.Energy(tc.n * float64(tc.tileStatic)),
 	}
 }
 
@@ -190,15 +228,19 @@ func MinFeasibleTiles(l dnn.Layer, elemBytes int, df dataflow.Dataflow, part dat
 	if err != nil {
 		return Plan{}, err
 	}
-	for _, n := range dataflow.CandidateNTiles(l, part) {
-		m := dataflow.Mapping{Dataflow: df, Partition: part, NTile: n}
-		c, ok := dataflow.TryEvaluate(l, elemBytes, m, hw)
-		if !ok {
-			continue // tile does not fit VM at this count
-		}
-		p := planFromCost(l, c, hw, rexc)
-		if avail := budget(p.TilePower()); avail > 0 && p.TileEnergy <= avail {
-			return p, nil
+	if dataflow.Evaluable(elemBytes, df, part, &hw) {
+		var c dataflow.Cost
+		for _, n := range dataflow.CandidateNTiles(l, part) {
+			m := dataflow.Mapping{Dataflow: df, Partition: part, NTile: n}
+			if !dataflow.EvaluateInto(&l, elemBytes, m, &hw, &c) {
+				continue // tile does not fit VM at this count
+			}
+			tc := tileCostOf(&c, &hw, rexc)
+			if avail := budget(tc.power()); avail > 0 && tc.tileE <= avail {
+				var p Plan
+				planFromCost(&l, &c, &hw, rexc, &p)
+				return p, nil
+			}
 		}
 	}
 	return Plan{}, noFeasibleTileError(l.Name)
@@ -236,47 +278,92 @@ type Rung struct {
 // The cycle budget (panel area, capacitance, environment) only selects
 // WHICH rung is chosen, via MinFeasible — so one ladder serves every
 // energy-gene candidate the outer search proposes.
+//
+// Layer and HW point at storage the ladder shares with its builder's
+// caller (a plan cache's ladder set keeps one layer per workload layer
+// and one HW per dataflow for all of its ladders). Neither may be
+// mutated while the ladder is in use.
 type Ladder struct {
-	Layer     dnn.Layer
+	Layer     *dnn.Layer
 	ElemBytes int
 	Dataflow  dataflow.Dataflow
 	Partition dataflow.Partition
 	Rexc      float64
 	// HW holds the cost constants the rungs were evaluated under, kept
 	// so PlanAt can re-run the cost model for a chosen rung.
-	HW    dataflow.HW
+	HW    *dataflow.HW
 	Rungs []Rung
 }
 
-// ntileScratch pools the candidate-tile-count buffer BuildLadder scans,
-// so steady-state ladder builds (every plan-cache miss builds one
-// ladder per layer × dataflow × partition) allocate no per-call slice.
-var ntileScratch = sync.Pool{New: func() any { return new([]int) }}
-
 // BuildLadder evaluates the full sorted sequence of VM-feasible tile
 // counts for a layer once, storing one slim Rung per count. rexc < 0
-// selects DefaultExceptionRate; rexc >= 1 is rejected.
+// selects DefaultExceptionRate; rexc >= 1 is rejected. It is
+// BuildLadderShared over the candidate tile counts of (l, part); the
+// returned ladder points at its own copies of l and hw.
+//
+// BuildLadder is small enough to inline, so those copies live in the
+// caller's frame unless the caller keeps the ladder beyond it: a caller
+// that only inspects the rungs pays one allocation, the rung slice.
 func BuildLadder(l dnn.Layer, elemBytes int, df dataflow.Dataflow, part dataflow.Partition,
 	hw dataflow.HW, rexc float64) (Ladder, error) {
+	return buildCandidates(&l, elemBytes, df, part, &hw, rexc)
+}
+
+// buildCandidates enumerates the candidate tile counts of (*l, part)
+// into a stack buffer and builds their ladder. 128 counts cover every
+// extent below 110,880 (the smallest with more divisors); longer lists
+// spill to the heap.
+func buildCandidates(l *dnn.Layer, elemBytes int, df dataflow.Dataflow, part dataflow.Partition,
+	hw *dataflow.HW, rexc float64) (Ladder, error) {
+	var buf [128]int
+	return BuildLadderShared(nil, l, elemBytes, df, part, dataflow.AppendCandidateNTiles(buf[:0], *l, part), hw, rexc)
+}
+
+// BuildLadderShared is the copy-free rung kernel behind every ladder
+// build. ntiles must be the candidate tile counts of (*l, part), as
+// dataflow.AppendCandidateNTiles lists them; callers building several
+// dataflows' ladders for one (layer, partition) enumerate them once.
+// The returned ladder points at *l and *hw (see Ladder) and retains no
+// reference to ntiles.
+//
+// The input checks run once per ladder, not once per tile count: on an
+// invalid element width, mapping or hardware every candidate would fail
+// them, so the ladder has zero rungs (and a nil error), as it always
+// had. Each feasible count is then evaluated by dataflow.EvaluateInto
+// into one reused Cost and reduced to its Rung by tileCostOf — the same
+// arithmetic PlanAt runs, so every rung is bit-identical to its plan.
+//
+// A non-nil tr records one "build-ladder" span carrying the tuple
+// identity (layer, dataflow, partition) and the resulting rung count,
+// so a Perfetto view of a search shows exactly where ladder-building
+// time went; a nil tr costs nothing.
+func BuildLadderShared(tr *obs.Trace, l *dnn.Layer, elemBytes int, df dataflow.Dataflow,
+	part dataflow.Partition, ntiles []int, hw *dataflow.HW, rexc float64) (Ladder, error) {
+	if tr != nil {
+		sp := tr.Start("explore", "build-ladder",
+			obs.A("layer", l.Name), obs.A("dataflow", df.String()), obs.A("partition", part.String()))
+		ld, err := BuildLadderShared(nil, l, elemBytes, df, part, ntiles, hw, rexc)
+		sp.End(obs.A("rungs", len(ld.Rungs)), obs.A("err", err != nil))
+		return ld, err
+	}
 	rexc, err := normalizeRexc(rexc)
 	if err != nil {
 		return Ladder{}, err
 	}
-	buf := ntileScratch.Get().(*[]int)
-	ntiles := dataflow.AppendCandidateNTiles((*buf)[:0], l, part)
-	ld := Ladder{Layer: l, ElemBytes: elemBytes, Dataflow: df, Partition: part, Rexc: rexc, HW: hw,
-		Rungs: make([]Rung, 0, len(ntiles))}
+	ld := Ladder{Layer: l, ElemBytes: elemBytes, Dataflow: df, Partition: part, Rexc: rexc, HW: hw}
+	if !dataflow.Evaluable(elemBytes, df, part, hw) {
+		return ld, nil
+	}
+	ld.Rungs = make([]Rung, 0, len(ntiles))
+	var c dataflow.Cost
 	for _, n := range ntiles {
 		m := dataflow.Mapping{Dataflow: df, Partition: part, NTile: n}
-		c, ok := dataflow.TryEvaluate(l, elemBytes, m, hw)
-		if !ok {
+		if !dataflow.EvaluateInto(l, elemBytes, m, hw, &c) {
 			continue // tile does not fit VM at this count
 		}
-		p := planFromCost(l, c, hw, rexc)
-		ld.Rungs = append(ld.Rungs, Rung{NTile: n, Power: p.TilePower(), TileEnergy: p.TileEnergy, Energy: p.Energy})
+		tc := tileCostOf(&c, hw, rexc)
+		ld.Rungs = append(ld.Rungs, Rung{NTile: n, Power: tc.power(), TileEnergy: tc.tileE, Energy: tc.energy()})
 	}
-	*buf = ntiles
-	ntileScratch.Put(buf)
 	return ld, nil
 }
 
@@ -295,28 +382,11 @@ func (ld *Ladder) PlanAt(i int) Plan {
 // zero allocations.
 func (ld *Ladder) PlanInto(i int, dst *Plan) {
 	m := dataflow.Mapping{Dataflow: ld.Dataflow, Partition: ld.Partition, NTile: ld.Rungs[i].NTile}
-	// The rung exists, so the same inputs evaluated feasibly at build
-	// time; TryEvaluate cannot fail here.
-	c, _ := dataflow.TryEvaluate(ld.Layer, ld.ElemBytes, m, ld.HW)
-	*dst = planFromCost(ld.Layer, c, ld.HW, ld.Rexc)
-}
-
-// BuildLadderTraced is BuildLadder wrapped in an obs span carrying the
-// tuple identity (layer, dataflow, partition) and the resulting rung
-// count — the Explorer records one such span per ladder a plan-cache
-// miss constructs, so a Perfetto view of a search shows exactly where
-// ladder-building time went. A nil tracer falls through to BuildLadder
-// with no overhead.
-func BuildLadderTraced(tr *obs.Trace, l dnn.Layer, elemBytes int, df dataflow.Dataflow,
-	part dataflow.Partition, hw dataflow.HW, rexc float64) (Ladder, error) {
-	if tr == nil {
-		return BuildLadder(l, elemBytes, df, part, hw, rexc)
-	}
-	sp := tr.Start("explore", "build-ladder",
-		obs.A("layer", l.Name), obs.A("dataflow", df.String()), obs.A("partition", part.String()))
-	ld, err := BuildLadder(l, elemBytes, df, part, hw, rexc)
-	sp.End(obs.A("rungs", len(ld.Rungs)), obs.A("err", err != nil))
-	return ld, err
+	// The rung exists, so the same validated inputs evaluated feasibly
+	// at build time; EvaluateInto cannot fail here.
+	var c dataflow.Cost
+	dataflow.EvaluateInto(ld.Layer, ld.ElemBytes, m, ld.HW, &c)
+	planFromCost(ld.Layer, &c, ld.HW, ld.Rexc, dst)
 }
 
 // MinFeasibleIndex returns the index of the first (smallest-NTile) rung

@@ -2,11 +2,14 @@ package intermittent
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"chrysalis/internal/accel"
 	"chrysalis/internal/dataflow"
 	"chrysalis/internal/dnn"
 	"chrysalis/internal/msp430"
@@ -263,43 +266,185 @@ func TestLadderMatchesPerCallScan(t *testing.T) {
 	}
 }
 
+// ladderHW is one hardware column of the ladder bit-identity matrix:
+// the MSP430 constants for every dataflow, or an accelerator design
+// point's HW(df).
+type ladderHW struct {
+	name string
+	hw   func(df dataflow.Dataflow) (dataflow.HW, error)
+}
+
+func ladderHWs() []ladderHW {
+	hws := []ladderHW{{"msp430", func(dataflow.Dataflow) (dataflow.HW, error) { return hwMSP(), nil }}}
+	for _, cfg := range []accel.Config{
+		accel.EyerissV1(),
+		{Arch: accel.TPU, NPE: 64, CacheBytes: 512},
+		{Arch: accel.TPU, NPE: accel.MinPE, CacheBytes: accel.MinCacheBytes},
+		{Arch: accel.Eyeriss, NPE: accel.MaxPE, CacheBytes: accel.MaxCacheBytes},
+	} {
+		hws = append(hws, ladderHW{fmt.Sprintf("%s-%d-%d", cfg.Arch, cfg.NPE, int(cfg.CacheBytes)), cfg.HW})
+	}
+	return hws
+}
+
 // TestLadderEntriesAscendingAndBudgetFree checks the Ladder invariants
-// the fingerprint cache relies on: rungs are sorted by ascending NTile,
-// the slim rung scalars are budget-independent (identical to a direct
-// PlanLayer evaluation of the same mapping), and PlanAt rematerializes
-// the full plan bit-identically.
+// the fingerprint cache relies on, over every catalog workload (Table
+// IV, Table V and the accelerator benchmark set) × dataflow × partition
+// × hardware (MSP430 and Table V accelerator design points) × r_exc:
+//
+//   - the rung NTiles are exactly the candidate tile counts at which
+//     Evaluate succeeds, in ascending order;
+//   - every rung's scalars are bit-identical (math.Float64bits) to a
+//     direct PlanLayer evaluation of the same mapping — the copy-free
+//     kernel does the same arithmetic in the same order;
+//   - PlanAt rematerializes the full plan bit-identically;
+//   - BuildLadderShared over the same candidates builds the same rungs.
 func TestLadderEntriesAscendingAndBudgetFree(t *testing.T) {
-	l := convLayer(t)
-	ld, err := BuildLadder(l, 2, dataflow.OS, dataflow.ByChannel, hwMSP(), 0.05)
+	bits := func(v float64) uint64 { return math.Float64bits(v) }
+	rexcs := []float64{0, -1, 0.5} // -1 selects DefaultExceptionRate
+	hws := ladderHWs()
+	rungs := 0
+	for _, name := range dnn.Names() {
+		w, err := dnn.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, hwc := range hws {
+			for _, df := range dataflow.Dataflows() {
+				hw, err := hwc.hw(df)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, part := range []dataflow.Partition{dataflow.ByChannel, dataflow.BySpatial} {
+					for _, rexc := range rexcs {
+						for li := range w.Layers {
+							l := w.Layers[li]
+							where := fmt.Sprintf("%s/%s/%s/%s/%v/rexc=%g", w.Name, l.Name, hwc.name, df, part, rexc)
+							ld, err := BuildLadder(l, w.ElemBytes, df, part, hw, rexc)
+							if err != nil {
+								t.Fatalf("%s: BuildLadder: %v", where, err)
+							}
+							var want []int
+							for _, n := range dataflow.CandidateNTiles(l, part) {
+								m := dataflow.Mapping{Dataflow: df, Partition: part, NTile: n}
+								if _, err := dataflow.Evaluate(l, w.ElemBytes, m, hw); err == nil {
+									want = append(want, n)
+								}
+							}
+							if len(ld.Rungs) != len(want) {
+								t.Fatalf("%s: %d rungs, want %d (the Evaluate-feasible candidates)", where, len(ld.Rungs), len(want))
+							}
+							for i, r := range ld.Rungs {
+								if r.NTile != want[i] {
+									t.Fatalf("%s: rung %d has NTile %d, want %d", where, i, r.NTile, want[i])
+								}
+								m := dataflow.Mapping{Dataflow: df, Partition: part, NTile: r.NTile}
+								p, err := PlanLayer(l, w.ElemBytes, m, hw, rexc)
+								if err != nil {
+									t.Fatalf("%s NTile=%d: %v", where, r.NTile, err)
+								}
+								if bits(float64(r.Power)) != bits(float64(p.TilePower())) ||
+									bits(float64(r.TileEnergy)) != bits(float64(p.TileEnergy)) ||
+									bits(float64(r.Energy)) != bits(float64(p.Energy)) {
+									t.Fatalf("%s NTile=%d: rung scalars %+v differ from plan (power %v tile %v energy %v)",
+										where, r.NTile, r, p.TilePower(), p.TileEnergy, p.Energy)
+								}
+								if !reflect.DeepEqual(ld.PlanAt(i), p) {
+									t.Fatalf("%s NTile=%d: PlanAt differs from direct PlanLayer", where, r.NTile)
+								}
+								if idx, ok := ld.ByNTile(r.NTile); !ok || idx != i {
+									t.Fatalf("%s: ByNTile(%d) = (%d, %v), want (%d, true)", where, r.NTile, idx, ok, i)
+								}
+							}
+							shared, err := BuildLadderShared(nil, &l, w.ElemBytes, df, part,
+								dataflow.CandidateNTiles(l, part), &hw, rexc)
+							if err != nil || !reflect.DeepEqual(shared.Rungs, ld.Rungs) {
+								t.Fatalf("%s: BuildLadderShared rungs differ from BuildLadder (err %v)", where, err)
+							}
+							rungs += len(ld.Rungs)
+						}
+					}
+				}
+			}
+		}
+	}
+	if rungs == 0 {
+		t.Fatal("the matrix built no rungs at all")
+	}
+	ld, err := BuildLadder(convLayer(t), 2, dataflow.OS, dataflow.ByChannel, hwMSP(), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ld.Rungs) == 0 {
-		t.Fatal("expected at least one VM-feasible rung")
-	}
-	for i, r := range ld.Rungs {
-		if i > 0 && r.NTile <= ld.Rungs[i-1].NTile {
-			t.Fatalf("rungs not ascending at %d: %d after %d", i, r.NTile, ld.Rungs[i-1].NTile)
-		}
-		m := dataflow.Mapping{Dataflow: dataflow.OS, Partition: dataflow.ByChannel, NTile: r.NTile}
-		p, err := PlanLayer(l, 2, m, hwMSP(), 0.05)
-		if err != nil {
-			t.Fatalf("NTile=%d: %v", r.NTile, err)
-		}
-		if !reflect.DeepEqual(ld.PlanAt(i), p) {
-			t.Fatalf("NTile=%d: PlanAt differs from direct PlanLayer", r.NTile)
-		}
-		if r.Power != p.TilePower() || r.TileEnergy != p.TileEnergy || r.Energy != p.Energy {
-			t.Fatalf("NTile=%d: rung scalars %+v differ from plan (power %v tile %v energy %v)",
-				r.NTile, r, p.TilePower(), p.TileEnergy, p.Energy)
-		}
-		idx, ok := ld.ByNTile(r.NTile)
-		if !ok || idx != i {
-			t.Fatalf("ByNTile(%d) = (%d, %v), want (%d, true)", r.NTile, idx, ok, i)
-		}
+	if ld.Rexc != DefaultExceptionRate {
+		t.Fatalf("rexc -1 stored as %v, want DefaultExceptionRate", ld.Rexc)
 	}
 	if _, ok := ld.ByNTile(-1); ok {
 		t.Fatal("ByNTile must miss on counts excluded from the ladder")
+	}
+}
+
+// TestLadderInvalidInputs pins the historical behavior of ladders over
+// inputs the cost model rejects: invalid hardware, a non-positive
+// element width or an unknown dataflow or partition yields a ladder with
+// zero rungs and a nil error (every tile count fails its checks), while
+// an exception rate >= 1 is an error.
+func TestLadderInvalidInputs(t *testing.T) {
+	l := convLayer(t)
+	bad := hwMSP()
+	bad.NPE = 0
+	cases := []struct {
+		name      string
+		elemBytes int
+		df        dataflow.Dataflow
+		part      dataflow.Partition
+		hw        dataflow.HW
+	}{
+		{"invalid-hw", 2, dataflow.OS, dataflow.ByChannel, bad},
+		{"zero-elem-bytes", 0, dataflow.OS, dataflow.ByChannel, hwMSP()},
+		{"negative-elem-bytes", -2, dataflow.WS, dataflow.BySpatial, hwMSP()},
+		{"unknown-dataflow", 2, dataflow.Dataflow(7), dataflow.ByChannel, hwMSP()},
+		{"unknown-partition", 2, dataflow.OS, dataflow.Partition(7), hwMSP()},
+	}
+	for _, tc := range cases {
+		ld, err := BuildLadder(l, tc.elemBytes, tc.df, tc.part, tc.hw, 0.05)
+		if err != nil || len(ld.Rungs) != 0 {
+			t.Errorf("%s: BuildLadder = %d rungs, err %v; want 0 rungs, nil error", tc.name, len(ld.Rungs), err)
+		}
+		ntiles := dataflow.CandidateNTiles(l, tc.part)
+		ld, err = BuildLadderShared(nil, &l, tc.elemBytes, tc.df, tc.part, ntiles, &tc.hw, 0.05)
+		if err != nil || len(ld.Rungs) != 0 {
+			t.Errorf("%s: BuildLadderShared = %d rungs, err %v; want 0 rungs, nil error", tc.name, len(ld.Rungs), err)
+		}
+	}
+	if _, err := BuildLadder(l, 2, dataflow.OS, dataflow.ByChannel, hwMSP(), 1); err == nil {
+		t.Error("rexc >= 1 must be rejected")
+	}
+}
+
+// TestBuildLadderAllocs pins the copy-free kernel's allocation count:
+// the rung slice is the only allocation. BuildLadder inlines, so the
+// layer and HW copies its ladder points at stay in the caller's frame
+// when the ladder does; the shared builder points at the caller's
+// storage and allocates at most the rung slice.
+func TestBuildLadderAllocs(t *testing.T) {
+	l := convLayer(t)
+	hw := hwMSP()
+	if got := testing.AllocsPerRun(100, func() {
+		ld, err := BuildLadder(l, 2, dataflow.OS, dataflow.ByChannel, hw, 0.05)
+		if err != nil || len(ld.Rungs) == 0 {
+			panic("BuildLadder built no rungs")
+		}
+	}); got != 1 {
+		t.Errorf("BuildLadder: %v allocations per build, want exactly 1 (the rung slice)", got)
+	}
+	ntiles := dataflow.CandidateNTiles(l, dataflow.BySpatial)
+	if got := testing.AllocsPerRun(100, func() {
+		ld, err := BuildLadderShared(nil, &l, 2, dataflow.WS, dataflow.BySpatial, ntiles, &hw, 0.05)
+		if err != nil || len(ld.Rungs) == 0 {
+			panic("BuildLadderShared built no rungs")
+		}
+	}); got > 1 {
+		t.Errorf("BuildLadderShared: %v allocations per build, want at most 1", got)
 	}
 }
 
