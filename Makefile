@@ -126,8 +126,10 @@ trace-smoke:
 # scenario preset under every checkpoint policy, counters exact and
 # continuous outputs within 1e-6 relative), plus an end-to-end CLI
 # replay through -sim-mode differential, which fails on any divergence.
+# The bit-identity golden pins simulator and flight-recorder outputs
+# bit for bit across refactors of the step kernel and the recorder.
 sim-diff:
-	$(GO) test ./internal/sim/ -run 'TestDifferential|TestEvent' -count=1
+	$(GO) test ./internal/sim/ -run 'TestDifferential|TestEvent|TestBitIdentityGolden' -count=1
 	$(GO) run ./cmd/chrysalis -workload har -budget 100 -verify -sim-mode differential >/dev/null
 
 # End-to-end distributed-tracing check: a delegated job across an

@@ -222,27 +222,24 @@ func Run(rec *sim.Recorder, opts Options) *Report {
 	// 6. Monotone cumulative waveform channels: harvested and
 	// checkpoint energy only ever accumulate. (Compute/NVM-IO may dip
 	// when a brownout reclassifies in-flight work as wasted.)
-	w := rec.Waveform()
 	for _, name := range []string{"e_harvest", "e_ckpt"} {
-		ch := w.Channel(name)
-		if ch == nil {
-			continue
-		}
 		prev := math.Inf(-1)
 		prevT := math.Inf(-1)
-		rep.Checks++
-		for _, p := range ch.Points {
-			if p.T <= prevT {
-				fail("waveform-time", -1, p.T, p.T-prevT, "channel %s: bin at %.6g s not after %.6g s", name, p.T, prevT)
-				break
+		if rec.WalkLast(name, func(t, last float64) bool {
+			if t <= prevT {
+				fail("waveform-time", -1, t, t-prevT, "channel %s: bin at %.6g s not after %.6g s", name, t, prevT)
+				return false
 			}
-			prevT = p.T
-			if p.Last < prev-o.AbsTolJ {
-				fail("monotone-"+name, -1, p.T, p.Last-prev,
-					"channel %s fell from %.6g J to %.6g J", name, prev, p.Last)
-				break
+			prevT = t
+			if last < prev-o.AbsTolJ {
+				fail("monotone-"+name, -1, t, last-prev,
+					"channel %s fell from %.6g J to %.6g J", name, prev, last)
+				return false
 			}
-			prev = p.Last
+			prev = last
+			return true
+		}) {
+			rep.Checks++
 		}
 	}
 

@@ -163,10 +163,11 @@ type StepReport struct {
 	Voltage units.Voltage
 }
 
-// Step advances the subsystem by dt at time t with the given load demand
-// (the load is only actually drawn when the gate is On; callers pass the
-// demand unconditionally and read Delivered).
-func (s *Subsystem) Step(t units.Seconds, load units.Power, dt units.Seconds) StepReport {
+// StepInto advances the subsystem by dt at time t with the given load
+// demand, writing what happened into rep (the load is only actually
+// drawn when the gate is On; callers pass the demand unconditionally
+// and read Delivered). The caller owns rep and may reuse it every step.
+func (s *Subsystem) StepInto(rep *StepReport, t units.Seconds, load units.Power, dt units.Seconds) {
 	raw := s.Harvester.Power(t)
 	toCap := s.Ctrl.HarvestToCap(raw)
 
@@ -174,18 +175,13 @@ func (s *Subsystem) Step(t units.Seconds, load units.Power, dt units.Seconds) St
 	if s.Ctrl.State() == pmic.On {
 		effLoad = s.Ctrl.LoadOnCap(load)
 	}
-	res := s.Cap.Step(toCap, effLoad, dt)
+	s.Cap.StepInto(&rep.StepResult, toCap, effLoad, dt)
 
-	state, tr := s.Ctrl.Update(s.Cap.Voltage())
+	rep.State, rep.Transition = s.Ctrl.Update(s.Cap.Voltage())
 	harv := units.MulPT(raw, dt)
-	return StepReport{
-		StepResult:     res,
-		Harvested:      harv,
-		ConversionLoss: harv - units.MulPT(toCap, dt),
-		State:          state,
-		Transition:     tr,
-		Voltage:        s.Cap.Voltage(),
-	}
+	rep.Harvested = harv
+	rep.ConversionLoss = harv - units.MulPT(toCap, dt)
+	rep.Voltage = s.Cap.Voltage()
 }
 
 // Reset discharges the capacitor and returns the PMIC to Off.

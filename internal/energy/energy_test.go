@@ -57,6 +57,13 @@ func TestSolarHarvesterDescribe(t *testing.T) {
 	}
 }
 
+// step runs one StepInto and returns its report by value.
+func step(s *Subsystem, t units.Seconds, load units.Power, dt units.Seconds) StepReport {
+	var rep StepReport
+	s.StepInto(&rep, t, load, dt)
+	return rep
+}
+
 func TestChargeThenPowerCycle(t *testing.T) {
 	// 8cm² bright = 8mW raw. Charge a 100uF cap, verify the gate turns
 	// on near U_on, then draw a heavy load and verify it turns off near
@@ -66,7 +73,7 @@ func TestChargeThenPowerCycle(t *testing.T) {
 	var tm units.Seconds
 	const dt = 1e-3
 	for i := 0; i < 200000; i++ {
-		rep := s.Step(tm, 0, dt)
+		rep := step(s, tm, 0, dt)
 		tm += dt
 		if rep.State == pmic.On {
 			onAt = tm
@@ -81,7 +88,7 @@ func TestChargeThenPowerCycle(t *testing.T) {
 	}
 	// Now draw 50mW, far above harvest: must brown out.
 	for i := 0; i < 200000; i++ {
-		rep := s.Step(tm, 50e-3, dt)
+		rep := step(s, tm, 50e-3, dt)
 		tm += dt
 		if rep.State == pmic.Off {
 			if rep.Voltage > s.Spec().PMIC.UOff+0.05 {
@@ -104,7 +111,7 @@ func TestChargeLatencyMatchesStepSim(t *testing.T) {
 	var tm units.Seconds
 	const dt = 1e-3
 	for i := 0; i < 10_000_000; i++ {
-		rep := s2.Step(tm, 0, dt)
+		rep := step(s2, tm, 0, dt)
 		tm += dt
 		if rep.State == pmic.On {
 			break
@@ -154,7 +161,7 @@ func TestAvailablePerCycleClampsNegative(t *testing.T) {
 func TestResetReturnsToInitialState(t *testing.T) {
 	s := solarSub(t, 8, 100e-6, solar.Bright())
 	for i := 0; i < 1000; i++ {
-		s.Step(units.Seconds(i)*1e-3, 0, 1e-3)
+		step(s, units.Seconds(i)*1e-3, 0, 1e-3)
 	}
 	s.Reset()
 	if s.Cap.Voltage() != 0 {
@@ -179,7 +186,7 @@ func TestStepEnergyAccounting(t *testing.T) {
 			return false
 		}
 		s.Cap.SetVoltage(units.Voltage(float64(vSel) / 255 * 5))
-		rep := s.Step(0, 5e-3, 0.01)
+		rep := step(s, 0, 5e-3, 0.01)
 		lhs := float64(rep.Harvested)
 		rhs := float64(rep.Charged) + float64(rep.Spilled) + float64(rep.ConversionLoss)
 		return units.ApproxEqual(lhs, rhs, 1e-9)
@@ -191,9 +198,24 @@ func TestStepEnergyAccounting(t *testing.T) {
 
 func TestLoadNotDrawnWhileOff(t *testing.T) {
 	s := solarSub(t, 8, 100e-6, solar.Bright())
-	rep := s.Step(0, 10e-3, 1e-3)
+	rep := step(s, 0, 10e-3, 1e-3)
 	if rep.Delivered != 0 {
 		t.Fatalf("load delivered %v while gate Off", rep.Delivered)
+	}
+}
+
+// TestStepIntoZeroAlloc pins the per-step path of the literal
+// simulator: filling a caller-owned report allocates nothing.
+func TestStepIntoZeroAlloc(t *testing.T) {
+	s := solarSub(t, 8, 100e-6, solar.Bright())
+	var rep StepReport
+	var tm units.Seconds
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.StepInto(&rep, tm, 5e-3, 1e-3)
+		tm += 1e-3
+	})
+	if allocs != 0 {
+		t.Fatalf("StepInto allocates %v times per step", allocs)
 	}
 }
 

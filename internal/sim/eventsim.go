@@ -401,7 +401,7 @@ func (f *fastPath) jump(n int) {
 			leaked:         leaked,
 			vsqIntegral:    vsq,
 			on:             f.on,
-		}, s.res.Breakdown)
+		}, &s.res.Breakdown)
 	}
 
 	f.segments++

@@ -280,14 +280,26 @@ func (w *Waveform) binCount(i int) int64 {
 // Recorder samples the simulator's full energy-state vector each step
 // into bounded min/max-preserving bins and maintains exact per-cycle
 // energy ledgers. Attach one via Config.Record; the same recorder may
-// span a whole RunSeries (clock and capacitor state carry over). All
-// methods are safe for concurrent use with a running simulation, and a
-// nil *Recorder is inert.
+// span a whole RunSeries (clock and capacitor state carry over). A nil
+// *Recorder is inert.
+//
+// All exported methods are safe for concurrent use with a running
+// simulation. Steps are staged without a lock and folded in batches
+// (see flush), so a snapshot taken mid-run may lag the simulator by up
+// to one stage of steps; once the run returns, snapshots are complete.
+// A recorder is fed by one simulation at a time.
 type Recorder struct {
 	// BinSeconds is the initial bin width (0 = one bin per raw sample
 	// until the point budget forces merging). Set before the first run.
 	BinSeconds units.Seconds
 
+	// stage buffers records not yet folded into the state below; it is
+	// held only while a run is in flight. Only the simulating goroutine
+	// reads or writes it (and staged).
+	stage  *[stageSize]stagedStep
+	staged int
+
+	// mu guards everything below.
 	mu        sync.Mutex
 	maxPoints int
 	binDur    float64
@@ -341,6 +353,10 @@ func NewRecorder(maxPoints int) *Recorder {
 func (r *Recorder) begin(es *energy.Subsystem, t units.Seconds, policy Policy) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.flushLocked()
+	if r.stage == nil {
+		r.stage = stagePool.Get().(*[stageSize]stagedStep)
+	}
 	if r.es == nil {
 		r.es = es
 		r.espec = es.Spec()
@@ -425,6 +441,7 @@ func (r *Recorder) compactCyclesLocked() {
 func (r *Recorder) event(e Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.flushLocked()
 	ts := float64(e.Time)
 	if ts < r.lastEventT {
 		r.violateLocked(ts, fmt.Sprintf("event %v at %gs precedes prior event at %gs", e.Kind, ts, r.lastEventT))
@@ -498,88 +515,70 @@ func (r *Recorder) violateLocked(ts float64, msg string) {
 // the segment they belong to.
 func (r *Recorder) drain(capJ, loadJ units.Energy) {
 	r.mu.Lock()
+	r.flushLocked()
 	r.pendDrain += float64(capJ)
 	r.pendCkpt += float64(loadJ)
 	r.mu.Unlock()
 }
 
+// stageSize is the number of records Recorder.step buffers before
+// folding them under the lock.
+const stageSize = 64
+
+// stagePool recycles stages between runs. A run takes a stage in begin
+// and gives it back when it finishes (release), so a recorder kept
+// after its run — chrysalisd keeps one per verify job — holds none.
+var stagePool = sync.Pool{New: func() any { return new([stageSize]stagedStep) }}
+
+// stagedStep is one recorded step — or one analytic jump standing for n
+// steps — captured at the moment the simulator reported it: the end
+// time, the span it covers, the capacitor's end-of-step state, its
+// energy flows (segment totals for a jump), its ∫V²dt contribution,
+// the in-flight inference's cumulative load-side energies and the gate
+// state. Folding it later reproduces the direct bookkeeping exactly.
+type stagedStep struct {
+	t, span, v, stored float64
+
+	harvested, charged, convLoss, spilled, delivered, leaked float64
+	vsq                                                      float64
+
+	infer, nvmio, ckpt float64
+
+	n  int64
+	on bool
+}
+
 // step records one simulation step: the energy flows of the step report,
 // the cumulative breakdown of the in-flight inference, and the
 // subsystem's end-of-step state. tm is the time at the END of the step.
-func (r *Recorder) step(tm, dt units.Seconds, rep energy.StepReport, bd Breakdown) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t := float64(tm)
-	v := float64(r.es.Cap.Voltage())
-	stored := float64(r.es.Cap.Stored())
-
-	// A power-on observed since the last step closes the ledger at the
-	// previous step boundary; the transition step's flows (and any
-	// resume drain) belong to the new cycle.
-	if r.pendingCycle {
-		r.closeLedgerLocked()
-		r.openLedgerLocked(r.lastT, r.lastStored)
-		r.pendingCycle = false
+//
+// It takes no lock: the record goes into the stage, which only the
+// simulating goroutine touches, and is folded under the lock when the
+// stage fills or before any other mutation (see flush).
+func (r *Recorder) step(tm, dt units.Seconds, rep *energy.StepReport, bd *Breakdown) {
+	s := &r.stage[r.staged]
+	s.t = float64(tm)
+	s.span = float64(dt)
+	s.v = float64(r.es.Cap.Voltage())
+	s.stored = float64(r.es.Cap.Stored())
+	s.harvested = float64(rep.Harvested)
+	s.charged = float64(rep.Charged)
+	s.convLoss = float64(rep.ConversionLoss)
+	s.spilled = float64(rep.Spilled)
+	s.delivered = float64(rep.Delivered)
+	s.leaked = float64(rep.Leaked)
+	// The capacitor debits leakage at its pre-discharge voltage, which
+	// it reports exactly, so the V² integral reproduces the leak-basis
+	// trajectory rather than approximating it from end-of-step samples.
+	vLeak := float64(rep.LeakVoltage)
+	s.vsq = vLeak * vLeak * float64(dt)
+	s.infer, s.nvmio, s.ckpt = float64(bd.Infer), float64(bd.NVMIO), float64(bd.Ckpt)
+	s.n = 1
+	s.on = rep.State == pmic.On
+	r.staged++
+	if r.staged == stageSize {
+		r.flush()
 	}
-
-	drainedNow := r.pendDrain != 0 || r.pendCkpt != 0
-	l := &r.open
-	l.EndS = t
-	l.EndStoredJ = stored
-	l.HarvestedJ += float64(rep.Harvested)
-	l.ChargedJ += float64(rep.Charged)
-	l.ConversionLossJ += float64(rep.ConversionLoss)
-	l.SpilledJ += float64(rep.Spilled)
-	l.DeliveredJ += float64(rep.Delivered)
-	l.LeakedJ += float64(rep.Leaked)
-	l.DrainedJ += r.pendDrain
-	l.CkptLoadJ += r.pendCkpt
-	r.pendDrain, r.pendCkpt = 0, 0
-	// The capacitor debits leakage at its pre-discharge voltage: the
-	// stored energy at the start of the step plus the harvest credit.
-	// Both are known here exactly, so the V² integral reproduces the
-	// leak-basis trajectory rather than approximating it from
-	// end-of-step samples.
-	vLeak := float64(units.VoltageForEnergy(r.espec.Cap, units.Energy(r.lastStored)+rep.Charged))
-	l.VSqIntegral += vLeak * vLeak * float64(dt)
-	if v < l.MinV {
-		l.MinV = v
-	}
-	if v > l.MaxV {
-		l.MaxV = v
-	}
-	// Gate state comes from the step report, not the event stream:
-	// idle-phase stepping has no events, but the PMIC still switches.
-	if rep.State == pmic.On {
-		l.OnSeconds += float64(dt)
-		if !drainedNow {
-			l.OnSamples++
-			if v < l.MinVOn {
-				l.MinVOn = v
-			}
-		}
-	}
-
-	r.cumHarvest += float64(rep.Harvested)
-	r.prevBD = bd
-
-	var vals [numChannels]float64
-	vals[ChVCap] = v
-	vals[ChEStored] = stored
-	if dt > 0 {
-		vals[ChPHarvest] = float64(rep.Harvested) / float64(dt)
-		vals[ChPLoad] = float64(rep.Delivered) / float64(dt)
-		vals[ChPLeak] = float64(rep.Leaked) / float64(dt)
-	}
-	vals[ChEHarvest] = r.cumHarvest
-	vals[ChECompute] = float64(r.base.Infer + bd.Infer)
-	vals[ChENVMIO] = float64(r.base.NVMIO + bd.NVMIO)
-	vals[ChECkpt] = float64(r.base.Ckpt + bd.Ckpt)
-	vals[ChCycle] = float64(r.cycleIndex)
-	r.sampleLocked(t, &vals)
-
-	r.lastT = t
-	r.lastStored = stored
 }
 
 // segmentReport aggregates the flows of one analytic multi-step jump —
@@ -603,72 +602,131 @@ type segmentReport struct {
 // subsystem state has already been advanced to the end of the window.
 // Within a quiet window the voltage trajectory is monotone and the
 // previous literal step sampled the window's start, so folding only the
-// endpoint keeps MinV/MaxV (and MinVOn) exact.
-func (r *Recorder) segment(tm, dt units.Seconds, seg segmentReport, bd Breakdown) {
+// endpoint keeps MinV/MaxV (and MinVOn) exact. Jumps are folded at
+// once, so live readers never see one late.
+func (r *Recorder) segment(tm, dt units.Seconds, seg segmentReport, bd *Breakdown) {
+	r.stage[r.staged] = stagedStep{
+		t:         float64(tm),
+		span:      float64(seg.n) * float64(dt),
+		v:         float64(r.es.Cap.Voltage()),
+		stored:    float64(r.es.Cap.Stored()),
+		harvested: seg.harvested,
+		charged:   seg.charged,
+		convLoss:  seg.conversionLoss,
+		delivered: seg.delivered,
+		leaked:    seg.leaked,
+		vsq:       seg.vsqIntegral,
+		infer:     float64(bd.Infer),
+		nvmio:     float64(bd.NVMIO),
+		ckpt:      float64(bd.Ckpt),
+		n:         int64(seg.n),
+		on:        seg.on,
+	}
+	r.staged++
+	r.flush()
+}
+
+// flush folds the staged records into the ledgers and bins under one
+// lock acquisition. Only the simulating goroutine calls it: from step
+// when the stage fills, at the end of every run, and (as flushLocked)
+// at the top of every other mutation, so records fold in the order the
+// simulator produced them.
+func (r *Recorder) flush() {
+	if r.staged == 0 {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t := float64(tm)
-	v := float64(r.es.Cap.Voltage())
-	stored := float64(r.es.Cap.Stored())
+	r.flushLocked()
+}
 
-	// Jumps never immediately follow a power-on (transitions happen on
-	// literal steps, which flush these), but stay defensive so a future
-	// caller cannot corrupt the ledger chain.
+// release folds the staged records and returns the stage to the pool
+// at the end of a run; the next begin takes one again.
+func (r *Recorder) release() {
+	r.flush()
+	if r.stage != nil {
+		stagePool.Put(r.stage)
+		r.stage = nil
+	}
+}
+
+func (r *Recorder) flushLocked() {
+	for i := 0; i < r.staged; i++ {
+		r.foldLocked(&r.stage[i])
+	}
+	r.staged = 0
+}
+
+// foldLocked applies one staged record to the open ledger, the
+// cumulative channels and the bins.
+func (r *Recorder) foldLocked(s *stagedStep) {
+	// A power-on observed since the last step closes the ledger at the
+	// previous step boundary; the transition step's flows (and any
+	// resume drain) belong to the new cycle. (Jumps never immediately
+	// follow a power-on — transitions happen on literal steps — but
+	// the same rule keeps the ledger chain sound either way.)
 	if r.pendingCycle {
 		r.closeLedgerLocked()
 		r.openLedgerLocked(r.lastT, r.lastStored)
 		r.pendingCycle = false
 	}
 
+	// Drains are only ever pending after a literal step, so a jump
+	// never counts as a drained step.
+	drainedNow := r.pendDrain != 0 || r.pendCkpt != 0
 	l := &r.open
-	l.EndS = t
-	l.EndStoredJ = stored
-	l.HarvestedJ += seg.harvested
-	l.ChargedJ += seg.charged
-	l.ConversionLossJ += seg.conversionLoss
-	l.DeliveredJ += seg.delivered
-	l.LeakedJ += seg.leaked
+	l.EndS = s.t
+	l.EndStoredJ = s.stored
+	l.HarvestedJ += s.harvested
+	l.ChargedJ += s.charged
+	l.ConversionLossJ += s.convLoss
+	l.SpilledJ += s.spilled
+	l.DeliveredJ += s.delivered
+	l.LeakedJ += s.leaked
 	l.DrainedJ += r.pendDrain
 	l.CkptLoadJ += r.pendCkpt
 	r.pendDrain, r.pendCkpt = 0, 0
-	l.VSqIntegral += seg.vsqIntegral
-	if v < l.MinV {
-		l.MinV = v
+	l.VSqIntegral += s.vsq
+	if s.v < l.MinV {
+		l.MinV = s.v
 	}
-	if v > l.MaxV {
-		l.MaxV = v
+	if s.v > l.MaxV {
+		l.MaxV = s.v
 	}
-	if seg.on {
-		l.OnSeconds += float64(seg.n) * float64(dt)
-		l.OnSamples += seg.n
-		if v < l.MinVOn {
-			l.MinVOn = v
+	// Gate state comes from the step report, not the event stream:
+	// idle-phase stepping has no events, but the PMIC still switches.
+	if s.on {
+		l.OnSeconds += s.span
+		if !drainedNow {
+			l.OnSamples += int(s.n)
+			if s.v < l.MinVOn {
+				l.MinVOn = s.v
+			}
 		}
 	}
 
-	r.cumHarvest += seg.harvested
-	r.prevBD = bd
+	r.cumHarvest += s.harvested
+	r.prevBD = Breakdown{Infer: units.Energy(s.infer), NVMIO: units.Energy(s.nvmio), Ckpt: units.Energy(s.ckpt)}
 
 	var vals [numChannels]float64
-	vals[ChVCap] = v
-	vals[ChEStored] = stored
-	if span := float64(seg.n) * float64(dt); span > 0 {
-		vals[ChPHarvest] = seg.harvested / span
-		vals[ChPLoad] = seg.delivered / span
-		vals[ChPLeak] = seg.leaked / span
+	vals[ChVCap] = s.v
+	vals[ChEStored] = s.stored
+	if s.span > 0 {
+		vals[ChPHarvest] = s.harvested / s.span
+		vals[ChPLoad] = s.delivered / s.span
+		vals[ChPLeak] = s.leaked / s.span
 	}
 	vals[ChEHarvest] = r.cumHarvest
-	vals[ChECompute] = float64(r.base.Infer + bd.Infer)
-	vals[ChENVMIO] = float64(r.base.NVMIO + bd.NVMIO)
-	vals[ChECkpt] = float64(r.base.Ckpt + bd.Ckpt)
+	vals[ChECompute] = float64(r.base.Infer) + s.infer
+	vals[ChENVMIO] = float64(r.base.NVMIO) + s.nvmio
+	vals[ChECkpt] = float64(r.base.Ckpt) + s.ckpt
 	vals[ChCycle] = float64(r.cycleIndex)
-	r.sampleLocked(t, &vals)
-	if seg.n > 1 {
-		r.raw += int64(seg.n) - 1 // the one sample stands in for n raw steps
-	}
+	r.sampleLocked(s.t, &vals)
+	// The one sample of a jump stands in for its n raw steps.
+	r.raw += s.n - 1
 
-	r.lastT = t
-	r.lastStored = stored
+	r.lastT = s.t
+	r.lastStored = s.stored
 }
 
 // sampleLocked folds one raw sample into the current bin, opening a new
@@ -680,6 +738,9 @@ func (r *Recorder) sampleLocked(t float64, vals *[numChannels]float64) {
 		b := wavebin{t0: t, t1: t, count: 0}
 		for i := range b.ch {
 			b.ch[i] = chanAgg{min: math.Inf(1), max: math.Inf(-1)}
+		}
+		if len(r.bins) == cap(r.bins) {
+			r.growBinsLocked()
 		}
 		r.bins = append(r.bins, b)
 		if len(r.bins) > r.maxPoints {
@@ -693,6 +754,26 @@ func (r *Recorder) sampleLocked(t float64, vals *[numChannels]float64) {
 	for i := range vals {
 		b.ch[i].add(vals[i])
 	}
+}
+
+// growBinsLocked doubles the bin table's capacity, jumping straight to
+// the point budget plus the one bin that triggers compaction once
+// doubling would reach the budget. Doubling, rather than append's 1.25×
+// growth past 256 elements, halves the bytes a recorder allocates on
+// the way to a full budget of ~350 B bins. The full budget is never
+// preallocated: finished jobs keep their recorders, and most of those
+// hold a few hundred bins.
+func (r *Recorder) growBinsLocked() {
+	c := 2 * cap(r.bins)
+	if c < 8 {
+		c = 8
+	}
+	if c >= r.maxPoints {
+		c = r.maxPoints + 1
+	}
+	bins := make([]wavebin, len(r.bins), c)
+	copy(bins, r.bins)
+	r.bins = bins
 }
 
 // compactBinsLocked merges adjacent bin pairs and doubles the bin
@@ -709,14 +790,15 @@ func (r *Recorder) compactBinsLocked() {
 	}
 	half := len(r.bins) / 2
 	for i := 0; i < half; i++ {
-		b := r.bins[2*i]
-		nb := r.bins[2*i+1]
+		if i > 0 {
+			r.bins[i] = r.bins[2*i]
+		}
+		b, nb := &r.bins[i], &r.bins[2*i+1]
 		b.t1 = nb.t1
 		b.count += nb.count
 		for c := range b.ch {
 			b.ch[c].merge(nb.ch[c])
 		}
-		r.bins[i] = b
 	}
 	if len(r.bins)%2 == 1 {
 		r.bins[half] = r.bins[len(r.bins)-1]
@@ -849,12 +931,40 @@ func (r *Recorder) Waveform() Waveform {
 	return w
 }
 
+// WalkLast calls visit with the start time and last value of every bin
+// of the named channel, in time order and under the recorder's lock,
+// until visit returns false. It reports whether the channel exists
+// (false for a nil recorder). Unlike Waveform it copies nothing, so a
+// check over one channel's trajectory skips the full snapshot; visit
+// must not call back into the recorder.
+func (r *Recorder) WalkLast(name string, visit func(t0, last float64) bool) bool {
+	if r == nil {
+		return false
+	}
+	c := 0
+	for c < numChannels && channelMeta[c].Name != name {
+		c++
+	}
+	if c == numChannels {
+		return false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range r.bins {
+		if !visit(r.bins[i].t0, r.bins[i].ch[c].last) {
+			break
+		}
+	}
+	return true
+}
+
 // voltageTraceSince materializes the deprecated Result.VoltageTrace
 // view for one inference: one sample per bin ending after start,
 // carrying the bin's last observed voltage at the bin's end time.
 func (r *Recorder) voltageTraceSince(start float64) []VoltageSample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.flushLocked()
 	var out []VoltageSample
 	for i := range r.bins {
 		if r.bins[i].t1 <= start {

@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"chrysalis/internal/energy"
 	"chrysalis/internal/solar"
@@ -136,6 +139,8 @@ func TestDownsamplerMinMaxPreserved(t *testing.T) {
 	const n = 50_000
 	dt := units.Seconds(1e-3)
 	tm := units.Seconds(0)
+	var rep energy.StepReport
+	var bd Breakdown
 	for i := 0; i < n; i++ {
 		tm += dt
 		v := 2.0 + math.Sin(float64(i)/500)
@@ -146,9 +151,10 @@ func TestDownsamplerMinMaxPreserved(t *testing.T) {
 			v = 0.05 // isolated dip
 		}
 		es.Cap.SetVoltage(units.Voltage(v))
-		rec.step(tm, dt, energy.StepReport{}, Breakdown{})
+		rec.step(tm, dt, &rep, &bd)
 		raw = append(raw, sample{t: float64(tm), v: float64(es.Cap.Voltage())})
 	}
+	rec.flush()
 	if got := rec.Points(); got > budget {
 		t.Fatalf("bin count %d exceeds budget %d", got, budget)
 	}
@@ -223,16 +229,47 @@ func TestRecorderBoundedMemory24h(t *testing.T) {
 	}
 }
 
-// TestRecorderConcurrentSnapshots reads waveforms and ledgers from
-// other goroutines while the simulation is running — the live-dashboard
-// access pattern — and relies on -race to catch unsynchronized access.
-func TestRecorderConcurrentSnapshots(t *testing.T) {
-	cfg := harSetup(t, 8, 100e-6, solar.Bright())
-	rec := NewRecorder(256)
+// countingHarvester wraps a harvester and counts Power calls: the
+// simulator samples the harvester exactly once per literal step, so the
+// count is the number of steps executed so far.
+type countingHarvester struct {
+	energy.Harvester
+	calls *atomic.Int64
+}
+
+func (c countingHarvester) Power(t units.Seconds) units.Power {
+	c.calls.Add(1)
+	return c.Harvester.Power(t)
+}
+
+// diurnalSeriesSetup is a recorded morning series under solar.Diurnal
+// (literal stepping throughout) with a step counter on the harvester.
+func diurnalSeriesSetup(t *testing.T, points int) (Config, *Recorder, *atomic.Int64) {
+	t.Helper()
+	day, err := solar.NewDiurnal(solar.KehBright, 0, 12*3600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := harSetup(t, 8, 100e-6, day)
+	steps := new(atomic.Int64)
+	cfg.Energy.Harvester = countingHarvester{Harvester: cfg.Energy.Harvester, calls: steps}
+	rec := NewRecorder(points)
 	cfg.Record = rec
+	return cfg, rec, steps
+}
+
+// TestRecorderConcurrentSnapshots reads waveforms and ledgers from
+// other goroutines while a diurnal series is running — the
+// live-dashboard access pattern — and relies on -race to catch
+// unsynchronized access. It also pins the staging contract: a live
+// reader is never more than one stage of steps behind the simulator,
+// and once RunSeries returns every executed step has been folded.
+func TestRecorderConcurrentSnapshots(t *testing.T) {
+	cfg, rec, steps := diurnalSeriesSetup(t, 256)
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
+	var lagErr atomic.Value
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
@@ -243,19 +280,165 @@ func TestRecorderConcurrentSnapshots(t *testing.T) {
 					return
 				default:
 				}
+				// Steps are counted when they start, so a step in
+				// flight plus a full stage is the most a reader can
+				// miss.
+				executed := steps.Load()
+				if raw := rec.RawSamples(); raw < executed-stageSize {
+					lagErr.Store(fmt.Sprintf("snapshot folded %d samples after %d steps (stage %d)", raw, executed, stageSize))
+				}
 				w := rec.Waveform()
 				_ = w.Channel("v_cap")
 				_ = rec.Cycles()
 				_, _ = rec.Violations()
-				_ = rec.RawSamples()
 			}
 		}()
 	}
-	if _, err := RunSeries(cfg, 3, 1); err != nil {
-		t.Fatal(err)
-	}
+	sr, err := RunSeries(cfg, 3, 600)
 	close(done)
 	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Completed != 3 {
+		t.Fatalf("diurnal series completed %d of 3", sr.Completed)
+	}
+	if msg := lagErr.Load(); msg != nil {
+		t.Error(msg)
+	}
+	if got, want := rec.RawSamples(), steps.Load(); got != want {
+		t.Errorf("after RunSeries: %d raw samples, %d steps executed", got, want)
+	}
+	if w := rec.Waveform(); w.EndS != float64(sr.TotalTime) {
+		t.Errorf("waveform ends at %g s, series ended at %g s", w.EndS, float64(sr.TotalTime))
+	}
+}
+
+// TestRecorderPanickingTraceReleasesLock runs a series whose Trace
+// callback panics mid-run: the recorder must not be left locked, so a
+// reader's snapshot still returns promptly.
+func TestRecorderPanickingTraceReleasesLock(t *testing.T) {
+	cfg, rec, _ := diurnalSeriesSetup(t, 256)
+	checkpoints := 0
+	cfg.Trace = func(e Event) {
+		if e.Kind == EvCheckpoint {
+			if checkpoints++; checkpoints == 5 {
+				panic("trace consumer failed")
+			}
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the Trace panic should propagate out of RunSeries")
+			}
+		}()
+		_, _ = RunSeries(cfg, 3, 600)
+	}()
+	got := make(chan Waveform, 1)
+	go func() { got <- rec.Waveform() }()
+	select {
+	case w := <-got:
+		if w.RawSamples == 0 {
+			t.Error("no samples folded before the panic")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Waveform blocked after a panicking run: recorder lock still held")
+	}
+}
+
+// TestWalkLastMatchesWaveform checks the copy-free channel walk the
+// audit uses against the full snapshot.
+func TestWalkLastMatchesWaveform(t *testing.T) {
+	cfg, rec, _ := diurnalSeriesSetup(t, 128)
+	if _, err := RunSeries(cfg, 2, 600); err != nil {
+		t.Fatal(err)
+	}
+	w := rec.Waveform()
+	for _, name := range []string{"e_harvest", "e_ckpt", "cycle"} {
+		pts := w.Channel(name).Points
+		i := 0
+		if !rec.WalkLast(name, func(t0, last float64) bool {
+			if i >= len(pts) || pts[i].T != t0 || pts[i].Last != last {
+				t.Errorf("%s bin %d: walk (%g, %g) disagrees with snapshot", name, i, t0, last)
+				return false
+			}
+			i++
+			return true
+		}) {
+			t.Fatalf("channel %s not found", name)
+		}
+		if i != len(pts) {
+			t.Errorf("%s: walked %d bins, snapshot has %d", name, i, len(pts))
+		}
+	}
+	if rec.WalkLast("nope", func(float64, float64) bool { return true }) {
+		t.Error("unknown channel reported as found")
+	}
+	var nilRec *Recorder
+	if nilRec.WalkLast("e_harvest", func(float64, float64) bool { return true }) {
+		t.Error("nil recorder reported a channel")
+	}
+}
+
+// TestRecordedStepZeroAlloc pins the recorder's steady state: once the
+// bins have reached their point budget (and compaction has sized the
+// slice), a recorded literal step — the series idle loop's subsystem
+// step plus recorder step — allocates nothing.
+func TestRecordedStepZeroAlloc(t *testing.T) {
+	day, err := solar.NewDiurnal(solar.KehBright, 0, 12*3600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := harSetup(t, 8, 100e-6, day)
+	es := cfg.Energy
+	const budget = 64
+	rec := NewRecorder(budget)
+	rec.begin(es, 0, PolicyEveryTile)
+	var (
+		rep energy.StepReport
+		bd  Breakdown
+		tm  units.Seconds
+	)
+	const dt = units.Seconds(1e-3)
+	recorded := func() {
+		es.StepInto(&rep, tm, 0, dt)
+		tm += dt
+		rec.step(tm, dt, &rep, &bd)
+	}
+	for rec.RawSamples() < 4*budget {
+		recorded()
+	}
+	if allocs := testing.AllocsPerRun(10*stageSize, recorded); allocs != 0 {
+		t.Fatalf("recorded step allocates %v times per step at the point budget", allocs)
+	}
+}
+
+// BenchmarkRecordedDiurnalStep times one literal co-simulation step
+// with a flight recorder attached under a diurnal day — the per-step
+// cost of day-scale replays, which the event simulator cannot jump
+// because the harvest varies with time. Run with -benchmem.
+func BenchmarkRecordedDiurnalStep(b *testing.B) {
+	day, err := solar.NewDiurnal(solar.KehBright, 0, 12*3600)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := harSetup(b, 8, 100e-6, day)
+	cfg.Record = NewRecorder(0)
+	cfg.Energy.Reset()
+	cfg.Energy.Cap.SetVoltage(cfg.Energy.Spec().PMIC.UOff)
+	s := newStepper(cfg, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.step()
+		if s.res.Completed || s.tm >= s.maxT {
+			_, end := s.finish()
+			s = newStepper(cfg, end)
+		}
+	}
+	s.finish()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/step")
 }
 
 // TestWaveformCSV checks the CSV export shape: header plus one row per

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"chrysalis/internal/energy"
 	"chrysalis/internal/units"
 )
 
@@ -55,8 +56,10 @@ func RunSeries(cfg Config, n int, idle units.Seconds) (SeriesResult, error) {
 	}
 
 	var (
-		sr SeriesResult
-		tm units.Seconds
+		sr     SeriesResult
+		tm     units.Seconds
+		rep    energy.StepReport
+		idleBD Breakdown // idle steps carry no inference energy
 	)
 	for i := 0; i < n; i++ {
 		// Unique jitter stream per inference.
@@ -87,13 +90,16 @@ func RunSeries(cfg Config, n int, idle units.Seconds) (SeriesResult, error) {
 				cfg.Record.begin(es, tm, cfg.Policy)
 			}
 			for done := units.Seconds(0); done < idle; done += idleDt {
-				rep := es.Step(tm, 0, idleDt)
+				es.StepInto(&rep, tm, 0, idleDt)
 				tm += idleDt
 				if cfg.Record != nil {
-					cfg.Record.step(tm, idleDt, rep, Breakdown{})
+					cfg.Record.step(tm, idleDt, &rep, &idleBD)
 				}
 			}
 		}
+	}
+	if cfg.Record != nil {
+		cfg.Record.release()
 	}
 	sr.TotalTime = tm
 	if tm > 0 && sr.Completed > 0 {

@@ -273,6 +273,9 @@ type stepper struct {
 
 	res Result
 	tm  units.Seconds
+	// rep is the energy subsystem's report of the latest step, filled
+	// in place so the per-step path copies no structs.
+	rep energy.StepReport
 
 	idx         int     // current tile
 	progress    float64 // energy fraction of current tile completed
@@ -381,7 +384,8 @@ func (s *stepper) step() {
 		dyn := units.DivET(s.curNeed, t.time)
 		load = dyn + s.staticP
 	}
-	rep := es.Step(s.tm, load, dt)
+	rep := &s.rep
+	es.StepInto(rep, s.tm, load, dt)
 	s.tm += dt
 
 	res.Breakdown.Harvested += rep.Harvested
@@ -525,12 +529,15 @@ func (s *stepper) step() {
 	// Record the step's flows and end-of-step state (after drains,
 	// so ledgers balance exactly).
 	if s.rec != nil {
-		s.rec.step(s.tm, dt, rep, res.Breakdown)
+		s.rec.step(s.tm, dt, rep, &res.Breakdown)
 	}
 }
 
 // finish derives the run summary from the final state.
 func (s *stepper) finish() (Result, units.Seconds) {
+	if s.rec != nil {
+		s.rec.release()
+	}
 	res := s.res
 	if s.cfg.SampleEvery > 0 && s.rec != nil {
 		res.VoltageTrace = s.rec.voltageTraceSince(float64(s.start))

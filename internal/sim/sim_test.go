@@ -15,7 +15,7 @@ import (
 
 // harSetup builds a representative existing-AuT scenario: HAR on the
 // MSP430 with an 8 cm² panel and a given capacitor.
-func harSetup(t *testing.T, area units.AreaCM2, capC units.Capacitance, env solar.Environment) Config {
+func harSetup(t testing.TB, area units.AreaCM2, capC units.Capacitance, env solar.Environment) Config {
 	t.Helper()
 	es, err := energy.NewSolar(energy.Spec{PanelArea: area, Cap: capC}, env)
 	if err != nil {

@@ -102,16 +102,22 @@ type StepResult struct {
 	// Starved is load demand that could not be met (load exceeded the
 	// stored energy); the simulator treats any starvation as a brownout.
 	Starved units.Energy
+	// LeakVoltage is the pre-discharge voltage the leakage was debited
+	// at: the voltage of the start-of-step energy plus the harvest
+	// credit. Recorders integrate its square for the leakage audit.
+	LeakVoltage units.Voltage
 }
 
-// Step advances the capacitor by dt with harvest power in and load power
-// out. Ordering within a step: harvest is credited, then load and
-// leakage are debited; the voltage never goes below zero or above Rated.
-// All flows are reported so that callers can assert energy conservation.
-func (c *Capacitor) Step(in, load units.Power, dt units.Seconds) StepResult {
-	var r StepResult
+// StepInto advances the capacitor by dt with harvest power in and load
+// power out, writing the step's flows into r. Ordering within a step:
+// harvest is credited, then load and leakage are debited; the voltage
+// never goes below zero or above Rated. All flows are reported so that
+// callers can assert energy conservation. Filling a caller-owned
+// report keeps the simulator's per-step path free of struct copies.
+func (c *Capacitor) StepInto(r *StepResult, in, load units.Power, dt units.Seconds) {
+	*r = StepResult{}
 	if dt <= 0 {
-		return r
+		return
 	}
 	e := c.Stored()
 
@@ -130,7 +136,8 @@ func (c *Capacitor) Step(in, load units.Power, dt units.Seconds) StepResult {
 	e += harvest
 
 	// Debit leakage at the pre-discharge voltage (first-order explicit).
-	leak := units.MulPT(c.LeakagePowerAt(units.VoltageForEnergy(c.C, e)), dt)
+	r.LeakVoltage = units.VoltageForEnergy(c.C, e)
+	leak := units.MulPT(c.LeakagePowerAt(r.LeakVoltage), dt)
 	if leak > e {
 		leak = e
 	}
@@ -150,7 +157,6 @@ func (c *Capacitor) Step(in, load units.Power, dt units.Seconds) StepResult {
 	if c.v > c.Rated {
 		c.v = c.Rated
 	}
-	return r
 }
 
 // LeakagePowerAt returns the leakage power if the capacitor were at

@@ -17,6 +17,13 @@ func mustCap(t *testing.T, c units.Capacitance) *Capacitor {
 	return cp
 }
 
+// step runs one StepInto and returns its report by value.
+func step(c *Capacitor, in, load units.Power, dt units.Seconds) StepResult {
+	var r StepResult
+	c.StepInto(&r, in, load, dt)
+	return r
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(0.5e-6, 0, 5); err == nil {
 		t.Error("below 1uF should be rejected")
@@ -95,7 +102,7 @@ func TestUsableAbove(t *testing.T) {
 
 func TestStepChargesTowardHarvest(t *testing.T) {
 	c := mustCap(t, 100e-6)
-	r := c.Step(6e-3, 0, 1) // 6mW for 1s into 100uF
+	r := step(c, 6e-3, 0, 1) // 6mW for 1s into 100uF
 	if r.Charged <= 0 {
 		t.Fatal("should charge")
 	}
@@ -110,7 +117,7 @@ func TestStepChargesTowardHarvest(t *testing.T) {
 func TestStepSpillsAtRatedVoltage(t *testing.T) {
 	c := mustCap(t, 1e-6)
 	c.SetVoltage(5) // at rated
-	r := c.Step(10e-3, 0, 1)
+	r := step(c, 10e-3, 0, 1)
 	if r.Spilled <= 0 {
 		t.Fatal("full capacitor must spill harvest")
 	}
@@ -122,7 +129,7 @@ func TestStepSpillsAtRatedVoltage(t *testing.T) {
 func TestStepStarvation(t *testing.T) {
 	c := mustCap(t, 1e-6) // tiny: ½·1e-6·25 = 12.5uJ max
 	c.SetVoltage(5)
-	r := c.Step(0, 1 /*1W*/, 1)
+	r := step(c, 0, 1 /*1W*/, 1)
 	if r.Starved <= 0 {
 		t.Fatal("1W from a 1uF cap must starve")
 	}
@@ -134,12 +141,46 @@ func TestStepStarvation(t *testing.T) {
 func TestStepZeroDt(t *testing.T) {
 	c := mustCap(t, 100e-6)
 	c.SetVoltage(3)
-	r := c.Step(1e-3, 1e-3, 0)
+	r := step(c, 1e-3, 1e-3, 0)
 	if r != (StepResult{}) {
 		t.Fatal("zero dt must be a no-op")
 	}
 	if c.Voltage() != 3 {
 		t.Fatal("voltage must be unchanged")
+	}
+}
+
+// TestStepIntoReusedReport checks that StepInto overwrites every field
+// of a reused report (a stale Spilled or Starved would corrupt the
+// caller's ledgers), that LeakVoltage is the pre-discharge voltage the
+// leakage debit was computed from, and that the step allocates nothing.
+func TestStepIntoReusedReport(t *testing.T) {
+	c := mustCap(t, 10e-6)
+	c.SetVoltage(5)
+	r := StepResult{Charged: 1, Delivered: 1, Leaked: 1, Spilled: 1, Starved: 1, LeakVoltage: 1}
+	c.StepInto(&r, 0, 0, 0)
+	if r != (StepResult{}) {
+		t.Fatalf("zero-dt step left stale fields: %+v", r)
+	}
+	r = StepResult{Spilled: 1, Starved: 1}
+	c.SetVoltage(3)
+	before := c.Stored()
+	c.StepInto(&r, 1e-3, 0, 1e-3)
+	if r.Spilled != 0 || r.Starved != 0 {
+		t.Fatalf("stale spill/starvation survived: %+v", r)
+	}
+	want := units.VoltageForEnergy(c.C, before+r.Charged)
+	if r.LeakVoltage != want {
+		t.Fatalf("LeakVoltage = %v, want pre-discharge %v", r.LeakVoltage, want)
+	}
+	if got := units.MulPT(c.LeakagePowerAt(r.LeakVoltage), 1e-3); got != r.Leaked {
+		t.Fatalf("leak %v not debited at LeakVoltage (%v)", r.Leaked, got)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		c.StepInto(&r, 1e-3, 2e-3, 1e-3)
+	})
+	if allocs != 0 {
+		t.Fatalf("StepInto allocates %v times per step", allocs)
 	}
 }
 
@@ -155,7 +196,7 @@ func TestStepEnergyConservation(t *testing.T) {
 		before := c.Stored()
 		in := units.Power(float64(inSel) / 255 * 20e-3)
 		load := units.Power(float64(loadSel) / 255 * 50e-3)
-		r := c.Step(in, load, 0.1)
+		r := step(c, in, load, 0.1)
 		after := c.Stored()
 		lhs := float64(after)
 		rhs := float64(before) + float64(r.Charged) - float64(r.Leaked) - float64(r.Delivered)
@@ -175,7 +216,7 @@ func TestStepHarvestAccounting(t *testing.T) {
 		}
 		c.SetVoltage(units.Voltage(float64(vSel) / 255 * 5))
 		in := units.Power(float64(inSel) / 255 * 30e-3)
-		r := c.Step(in, 0, 1)
+		r := step(c, in, 0, 1)
 		total := float64(r.Charged) + float64(r.Spilled)
 		return units.ApproxEqual(total, float64(in)*1, 1e-9)
 	}
@@ -238,7 +279,7 @@ func TestStepSequenceReachesEquilibrium(t *testing.T) {
 	c := mustCap(t, 100e-6)
 	var prev units.Voltage
 	for i := 0; i < 5000; i++ {
-		c.Step(1e-3, 0, 0.01)
+		step(c, 1e-3, 0, 0.01)
 		v := c.Voltage()
 		if v > 5+1e-9 {
 			t.Fatalf("voltage exceeded rated at step %d: %v", i, v)
