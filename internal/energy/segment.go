@@ -3,7 +3,7 @@
 // simulator (internal/sim) to jump whole quiet windows instead of
 // grinding fixed steps.
 //
-// Within one step of the step simulator (storage.Capacitor.Step with
+// Within one step of the step simulator (storage.Capacitor.StepInto with
 // constant harvest credit H and load debit D per step) the stored
 // energy evolves as
 //
