@@ -2,12 +2,16 @@
 
 GO ?= go
 
-.PHONY: all ci build vet test perfbench-test race race-cache race-explore bench bench-json bench-smoke bench-guard experiments examples fuzz cover clean serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
+.PHONY: all ci fmt-check build vet test perfbench-test race race-cache race-explore bench bench-json bench-smoke bench-guard experiments examples fuzz cover clean serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
 
 all: build vet test
 
 # Everything the CI workflow runs.
-ci: build vet test perfbench-test race race-explore bench-smoke bench-guard serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
+ci: fmt-check build vet test perfbench-test race race-explore bench-smoke bench-guard serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
+
+# Fail on any file gofmt would rewrite.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
@@ -30,13 +34,13 @@ perfbench-test:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Race-check the concurrent evaluator-cache paths (fingerprint cache,
-# subsystem cache, GA worker pool).
+# Race-check the concurrent evaluator-cache paths (fingerprint pins,
+# warm tier, subsystem cache, GA worker pool).
 race-cache:
 	$(GO) test -race -run 'Cache|Concurrent' ./internal/explore/ ./internal/serve/
 
 # Race-check the parallel search path end-to-end: the worker dispatcher,
-# the Workers=1-vs-N determinism stress tests and the shard-cache hammer.
+# the Workers=1-vs-N determinism stress tests and the pin-map hammer.
 race-explore:
 	$(GO) test -race -run 'Parallel|Workers|Hammer|Shard|Dispatch|Concurrent' \
 		./internal/search/ ./internal/explore/ ./internal/serve/

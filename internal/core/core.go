@@ -209,7 +209,8 @@ type Result struct {
 	Objective string
 	Baseline  string
 
-	// CacheHits / CacheMisses count the search's plan-cache traffic;
+	// CacheHits / CacheMisses count the search's ladder-set lookups:
+	// misses are the distinct hardware fingerprints, hits the rest;
 	// WarmHits is the subset of misses served by the process-lifetime
 	// warm tier (SearchConfig.Warm) instead of a fresh ladder build.
 	// Informational only — like Workers they never affect the design.

@@ -3,14 +3,12 @@ package explore
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"chrysalis/internal/accel"
 	"chrysalis/internal/dataflow"
 	"chrysalis/internal/dnn"
 	"chrysalis/internal/energy"
 	"chrysalis/internal/intermittent"
-	"chrysalis/internal/obs"
 	"chrysalis/internal/solar"
 	"chrysalis/internal/units"
 )
@@ -118,31 +116,10 @@ func buildLadderSet(sc Scenario, cand Candidate) (*ladderSet, error) {
 	return ls, nil
 }
 
-// Process-wide cumulative plan-cache counters, aggregated across every
-// Evaluator so serving layers (chrysalisd /metrics) can export them.
-var (
-	globalCacheHits   atomic.Int64
-	globalCacheMisses atomic.Int64
-)
-
-// EvalCacheCounters returns the process-wide cumulative evaluator
-// plan-cache hit and miss counts. Both are monotonic, suitable for
-// Prometheus counter export.
-func EvalCacheCounters() (hits, misses int64) {
-	return globalCacheHits.Load(), globalCacheMisses.Load()
-}
-
-// cacheShards stripes the fingerprint map. 16 shards keeps the worst
-// case (every worker missing a different fingerprint at once) lock-free
-// for up to 16 hardware workers while costing only 16 small maps; the
-// common case never touches the stripe lock at all thanks to the
-// per-worker last-lookup slots.
+// cacheShards stripes the energy-gene map: 16 locks keep up to 16
+// hardware workers missing different gene pairs at once out of each
+// other's way.
 const cacheShards = 16
-
-// lastSlots is how many per-worker last-lookup slots a cache carries.
-// Workers index slots by worker&`(lastSlots-1)`, so up to 16 workers
-// get private slots and larger pools share gracefully.
-const lastSlots = 16
 
 // fingerprintHash mixes every fingerprint field into a shard index with
 // an FNV-1a over the fixed-width fields plus the workload name. It is
@@ -175,146 +152,14 @@ func fingerprintHash(fp fingerprint) uint64 {
 	return h
 }
 
-// planShard is one mutex stripe of the fingerprint map.
-type planShard struct {
-	mu   sync.RWMutex
-	sets map[fingerprint]*ladderSet
-	// Pad each shard to its own cache line so neighboring stripe locks
-	// don't false-share under concurrent misses.
-	_ [24]byte
-}
-
-// lastSlot is one per-worker last-lookup pointer, padded to a cache
-// line: a single shared atomic.Pointer fast path ping-pongs its line
-// between every core on the hit path, which is exactly the steady state
-// on the MSP platform (one fingerprint, every lookup a hit).
-type lastSlot struct {
-	p atomic.Pointer[lastLookup]
-	_ [56]byte
-}
-
-// planCache memoizes ladder sets per hardware fingerprint for one
-// Evaluator. It is safe for concurrent use (search.GAConfig.Workers >
-// 1): lookups take a striped read lock keyed by the fingerprint hash,
-// and concurrent misses on the same fingerprint coalesce through a
-// per-fingerprint single-flight group, so every set is built exactly
-// once no matter how many workers miss it at once.
-type planCache struct {
-	shards [cacheShards]planShard
-	// last short-circuits the common case of consecutive lookups with
-	// the same fingerprint (on MSP the fingerprint never changes), one
-	// slot per worker so the steady-state hit touches no shared line.
-	last     [lastSlots]lastSlot
-	hits     atomic.Int64
-	misses   atomic.Int64
-	warmHits atomic.Int64
-	// builds counts ladder sets this cache actually constructed (not
-	// served warm, not shared from another worker's in-flight build).
-	builds atomic.Int64
-	// warm, when non-nil, is the process-lifetime tier consulted between
-	// a shard miss and a build; sets built here are published back to it.
-	warm *WarmCache
-	// flight coalesces this search's concurrent builds when no warm tier
-	// is attached; with one attached, the tier's group is used instead so
-	// deduplication spans concurrent searches too.
-	flight flightGroup
-}
-
-// lastLookup is an immutable (fingerprint, ladder set) pair published
-// atomically after each successful lookup.
-type lastLookup struct {
-	fp fingerprint
-	ls *ladderSet
-}
-
-func newPlanCache() *planCache {
-	pc := &planCache{}
-	for i := range pc.shards {
-		pc.shards[i].sets = make(map[fingerprint]*ladderSet)
-	}
-	return pc
-}
-
-// get returns the ladder set for the candidate's fingerprint, building
-// and caching it on a miss. worker selects the caller's last-lookup
-// slot; serial callers pass 0.
-func (pc *planCache) get(sc Scenario, cand Candidate, worker int) (*ladderSet, error) {
-	fp := fingerprintOf(sc, cand)
-	slot := &pc.last[worker&(lastSlots-1)].p
-	if le := slot.Load(); le != nil && le.fp == fp {
-		pc.hits.Add(1)
-		globalCacheHits.Add(1)
-		return le.ls, nil
-	}
-	shard := &pc.shards[fingerprintHash(fp)&(cacheShards-1)]
-	shard.mu.RLock()
-	ls, ok := shard.sets[fp]
-	shard.mu.RUnlock()
-	if ok {
-		pc.hits.Add(1)
-		globalCacheHits.Add(1)
-		slot.Store(&lastLookup{fp: fp, ls: ls})
-		return ls, nil
-	}
-	// Per-search miss. Consult the warm tier first: a set another search
-	// already built is adopted into this search's shard without a build.
-	if w := pc.warm; w != nil {
-		if ls, ok := w.lookup(fp); ok {
-			pc.misses.Add(1)
-			globalCacheMisses.Add(1)
-			pc.warmHits.Add(1)
-			pc.publish(shard, slot, fp, ls)
-			return ls, nil
-		}
-	}
-	// Build exactly once per fingerprint: the single-flight group (the
-	// warm tier's when attached, so deduplication spans searches) elects
-	// one builder; everyone else waits and shares its set.
-	flight := &pc.flight
-	if pc.warm != nil {
-		flight = &pc.warm.flight
-	}
-	built, shared, err := flight.do(fp, func() (*ladderSet, error) {
-		var sp *obs.Span
-		if sc.Trace != nil {
-			sp = sc.Trace.Start("explore", "ladder-build",
-				obs.A("platform", sc.Platform.String()), obs.A("arch", fp.arch.String()),
-				obs.A("npe", fp.npe), obs.A("layers", fp.layers))
-		}
-		pc.builds.Add(1)
-		ls, err := buildLadderSet(sc, cand)
-		if sp != nil {
-			sp.End(obs.A("err", err != nil))
-		}
-		if err == nil && pc.warm != nil {
-			pc.warm.admit(fp, ls)
-		}
-		return ls, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Waiters count as misses too — every lookup is a hit or a miss —
-	// with the saved duplicate builds tallied on the warm tier.
-	pc.misses.Add(1)
-	globalCacheMisses.Add(1)
-	if shared && pc.warm != nil {
-		pc.warm.dedup.Add(1)
-	}
-	pc.publish(shard, slot, fp, built)
-	return built, nil
-}
-
-// publish installs a set in the shard map (first writer wins — callers
-// racing here always carry the identical single-flight result) and the
-// caller's fast-path slot.
-func (pc *planCache) publish(shard *planShard, slot *atomic.Pointer[lastLookup], fp fingerprint, ls *ladderSet) {
-	shard.mu.Lock()
-	if _, ok := shard.sets[fp]; !ok {
-		shard.sets[fp] = ls
-	}
-	shard.mu.Unlock()
-	slot.Store(&lastLookup{fp: fp, ls: ls})
+// pin holds one fingerprint's ladder set for the rest of a search. Its
+// Once resolves the fingerprint exactly once however many workers ask
+// at the same time, and the pointer keeps the set alive even when the
+// process tier evicts it or refuses to admit it mid-search.
+type pin struct {
+	once sync.Once
+	ls   *ladderSet
+	err  error
 }
 
 // subsKey identifies a candidate's energy genes — the only inputs the
@@ -347,12 +192,11 @@ type subsShard struct {
 }
 
 // subsystemCache memoizes the per-environment energy subsystems keyed
-// on the candidate's energy genes, striped across mutex shards like
-// planCache (the outer GA revisits gene values constantly — elites,
-// crossover copies — from every worker at once). The evaluation path
-// only issues the subsystem's read-only closed-form queries
-// (CycleBudget, sim.Analytic), so one instance safely serves concurrent
-// evaluations.
+// on the candidate's energy genes, striped across mutex shards (the
+// outer GA revisits gene values constantly — elites, crossover copies —
+// from every worker at once). The evaluation path only issues the
+// subsystem's read-only closed-form queries (CycleBudget,
+// sim.Analytic), so one instance safely serves concurrent evaluations.
 type subsystemCache struct {
 	envs   []solar.Environment
 	shards [cacheShards]subsShard
@@ -366,8 +210,8 @@ func newSubsystemCache(envs []solar.Environment) *subsystemCache {
 	return c
 }
 
-// get returns the candidate's subsystems, building them on a miss. Like
-// planCache, racing misses may build twice; the loser is discarded.
+// get returns the candidate's subsystems, building them on a miss.
+// Racing misses may build twice; the loser is discarded.
 func (c *subsystemCache) get(cand Candidate) ([]*energy.Subsystem, error) {
 	k := subsKey{panel: cand.PanelArea, cap: cand.Cap}
 	shard := &c.shards[subsKeyHash(k)&(cacheShards-1)]

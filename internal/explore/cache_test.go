@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -9,12 +10,14 @@ import (
 	"chrysalis/internal/accel"
 	"chrysalis/internal/dataflow"
 	"chrysalis/internal/dnn"
+	"chrysalis/internal/intermittent"
 	"chrysalis/internal/obs"
+	"chrysalis/internal/units"
 )
 
 // mspCandidates spans the energy genes the outer search varies on the
 // MSP platform. The inference-side fingerprint is identical for all of
-// them, so a single cached ladder set must serve every one.
+// them, so a single pinned ladder set must serve every one.
 func mspCandidates() []Candidate {
 	return []Candidate{
 		{PanelArea: 4, Cap: 47e-6},
@@ -25,7 +28,7 @@ func mspCandidates() []Candidate {
 }
 
 // accelCandidates varies both the energy genes and the accelerator
-// genes, so the fingerprint cache must hold several distinct entries.
+// genes, so the evaluator must pin several distinct fingerprints.
 func accelCandidates() []Candidate {
 	return []Candidate{
 		{PanelArea: 16, Cap: 1e-3, Accel: &accel.Config{Arch: accel.Eyeriss, NPE: 32, CacheBytes: 512}},
@@ -35,11 +38,70 @@ func accelCandidates() []Candidate {
 	}
 }
 
+// directPlans is the uncached reference for the inner search: it scans
+// each (dataflow, partition) mapping space per call with early exit at
+// the first budget-feasible tile count, instead of reading pinned
+// ladders. It explores the space in the same order with the same
+// tie-breaks as innerSearch, so the two must choose bit-identical plans.
+func directPlans(sc Scenario, cand Candidate) ([]intermittent.Plan, error) {
+	sc = sc.withDefaults()
+	subsystems, err := buildSubsystems(sc.Envs, cand)
+	if err != nil {
+		return nil, err
+	}
+	budget := cycleBudget(subsystems)
+	dfs := dataflowChoices(sc)
+	hws := make([]dataflow.HW, len(dfs))
+	for i, df := range dfs {
+		if hws[i], err = platformHW(sc, cand, df); err != nil {
+			return nil, err
+		}
+	}
+	w := sc.Workload
+	plans := make([]intermittent.Plan, len(w.Layers))
+	for li, l := range w.Layers {
+		bestE := units.Energy(math.Inf(1))
+		foundAny := false
+		for ci, df := range dfs {
+			for _, part := range []dataflow.Partition{dataflow.ByChannel, dataflow.BySpatial} {
+				p, err := intermittent.MinFeasibleTiles(l, w.ElemBytes, df, part, hws[ci], sc.Rexc, budget)
+				if err != nil {
+					continue
+				}
+				if p.Energy < bestE {
+					bestE = p.Energy
+					plans[li] = p
+					foundAny = true
+				}
+			}
+		}
+		if !foundAny {
+			return nil, fmt.Errorf("explore: layer %s infeasible on %s: %w",
+				l.Name, cand, intermittent.ErrNoFeasibleTile)
+		}
+	}
+	return plans, nil
+}
+
+// matchesDirect reports whether an evaluation chose exactly the plans
+// of the direct reference scan.
+func matchesDirect(ev Evaluation, want []intermittent.Plan) bool {
+	if len(ev.Mappings) != len(want) {
+		return false
+	}
+	for i, m := range ev.Mappings {
+		if m.Layer != want[i].Layer.Name || m.Mapping != want[i].Cost.Mapping || !reflect.DeepEqual(m.Plan, want[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestCachedMatchesUncached is the end-to-end differential for the
-// memoized evaluation engine: a caching Evaluator must produce
-// Evaluations deep-equal to the uncached one-shot EvaluateCandidate
-// path for both platforms, across repeated evaluations (cache hits
-// included).
+// memoized evaluation engine: an Evaluator serving pinned ladders must
+// choose the plans of the uncached direct scan for both platforms,
+// across repeated evaluations (cache hits included), and each
+// evaluation must deep-equal the one-shot EvaluateCandidate result.
 func TestCachedMatchesUncached(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -57,10 +119,10 @@ func TestCachedMatchesUncached(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Two rounds: the second is served entirely from the cache.
+			// Two rounds: the second is served entirely from the pins.
 			for round := 0; round < 2; round++ {
 				for _, cand := range tc.cands {
-					want, wantErr := EvaluateCandidate(tc.sc, cand)
+					want, wantErr := directPlans(tc.sc, cand)
 					got, gotErr := e.Evaluate(cand)
 					if (wantErr == nil) != (gotErr == nil) {
 						t.Fatalf("round %d %s: uncached err %v, cached err %v", round, cand, wantErr, gotErr)
@@ -68,8 +130,15 @@ func TestCachedMatchesUncached(t *testing.T) {
 					if wantErr != nil {
 						continue
 					}
-					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("round %d %s: cached evaluation diverged:\n%+v\nvs uncached\n%+v", round, cand, got, want)
+					if !matchesDirect(got, want) {
+						t.Fatalf("round %d %s: cached plans diverged from the direct scan:\n%+v\nvs uncached\n%+v", round, cand, got.Mappings, want)
+					}
+					one, err := EvaluateCandidate(tc.sc, cand)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(one, got) {
+						t.Fatalf("round %d %s: one-shot evaluation diverged:\n%+v\nvs\n%+v", round, cand, one, got)
 					}
 				}
 			}
@@ -95,13 +164,13 @@ func TestEvaluatorCacheConcurrent(t *testing.T) {
 	sc := Scenario{Workload: dnn.HAR(), Platform: Accel, Objective: LatSP}
 	cands := accelCandidates()
 
-	refs := make([]Evaluation, len(cands))
+	refs := make([][]intermittent.Plan, len(cands))
 	for i, cand := range cands {
-		ev, err := EvaluateCandidate(sc, cand)
+		plans, err := directPlans(sc, cand)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs[i] = ev
+		refs[i] = plans
 	}
 
 	e, err := NewEvaluator(sc)
@@ -123,7 +192,7 @@ func TestEvaluatorCacheConcurrent(t *testing.T) {
 					errs <- fmt.Errorf("goroutine %d round %d: %v", g, r, err)
 					return
 				}
-				if !reflect.DeepEqual(got, refs[i]) {
+				if !matchesDirect(got, refs[i]) {
 					errs <- fmt.Errorf("goroutine %d round %d: result diverged for %s", g, r, cands[i])
 					return
 				}
@@ -139,14 +208,41 @@ func TestEvaluatorCacheConcurrent(t *testing.T) {
 	if hits+misses != goroutines*rounds {
 		t.Errorf("hits %d + misses %d != %d lookups", hits, misses, goroutines*rounds)
 	}
-	if misses < int64(len(cands)) {
-		t.Errorf("misses = %d, want >= %d distinct fingerprints", misses, len(cands))
+	if misses != int64(len(cands)) {
+		t.Errorf("misses = %d, want %d distinct fingerprints", misses, len(cands))
+	}
+}
+
+// raceEnabled reports a -race build; race_test.go sets it.
+var raceEnabled bool
+
+// TestHotPathAllocs pins the steady-state allocation counts of the
+// search's hot path: a lookup of a pinned fingerprint allocates nothing,
+// and scoring a candidate whose MSP fingerprint is already resolved
+// allocates once.
+func TestHotPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop arenas at random")
+	}
+	e, err := NewEvaluator(Scenario{Workload: dnn.HAR(), Platform: MSP, Objective: LatSP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cand := mspCandidates()[1]
+	if _, err := e.score(cand); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.ladderSetFor(cand) }); n != 0 {
+		t.Errorf("pinned ladder lookup allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.score(cand) }); n != 1 {
+		t.Errorf("score on a resolved MSP fingerprint allocates %v times, want 1", n)
 	}
 }
 
 // TestTracedColdSearchBuildLadderSpans covers the traced ladder-build
 // path. A traced cold serial search records one "ladder-build" span per
-// plan-cache miss and, per miss, exactly layers × dataflows × 2
+// cache miss and, per miss, exactly layers × dataflows × 2
 // "build-ladder" spans, each carrying its tuple identity and rung count.
 // A traced evaluator's spans then match the ladders of the set it built,
 // in build order.
@@ -190,7 +286,7 @@ func TestTracedColdSearchBuildLadderSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := e.cache.get(e.sc, accelCandidates()[2], 0)
+	ls, err := e.ladderSetFor(accelCandidates()[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +315,7 @@ func TestTracedColdSearchBuildLadderSpans(t *testing.T) {
 
 // BenchmarkBuildLadderSet times one cold ladder-set build — every
 // (layer, dataflow, partition) ladder of a workload on one hardware
-// fingerprint — the unit of work behind each plan-cache miss.
+// fingerprint — the unit of work behind each cold cache miss.
 func BenchmarkBuildLadderSet(b *testing.B) {
 	cases := []struct {
 		name string

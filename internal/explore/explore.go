@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"chrysalis/internal/accel"
@@ -194,12 +195,12 @@ type Scenario struct {
 	// simulator (sim.ModeEvent).
 	SimMode sim.Mode
 	// Warm, when non-nil, attaches a process-lifetime warm-start tier:
-	// the evaluator's plan cache reuses ladder sets previous searches
-	// built for the same hardware fingerprint and publishes the sets it
-	// builds. Nil keeps every search cold. Because ladder builds are
-	// deterministic and cached sets immutable, attaching a tier never
-	// affects results — warm and cold runs produce bit-identical
-	// Outcomes.
+	// the evaluator resolves fingerprints through it, reusing ladder sets
+	// previous searches built for the same hardware fingerprint and
+	// publishing the sets it builds. Nil keeps every search cold.
+	// Because ladder builds are deterministic and cached sets immutable,
+	// attaching a tier never affects results — warm and cold runs
+	// produce bit-identical Outcomes.
 	Warm *WarmCache
 }
 
@@ -354,77 +355,93 @@ func cycleBudget(subsystems []*energy.Subsystem) intermittent.BudgetFunc {
 // expensive half of the inner mapping search: per-layer plan ladders
 // keyed on the candidate's hardware fingerprint. Candidates that differ
 // only in energy genes (panel area, capacitance) — the dimensions the
-// outer GA mutates most — reuse the cached ladders and pay only a
-// cheap budget scan. On the MSP platform the fingerprint is constant,
-// so the whole search builds the ladders exactly once.
+// outer GA mutates most — reuse the pinned ladders and pay only a cheap
+// budget scan. On the MSP platform the fingerprint is constant, so the
+// whole search resolves the ladders exactly once.
 //
 // An Evaluator is safe for concurrent use by multiple goroutines
-// (search.GAConfig.Workers > 1). Cached and uncached evaluations are
-// bit-identical.
+// (search.GAConfig.Workers > 1), and its cache counters are the same
+// for any worker count.
 type Evaluator struct {
 	sc Scenario
-	// cache memoizes ladder sets across evaluations; nil selects the
-	// uncached per-call scan (one-shot evaluations, where eager ladder
-	// construction could never be amortized).
-	cache *planCache
-	// subs memoizes energy subsystems per (panel, cap) gene pair; nil
-	// builds them fresh per evaluation.
+	// pins maps every fingerprint this search has asked for to its
+	// resolved ladder set; the process tier (sc.Warm), when attached, is
+	// the only shared store behind it.
+	mu   sync.Mutex
+	pins map[fingerprint]*pin
+	// lookups counts ladder-set requests, misses the distinct
+	// fingerprints pinned, and builds the sets this search built itself
+	// rather than taking from sc.Warm.
+	lookups, misses, builds atomic.Int64
+	// subs memoizes energy subsystems per (panel, cap) gene pair.
 	subs *subsystemCache
 }
 
 // NewEvaluator validates the scenario (filling defaults) and returns an
-// evaluator with an empty plan cache.
+// evaluator with no fingerprints pinned yet.
 func NewEvaluator(sc Scenario) (*Evaluator, error) {
 	sc = sc.withDefaults()
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	pc := newPlanCache()
-	pc.warm = sc.Warm
-	return &Evaluator{sc: sc, cache: pc, subs: newSubsystemCache(sc.Envs)}, nil
-}
-
-// newDirectEvaluator builds an evaluator without a plan cache: each
-// evaluation scans the mapping space directly with early exit, which is
-// cheaper when the scenario is evaluated exactly once.
-func newDirectEvaluator(sc Scenario) (*Evaluator, error) {
-	sc = sc.withDefaults()
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	return &Evaluator{sc: sc}, nil
+	return &Evaluator{sc: sc, pins: make(map[fingerprint]*pin), subs: newSubsystemCache(sc.Envs)}, nil
 }
 
 // Scenario returns the default-filled scenario the evaluator serves.
 func (e *Evaluator) Scenario() Scenario { return e.sc }
 
-// CacheStats returns this evaluator's plan-cache hit and miss counts.
-// Uncached (direct) evaluators report zeros.
+// CacheStats returns this evaluator's ladder-set hits and misses:
+// misses are the distinct fingerprints it resolved, hits every other
+// lookup.
 func (e *Evaluator) CacheStats() (hits, misses int64) {
-	if e.cache == nil {
-		return 0, 0
-	}
-	return e.cache.hits.Load(), e.cache.misses.Load()
+	misses = e.misses.Load()
+	return e.lookups.Load() - misses, misses
 }
 
-// WarmHits returns how many of this evaluator's plan-cache misses were
-// served by the attached warm tier instead of a fresh build. Zero when
-// no tier is attached (or for direct evaluators).
+// WarmHits returns how many of this evaluator's misses the attached
+// warm tier served instead of a build of its own. Zero when no tier is
+// attached.
 func (e *Evaluator) WarmHits() int64 {
-	if e.cache == nil {
-		return 0
-	}
-	return e.cache.warmHits.Load()
+	return e.misses.Load() - e.builds.Load()
 }
 
-// ladderSetFor returns the candidate's ladder set, memoized when the
-// evaluator carries a cache and built fresh otherwise. worker selects
-// the cache's per-worker fast-path slot; serial callers pass 0.
-func (e *Evaluator) ladderSetFor(worker int, cand Candidate) (*ladderSet, error) {
-	if e.cache != nil {
-		return e.cache.get(e.sc, cand, worker)
+// ladderSetFor returns the candidate's ladder set, resolving its
+// fingerprint on the first request and serving the pinned set after.
+func (e *Evaluator) ladderSetFor(cand Candidate) (*ladderSet, error) {
+	fp := fingerprintOf(e.sc, cand)
+	e.lookups.Add(1)
+	e.mu.Lock()
+	p, ok := e.pins[fp]
+	if !ok {
+		p = &pin{}
+		e.pins[fp] = p
+		e.misses.Add(1)
 	}
-	return buildLadderSet(e.sc, cand)
+	e.mu.Unlock()
+	p.once.Do(func() { p.ls, p.err = e.resolve(fp, cand) })
+	return p.ls, p.err
+}
+
+// resolve produces fp's ladder set for its pin: through the warm tier
+// when one is attached, so concurrent searches share one build, and by
+// building it directly otherwise.
+func (e *Evaluator) resolve(fp fingerprint, cand Candidate) (*ladderSet, error) {
+	build := func() (*ladderSet, error) {
+		e.builds.Add(1)
+		if e.sc.Trace == nil {
+			return buildLadderSet(e.sc, cand)
+		}
+		sp := e.sc.Trace.Start("explore", "ladder-build",
+			obs.A("platform", e.sc.Platform.String()), obs.A("arch", fp.arch.String()),
+			obs.A("npe", fp.npe), obs.A("layers", fp.layers))
+		ls, err := buildLadderSet(e.sc, cand)
+		sp.End(obs.A("err", err != nil))
+		return ls, err
+	}
+	if w := e.sc.Warm; w != nil {
+		return w.get(fp, build)
+	}
+	return build()
 }
 
 // evalArena is the per-evaluation scratch every scoring pass needs: the
@@ -456,25 +473,16 @@ func takeArena(n int) *evalArena {
 	return a
 }
 
-// subsystemsFor returns the candidate's per-environment energy
-// subsystems, memoized on the energy genes when the evaluator caches.
-func (e *Evaluator) subsystemsFor(cand Candidate) ([]*energy.Subsystem, error) {
-	if e.subs != nil {
-		return e.subs.get(cand)
-	}
-	return buildSubsystems(e.sc.Envs, cand)
-}
-
 // innerSearch is the SW-level optimizer: for a fixed candidate it
 // chooses, per layer, the (dataflow, partition, N_tile) minimizing the
 // layer's total energy, subject to every tile fitting the tightest
 // per-cycle budget across environments (Eq. 8). The per-layer plan
-// ladders come from the fingerprint cache; only the budget scan runs
+// ladders come from the pinned ladder set; only the budget scan runs
 // per candidate, over slim rungs, and only each layer's winner is
 // materialized as a full Plan — into the caller's arena, which the
 // returned pointers alias.
-func (e *Evaluator) innerSearch(worker int, cand Candidate, budget intermittent.BudgetFunc, a *evalArena) ([]*intermittent.Plan, error) {
-	ls, err := e.cache.get(e.sc, cand, worker)
+func (e *Evaluator) innerSearch(cand Candidate, budget intermittent.BudgetFunc, a *evalArena) ([]*intermittent.Plan, error) {
+	ls, err := e.ladderSetFor(cand)
 	if err != nil {
 		return nil, err
 	}
@@ -504,61 +512,15 @@ func (e *Evaluator) innerSearch(worker int, cand Candidate, budget intermittent.
 	return a.plans, nil
 }
 
-// innerSearchDirect is the uncached form of innerSearch: it scans each
-// (dataflow, partition) mapping space per call with early exit at the
-// first budget-feasible tile count, instead of materializing full
-// ladders that a single evaluation could never amortize. It explores
-// the space in the same order with the same tie-breaks as the cached
-// path, so the two produce bit-identical choices.
-func (e *Evaluator) innerSearchDirect(cand Candidate, budget intermittent.BudgetFunc, a *evalArena) ([]*intermittent.Plan, error) {
-	sc := e.sc
-	dfs := dataflowChoices(sc)
-	hws := make([]dataflow.HW, len(dfs))
-	for i, df := range dfs {
-		hw, err := platformHW(sc, cand, df)
-		if err != nil {
-			return nil, err
-		}
-		hws[i] = hw
-	}
-	w := sc.Workload
-	for li, l := range w.Layers {
-		bestE := units.Energy(math.Inf(1))
-		foundAny := false
-		for ci, df := range dfs {
-			for _, part := range []dataflow.Partition{dataflow.ByChannel, dataflow.BySpatial} {
-				p, err := intermittent.MinFeasibleTiles(l, w.ElemBytes, df, part, hws[ci], sc.Rexc, budget)
-				if err != nil {
-					continue
-				}
-				if p.Energy < bestE {
-					bestE = p.Energy
-					a.backing[li] = p
-					foundAny = true
-				}
-			}
-		}
-		if !foundAny {
-			return nil, fmt.Errorf("explore: layer %s infeasible on %s: %w",
-				l.Name, cand, intermittent.ErrNoFeasibleTile)
-		}
-	}
-	return a.plans, nil
-}
-
 // searchPlans dispatches to the configured inner mapping search and
 // returns the chosen per-layer plans by pointer into the caller's
 // arena. The pointers are only valid until the arena is returned to
 // the pool.
-func (e *Evaluator) searchPlans(worker int, cand Candidate, budget intermittent.BudgetFunc, a *evalArena) ([]*intermittent.Plan, error) {
-	switch {
-	case e.sc.Mapper == MapperGA:
-		return e.innerSearchGA(worker, cand, budget, a)
-	case e.cache != nil:
-		return e.innerSearch(worker, cand, budget, a)
-	default:
-		return e.innerSearchDirect(cand, budget, a)
+func (e *Evaluator) searchPlans(cand Candidate, budget intermittent.BudgetFunc, a *evalArena) ([]*intermittent.Plan, error) {
+	if e.sc.Mapper == MapperGA {
+		return e.innerSearchGA(cand, budget, a)
 	}
+	return e.innerSearch(cand, budget, a)
 }
 
 // quickScore is the allocation-lean evaluation the search loops consume:
@@ -576,41 +538,34 @@ type quickScore struct {
 // to the ones Evaluate reports; only the discarded per-candidate
 // bookkeeping (layer choices, per-env reports) is skipped. When the
 // scenario carries a tracer, each score records a span annotated with
-// feasibility and the plan-cache hits/misses it incurred; with tracing
+// feasibility and the ladder-set hits/misses it incurred; with tracing
 // off the fast path is untouched.
 func (e *Evaluator) score(cand Candidate) (quickScore, error) {
-	return e.scoreWorker(0, cand)
-}
-
-// scoreWorker is score with an explicit worker slot, the form the
-// parallel search loops call so each worker hits its own cache
-// fast-path slot.
-func (e *Evaluator) scoreWorker(worker int, cand Candidate) (quickScore, error) {
 	if tr := e.sc.Trace; tr != nil {
 		h0, m0 := e.CacheStats()
 		sp := tr.Start("explore", "score")
-		s, err := e.scoreInner(worker, cand)
+		s, err := e.scoreInner(cand)
 		h1, m1 := e.CacheStats()
 		sp.End(obs.A("feasible", s.feasible), obs.A("cache_hits", h1-h0),
 			obs.A("cache_misses", m1-m0), obs.A("err", err != nil))
 		return s, err
 	}
-	return e.scoreInner(worker, cand)
+	return e.scoreInner(cand)
 }
 
 // scoreInner is the uninstrumented scoring path.
-func (e *Evaluator) scoreInner(worker int, cand Candidate) (quickScore, error) {
+func (e *Evaluator) scoreInner(cand Candidate) (quickScore, error) {
 	if err := e.checkCandidate(cand); err != nil {
 		return quickScore{}, err
 	}
-	subsystems, err := e.subsystemsFor(cand)
+	subsystems, err := e.subs.get(cand)
 	if err != nil {
 		return quickScore{}, err
 	}
 	budget := cycleBudget(subsystems)
 	a := takeArena(len(e.sc.Workload.Layers))
 	defer arenaPool.Put(a)
-	plans, err := e.searchPlans(worker, cand, budget, a)
+	plans, err := e.searchPlans(cand, budget, a)
 	if err != nil {
 		return quickScore{}, err
 	}
@@ -675,7 +630,7 @@ func (e *Evaluator) evaluateInner(cand Candidate) (Evaluation, error) {
 	}
 
 	ev := Evaluation{Candidate: cand}
-	subsystems, err := e.subsystemsFor(cand)
+	subsystems, err := e.subs.get(cand)
 	if err != nil {
 		return ev, err
 	}
@@ -683,7 +638,7 @@ func (e *Evaluator) evaluateInner(cand Candidate) (Evaluation, error) {
 
 	a := takeArena(len(sc.Workload.Layers))
 	defer arenaPool.Put(a)
-	plans, err := e.searchPlans(0, cand, budget, a)
+	plans, err := e.searchPlans(cand, budget, a)
 	if err != nil {
 		return ev, err
 	}
@@ -725,11 +680,10 @@ func (e *Evaluator) evaluateInner(cand Candidate) (Evaluation, error) {
 
 // EvaluateCandidate runs the inner mapping search and the analytic
 // evaluator under every environment. It is the one-shot form of
-// Evaluator.Evaluate and uses the early-exit direct scan; callers
-// evaluating many candidates of one scenario should create an Evaluator
-// to share its plan cache. Both paths produce bit-identical results.
+// Evaluator.Evaluate; callers evaluating many candidates of one
+// scenario should create an Evaluator to share its pinned ladders.
 func EvaluateCandidate(sc Scenario, cand Candidate) (Evaluation, error) {
-	e, err := newDirectEvaluator(sc)
+	e, err := NewEvaluator(sc)
 	if err != nil {
 		return Evaluation{}, err
 	}
@@ -891,11 +845,12 @@ type Outcome struct {
 	// used (1 = serial). It never affects the other fields: Outcomes are
 	// bit-identical for any worker count at the same seed.
 	Workers int
-	// CacheHits / CacheMisses count the evaluator plan-cache outcomes
-	// across the run; WarmHits is the subset of misses served by the
-	// process-lifetime warm tier (Scenario.Warm) instead of a fresh
-	// ladder build. With no tier attached, misses = distinct hardware
-	// fingerprints built and WarmHits is zero.
+	// CacheHits / CacheMisses count the evaluator's ladder-set lookups
+	// across the run: misses are the distinct hardware fingerprints,
+	// hits every other lookup, both the same for any worker count.
+	// WarmHits is the subset of misses served by the process-lifetime
+	// warm tier (Scenario.Warm) instead of a fresh ladder build; it is
+	// zero with no tier attached.
 	CacheHits   int64
 	CacheMisses int64
 	WarmHits    int64
@@ -1003,7 +958,7 @@ func Explore(sc Scenario, b Baseline, cfg search.GAConfig) (Outcome, error) {
 		Dim: g.dim(),
 		EvalCtx: func(ec search.EvalContext, genome []float64) float64 {
 			cand := decode(sc, g, genome)
-			s, err := e.scoreWorker(ec.Worker, cand)
+			s, err := e.score(cand)
 			if err != nil {
 				return math.Inf(1)
 			}
@@ -1074,7 +1029,7 @@ func ParetoScanWorkers(sc Scenario, n int, seed int64, workers int) (points, fro
 		Dim: g.dim(),
 		EvalCtx: func(ec search.EvalContext, genome []float64) float64 {
 			cand := decode(sc, g, genome)
-			s, evalErr := e.scoreWorker(ec.Worker, cand)
+			s, evalErr := e.score(cand)
 			if evalErr != nil || !s.feasible {
 				return math.Inf(1)
 			}
@@ -1120,7 +1075,7 @@ type ParetoOutcome struct {
 	Evals    int
 	Workers  int
 	// CacheHits / CacheMisses / WarmHits mirror the Outcome fields of
-	// the same names: plan-cache traffic for the run, with WarmHits the
+	// the same names: ladder-set traffic for the run, with WarmHits the
 	// misses served by the process-lifetime warm tier.
 	CacheHits    int64
 	CacheMisses  int64
@@ -1148,7 +1103,7 @@ func ParetoSearch(sc Scenario, cfg search.GAConfig) (ParetoOutcome, error) {
 		Dim: g.dim(),
 		EvalCtx: func(ec search.EvalContext, genome []float64) (float64, float64) {
 			cand := decode(sc, g, genome)
-			s, evalErr := e.scoreWorker(ec.Worker, cand)
+			s, evalErr := e.score(cand)
 			if evalErr != nil || !s.feasible {
 				return math.Inf(1), math.Inf(1)
 			}

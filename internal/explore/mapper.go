@@ -50,16 +50,16 @@ func gaMapperConfig(layers int, seed int64) search.GAConfig {
 // innerSearchGA is the CHRYSALIS-GAMMA mapping search: one genome
 // holds (dataflow, partition, tile-count index) for every layer and a
 // GA minimizes the summed Eq. 5 energy subject to per-layer Eq. 8
-// feasibility. Genome decoding resolves rungs from the fingerprint
-// cache's ladders (binary search by tile count) instead of re-running
+// feasibility. Genome decoding resolves rungs from the pinned ladder
+// set (binary search by tile count) instead of re-running
 // the cost model per evaluation; only the winning genome's plans are
 // materialized, into the caller's arena. The nested GA itself always
 // runs serially (it never sets Workers) — the outer candidate loop is
 // the parallel axis, and each call here is already confined to one
 // worker.
-func (e *Evaluator) innerSearchGA(worker int, cand Candidate, budget intermittent.BudgetFunc, a *evalArena) ([]*intermittent.Plan, error) {
+func (e *Evaluator) innerSearchGA(cand Candidate, budget intermittent.BudgetFunc, a *evalArena) ([]*intermittent.Plan, error) {
 	w := e.sc.Workload
-	ls, err := e.ladderSetFor(worker, cand)
+	ls, err := e.ladderSetFor(cand)
 	if err != nil {
 		return nil, err
 	}

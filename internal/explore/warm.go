@@ -1,9 +1,9 @@
 package explore
 
-// The process-lifetime warm tier. The per-search planCache dies with
-// its Evaluator, so every chrysalisd job rebuilds the plan ladders its
-// neighbors just built — yet ladders are budget-independent by
-// construction (see intermittent.Ladder): they depend only on the
+// The process-lifetime warm tier. Without it each search resolves its
+// fingerprints privately and every chrysalisd job rebuilds the plan
+// ladders its neighbors just built — yet ladders are budget-independent
+// by construction (see intermittent.Ladder): they depend only on the
 // hardware fingerprint, never on the energy genes or the search
 // configuration. WarmCache keeps finished ladder sets alive across
 // searches in one byte-bounded, sharded, segmented-LRU store, so a
@@ -64,9 +64,9 @@ type flightCall struct {
 // flightGroup coalesces concurrent builds of the same fingerprint into
 // exactly one: the first caller becomes the leader and runs build, any
 // caller arriving while it is in flight waits for the leader's result
-// instead of building a duplicate. This is the fix for the old
-// documented planCache wart where concurrent misses on one fingerprint
-// each built the (identical) set.
+// instead of building a duplicate. Searches sharing a tier miss the
+// same fingerprints at the same time, so without it each would build
+// the identical set.
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[fingerprint]*flightCall
@@ -98,10 +98,10 @@ func (g *flightGroup) do(fp fingerprint, build func() (*ladderSet, error)) (ls *
 	return c.ls, false, c.err
 }
 
-// warmShards stripes the warm tier like the per-search cache: 16 locks
-// keep concurrent searches missing on different fingerprints out of
-// each other's way, and the byte bound is enforced per stripe
-// (maxBytes/warmShards each) so eviction never takes a global lock.
+// warmShards stripes the warm tier: 16 locks keep concurrent searches
+// missing on different fingerprints out of each other's way, and the
+// byte bound is enforced per stripe (maxBytes/warmShards each) so
+// eviction never takes a global lock.
 const warmShards = 16
 
 // warmEntry is one resident ladder set with its eviction bookkeeping.
@@ -135,9 +135,10 @@ type warmShard struct {
 const protectedFrac = 0.8
 
 // WarmCache is a process-lifetime warm-start tier for plan ladder
-// sets: searches that attach one (Scenario.Warm) publish every ladder
-// set they build and reuse any set a previous search built for the
-// same hardware fingerprint under the same cost-model version.
+// sets: searches that attach one (Scenario.Warm) resolve every
+// fingerprint through it, reusing any set a previous search built for
+// the same hardware fingerprint under the same cost-model version and
+// publishing the sets they build.
 //
 // The tier is byte-bounded on the estimated resident size of its
 // ladder sets, evicting segmented-LRU per shard, and owns the
@@ -180,9 +181,10 @@ func NewWarmCache(maxBytes int64) *WarmCache {
 
 // WarmStats is a point-in-time snapshot of a warm tier's counters.
 type WarmStats struct {
-	// Hits and Misses count lookups by searches that fell through their
-	// per-search tier; Dedup counts builds avoided by the single-flight
-	// group (a waiter sharing a leader's in-flight build).
+	// Hits and Misses count lookups, one per fingerprint per search
+	// (searches pin what they resolve); Dedup counts builds avoided by
+	// the single-flight group (a waiter sharing a leader's in-flight
+	// build).
 	Hits, Misses, Dedup int64
 	// Evictions counts entries dropped by the byte bound; Expirations
 	// counts entries dropped because their cost-model fingerprint no
@@ -223,6 +225,26 @@ func (c *WarmCache) HitRatio() float64 {
 // shardFor maps a fingerprint onto its stripe.
 func (c *WarmCache) shardFor(fp fingerprint) *warmShard {
 	return &c.shards[fingerprintHash(fp)&(warmShards-1)]
+}
+
+// get returns the ladder set for fp: the resident one when there is
+// one, otherwise the result of build, run once across every concurrent
+// caller missing fp and admitted on success.
+func (c *WarmCache) get(fp fingerprint, build func() (*ladderSet, error)) (*ladderSet, error) {
+	if ls, ok := c.lookup(fp); ok {
+		return ls, nil
+	}
+	ls, shared, err := c.flight.do(fp, func() (*ladderSet, error) {
+		ls, err := build()
+		if err == nil {
+			c.admit(fp, ls)
+		}
+		return ls, err
+	})
+	if shared {
+		c.dedup.Add(1)
+	}
+	return ls, err
 }
 
 // lookup returns the resident ladder set for fp, promoting it within

@@ -15,12 +15,13 @@ import (
 )
 
 // normalizeWarm strips the fields that legitimately differ between
-// warm and cold runs — the tier pointer and the cache-traffic counters
-// — so the rest of the Outcome can be compared bit for bit.
+// warm and cold runs — the tier pointer, the worker count and the
+// warm-hit count — so the rest of the Outcome, hits and misses
+// included, can be compared bit for bit.
 func normalizeWarm(out Outcome) Outcome {
 	out.Scenario.Warm = nil
 	out.Workers = 0
-	out.CacheHits, out.CacheMisses, out.WarmHits = 0, 0, 0
+	out.WarmHits = 0
 	return out
 }
 
@@ -145,7 +146,7 @@ func TestWarmCacheByteBoundAdversarial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := probe.cache.get(probe.sc, cand(0), 0)
+	ls, err := probe.ladderSetFor(cand(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,16 +167,16 @@ func TestWarmCacheByteBoundAdversarial(t *testing.T) {
 		t.Fatalf("ladderSetBytes = %d, below the %d bytes of rungs and layers the set holds", one, held)
 	}
 	warm := NewWarmCache(one * 2 * warmShards) // ~2 sets per shard
+	sc.Warm = warm
 	const distinct = 64
 	for i := 0; i < distinct; i++ {
-		// Fresh evaluator per fingerprint: the per-search tier never
-		// absorbs the traffic, every lookup reaches the warm tier.
+		// Fresh evaluator per lookup: no pin absorbs the traffic, every
+		// lookup reaches the warm tier.
 		e, err := NewEvaluator(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.cache.warm = warm
-		if _, err := e.cache.get(e.sc, cand(i%48), 0); err != nil {
+		if _, err := e.ladderSetFor(cand(i % 48)); err != nil {
 			t.Fatal(err)
 		}
 		st := warm.Stats()
@@ -208,12 +209,12 @@ func TestWarmCacheModelInvalidation(t *testing.T) {
 		Accel:     &accel.Config{Arch: accel.TPU, NPE: 8, CacheBytes: units.Bytes(256)},
 	}
 	warm := NewWarmCache(64 << 20)
+	sc.Warm = warm
 	prime, err := NewEvaluator(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prime.cache.warm = warm
-	if _, err := prime.cache.get(prime.sc, cand, 0); err != nil {
+	if _, err := prime.ladderSetFor(cand); err != nil {
 		t.Fatal(err)
 	}
 	if st := warm.Stats(); st.Entries != 1 {
@@ -228,8 +229,7 @@ func TestWarmCacheModelInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.cache.warm = warm
-	if _, err := e.cache.get(e.sc, cand, 0); err != nil {
+	if _, err := e.ladderSetFor(cand); err != nil {
 		t.Fatal(err)
 	}
 	st := warm.Stats()
@@ -245,8 +245,7 @@ func TestWarmCacheModelInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2.cache.warm = warm
-	if _, err := e2.cache.get(e2.sc, cand, 0); err != nil {
+	if _, err := e2.ladderSetFor(cand); err != nil {
 		t.Fatal(err)
 	}
 	if e2.WarmHits() != 1 {
@@ -314,18 +313,17 @@ func TestFlightGroupConcurrentSingleBuild(t *testing.T) {
 func TestWarmCacheOversizeNeverRetained(t *testing.T) {
 	warm := NewWarmCache(warmShards) // 1-byte shards: everything is oversize
 	tpu := accel.TPU
-	sc := Scenario{Workload: dnn.SimpleConv(), Platform: Accel, Objective: LatSP, Arch: &tpu}
+	sc := Scenario{Workload: dnn.SimpleConv(), Platform: Accel, Objective: LatSP, Arch: &tpu, Warm: warm}
 	e, err := NewEvaluator(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.cache.warm = warm
 	cand := Candidate{
 		PanelArea: 10,
 		Cap:       470e-6,
 		Accel:     &accel.Config{Arch: accel.TPU, NPE: 8, CacheBytes: units.Bytes(256)},
 	}
-	if _, err := e.cache.get(e.sc, cand, 0); err != nil {
+	if _, err := e.ladderSetFor(cand); err != nil {
 		t.Fatal(err)
 	}
 	if st := warm.Stats(); st.Entries != 0 || st.Bytes != 0 {

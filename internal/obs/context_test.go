@@ -64,16 +64,16 @@ func TestParseTraceparentEdgeCases(t *testing.T) {
 	}{
 		{valid, true},
 		{" " + valid + " ", true}, // surrounding whitespace tolerated
-		{"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01", true}, // uppercase normalized
+		{"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01", true},       // uppercase normalized
 		{"cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra", true}, // future version, extra field
 		{"", false},
 		{"garbage", false},
-		{"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false},       // version ff reserved
-		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-x", false},     // v00 forbids extras
-		{"00-00000000000000000000000000000000-00f067aa0ba902b7-01", false},       // all-zero trace ID
-		{"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", false},       // all-zero span ID
-		{"00-4bf92f3577b34da6a3ce929d0e0e47-00f067aa0ba902b7-01", false},         // short trace ID
-		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7zz-01", false},     // bad span hex
+		{"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false},   // version ff reserved
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-x", false}, // v00 forbids extras
+		{"00-00000000000000000000000000000000-00f067aa0ba902b7-01", false},   // all-zero trace ID
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", false},   // all-zero span ID
+		{"00-4bf92f3577b34da6a3ce929d0e0e47-00f067aa0ba902b7-01", false},     // short trace ID
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7zz-01", false}, // bad span hex
 	}
 	for _, c := range cases {
 		got, ok := ParseTraceparent(c.in)

@@ -234,7 +234,7 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 
 // CounterFunc registers a counter whose value is sampled from fn at
 // render time — for values owned by another subsystem (e.g. the
-// evaluator plan-cache counters).
+// simulator's event counters).
 func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 	r.lookup(name, help, "counter", nil).fn = fn
 }
@@ -396,7 +396,9 @@ func (h *Histogram) renderProm(w io.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, h.count.Load())
 }
 
-func formatBound(b float64) string { return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%f", b), "0"), ".") }
+func formatBound(b float64) string {
+	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%f", b), "0"), ".")
+}
 
 // Histogram returns the unlabeled histogram with the given name. bounds
 // are ascending upper bucket bounds (nil selects

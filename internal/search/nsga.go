@@ -15,8 +15,7 @@ type BiProblem struct {
 	// may be +Inf for infeasible points.
 	Eval func(genome []float64) (f1, f2 float64)
 	// EvalCtx, when non-nil, is used instead of Eval and receives the
-	// evaluation's EvalContext (see Problem.EvalCtx): the global ordinal
-	// and the worker slot, for objectives with per-worker state.
+	// evaluation's EvalContext (see Problem.EvalCtx): the global ordinal.
 	EvalCtx func(ec EvalContext, genome []float64) (f1, f2 float64)
 }
 
@@ -98,8 +97,8 @@ func RunNSGA2(p BiProblem, cfg GAConfig) ([]FrontPoint, NSGAStats, error) {
 	// RunGA).
 	evalBatch := func(batch []nsgaIndividual) {
 		base := stats.Evals
-		forEachIndex(len(batch), cfg.Workers, cfg.Labels, func(worker, i int) {
-			batch[i].f1, batch[i].f2 = eval(EvalContext{Index: base + i, Worker: worker}, batch[i].genome)
+		forEachIndex(len(batch), cfg.Workers, cfg.Labels, func(_, i int) {
+			batch[i].f1, batch[i].f2 = eval(EvalContext{Index: base + i}, batch[i].genome)
 		})
 		stats.Evals += len(batch)
 	}

@@ -28,11 +28,10 @@ type Problem struct {
 	Dim  int
 	Eval func(genome []float64) float64
 	// EvalCtx, when non-nil, is used instead of Eval and additionally
-	// receives the evaluation's context: its global ordinal and the
-	// worker slot running it. Objectives that track per-worker state
-	// (cache fast paths) or need deterministic tie-breaking across
-	// parallel runs (lowest evaluation index wins) use it; everything
-	// else can keep the plain Eval form.
+	// receives the evaluation's context: its global ordinal. Objectives
+	// that need deterministic tie-breaking or ordering across parallel
+	// runs (lowest evaluation index wins) use it; everything else can
+	// keep the plain Eval form.
 	EvalCtx func(ec EvalContext, genome []float64) float64
 }
 
@@ -43,10 +42,6 @@ type EvalContext struct {
 	// generation stays sequential: evaluation i always sees the same
 	// genome.
 	Index int
-	// Worker is the slot of the worker goroutine performing the
-	// evaluation, in [0, workers). Serial runs always use slot 0. The
-	// genome→worker assignment is NOT deterministic — only Index is.
-	Worker int
 }
 
 // Validate checks the problem definition.
@@ -364,8 +359,8 @@ func RunGA(p Problem, cfg GAConfig) (Result, error) {
 // EvalContext{Index: base+i} regardless of worker count.
 func evaluateBatch(p Problem, base int, batch []individual, workers int, labels context.Context) {
 	eval := p.evalFn()
-	forEachIndex(len(batch), workers, labels, func(worker, i int) {
-		batch[i].value = eval(EvalContext{Index: base + i, Worker: worker}, batch[i].genome)
+	forEachIndex(len(batch), workers, labels, func(_, i int) {
+		batch[i].value = eval(EvalContext{Index: base + i}, batch[i].genome)
 	})
 }
 
@@ -456,8 +451,8 @@ func RunRandomWorkers(p Problem, n int, seed int64, keepVisited bool, workers in
 	}
 	values := make([]float64, n)
 	eval := p.evalFn()
-	forEachIndex(n, workers, nil, func(worker, i int) {
-		values[i] = eval(EvalContext{Index: i, Worker: worker}, genomes[i])
+	forEachIndex(n, workers, nil, func(_, i int) {
+		values[i] = eval(EvalContext{Index: i}, genomes[i])
 	})
 
 	var res Result

@@ -733,6 +733,10 @@ func (m *manager) run(j *job) {
 	if res.StoppedEarly {
 		m.met.searchEarlyStops.Inc()
 	}
+	// Counted before finish publishes the terminal state, so a client
+	// that sees the job done also sees its search's cache traffic.
+	m.met.evalCacheHits.Add(res.CacheHits)
+	m.met.evalCacheMisses.Add(res.CacheMisses)
 	j.mu.Lock()
 	j.result = &res
 	j.mu.Unlock()

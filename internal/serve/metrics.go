@@ -22,8 +22,7 @@ const latencyWindow = 1024
 // metrics is the daemon's observability surface, built on the obs
 // registry: counters and gauges for the job lifecycle and the request
 // caches, histograms for job and HTTP latency, and render-time sampled
-// functions for state owned elsewhere (the evaluator plan cache, the
-// result cache, the job table).
+// functions for state owned elsewhere (the result cache, the job table).
 type metrics struct {
 	reg *obs.Registry
 
@@ -36,8 +35,12 @@ type metrics struct {
 	cacheHits     *obs.Counter
 	cacheMisses   *obs.Counter
 	evaluations   *obs.Counter
-	shed          *obs.CounterVec
-	jobLatency    *obs.Histogram
+	// Evaluator ladder-set traffic, added from each finished search's
+	// Result.
+	evalCacheHits   *obs.Counter
+	evalCacheMisses *obs.Counter
+	shed            *obs.CounterVec
+	jobLatency      *obs.Histogram
 
 	// Search-observatory counters: one generation of telemetry per tick,
 	// stagnant generations as flagged by the plateau detector, and runs
@@ -86,6 +89,10 @@ func newMetrics() *metrics {
 			"Design requests that started a new search."),
 		evaluations: reg.Counter("chrysalisd_evaluations_total",
 			"Design searches actually executed on this node (not cached, coalesced or delegated)."),
+		evalCacheHits: reg.Counter("chrysalisd_evaluator_cache_hits_total",
+			"Ladder-set lookups that reused a fingerprint already resolved by the same search, summed over this node's finished searches."),
+		evalCacheMisses: reg.Counter("chrysalisd_evaluator_cache_misses_total",
+			"Distinct hardware fingerprints resolved (built or taken from the warm tier), summed over this node's finished searches."),
 		shed: reg.CounterVec("chrysalisd_admission_shed_total",
 			"Submissions rejected with 429, by reason.", "reason"),
 		jobLatency: reg.Histogram("chrysalisd_job_latency_seconds",
@@ -101,12 +108,6 @@ func newMetrics() *metrics {
 		httpLatency: reg.Histogram("chrysalisd_http_request_seconds",
 			"HTTP request handling latency.", nil),
 	}
-	reg.CounterFunc("chrysalisd_evaluator_cache_hits_total",
-		"Plan-ladder fingerprint cache hits inside the evaluation engine.",
-		func() int64 { h, _ := explore.EvalCacheCounters(); return h })
-	reg.CounterFunc("chrysalisd_evaluator_cache_misses_total",
-		"Plan-ladder fingerprint cache misses (ladder builds) inside the evaluation engine.",
-		func() int64 { _, miss := explore.EvalCacheCounters(); return miss })
 	reg.CounterFunc("chrysalisd_sim_fast_segments_total",
 		"Analytic multi-step jumps taken by the event-driven simulator.",
 		func() int64 { segs, _, _, _ := sim.EventStats(); return segs })
@@ -129,7 +130,7 @@ func newMetrics() *metrics {
 // registerWarm exposes a warm-start tier's counters and residency on
 // the registry. Called once from newManager when -warm-cache-mb > 0;
 // the tier's own atomics are the source of truth, sampled at render
-// time like the evaluator cache counters.
+// time.
 func (m *metrics) registerWarm(w *explore.WarmCache) {
 	m.reg.CounterFunc("chrysalisd_warm_cache_hits_total",
 		"Warm-tier lookups that reused a ladder set built by an earlier search.",
@@ -190,23 +191,33 @@ func (m *metrics) quantiles() (p50, p95 float64, count int64) {
 }
 
 // statusWriter records the response code while preserving the Flusher
-// the SSE handler depends on.
+// interface SSE streaming needs. It counts the request in
+// chrysalisd_http_requests_total as soon as the code is decided, before
+// any byte reaches the client, so a client that has read a response
+// never scrapes a total that misses it.
 type statusWriter struct {
 	http.ResponseWriter
-	code int
+	requests *obs.CounterVec
+	method   string
+	code     int
+}
+
+// setCode fixes the response code on the first call and counts the
+// request under it; later calls are no-ops.
+func (w *statusWriter) setCode(code int) {
+	if w.code == 0 {
+		w.code = code
+		w.requests.With(w.method, strconv.Itoa(code)).Inc()
+	}
 }
 
 func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
+	w.setCode(code)
 	w.ResponseWriter.WriteHeader(code)
 }
 
 func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
+	w.setCode(http.StatusOK)
 	return w.ResponseWriter.Write(b)
 }
 
@@ -242,13 +253,10 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		}
 		r = r.WithContext(context.WithValue(r.Context(), traceCtxKey{}, tc))
 		w.Header().Set("traceparent", tc.Traceparent())
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &statusWriter{ResponseWriter: w, requests: s.mgr.met.httpRequests, method: r.Method}
 		next.ServeHTTP(sw, r)
-		if sw.code == 0 {
-			sw.code = http.StatusOK
-		}
+		sw.setCode(http.StatusOK) // a handler that wrote nothing answered 200
 		elapsed := time.Since(start)
-		s.mgr.met.httpRequests.With(r.Method, strconv.Itoa(sw.code)).Inc()
 		s.mgr.met.httpLatency.Observe(elapsed.Seconds())
 		s.opts.Logger.LogAttrs(r.Context(), requestLogLevel(r.URL.Path), "http request",
 			slog.String("method", r.Method),

@@ -252,10 +252,10 @@ func TestDesignJobEndToEnd(t *testing.T) {
 	}
 }
 
-// TestEvaluatorCacheMetrics checks that the plan-ladder fingerprint
-// cache counters from the evaluation engine surface on /metrics. The
-// counters are process-wide, so the test asserts deltas around one
-// search rather than absolute values.
+// TestEvaluatorCacheMetrics checks that the evaluation engine's
+// ladder-set counters surface on /metrics: each finished search adds
+// its Result's hits and misses to the node counters before the job is
+// reported done, so the deltas around one search equal its Result.
 func TestEvaluatorCacheMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 
@@ -270,20 +270,21 @@ func TestEvaluatorCacheMetrics(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if final := pollJob(t, ts.URL, st.ID); final.State != JobDone {
+	final := pollJob(t, ts.URL, st.ID)
+	if final.State != JobDone {
 		t.Fatalf("job state %s (error %q)", final.State, final.Error)
 	}
 
 	misses := metricValue(t, ts.URL, "chrysalisd_evaluator_cache_misses_total")
-	if misses <= misses0 {
-		t.Errorf("evaluator cache misses did not grow: %g -> %g", misses0, misses)
+	if misses <= misses0 || misses-misses0 != float64(final.Result.CacheMisses) {
+		t.Errorf("evaluator cache misses %g -> %g, want a rise of the job's %d", misses0, misses, final.Result.CacheMisses)
 	}
 	// On the MSP platform the hardware fingerprint is constant across
 	// the outer search, so every evaluation after the first ladder
 	// build is a hit.
 	hits := metricValue(t, ts.URL, "chrysalisd_evaluator_cache_hits_total")
-	if hits <= hits0 {
-		t.Errorf("evaluator cache hits did not grow: %g -> %g", hits0, hits)
+	if hits <= hits0 || hits-hits0 != float64(final.Result.CacheHits) {
+		t.Errorf("evaluator cache hits %g -> %g, want a rise of the job's %d", hits0, hits, final.Result.CacheHits)
 	}
 }
 
