@@ -2,13 +2,16 @@ package explore
 
 import (
 	"math"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"chrysalis/internal/accel"
 	"chrysalis/internal/dataflow"
 	"chrysalis/internal/dnn"
 	"chrysalis/internal/energy"
 	"chrysalis/internal/intermittent"
+	"chrysalis/internal/obs"
 	"chrysalis/internal/solar"
 	"chrysalis/internal/units"
 )
@@ -51,66 +54,252 @@ func fingerprintOf(sc Scenario, cand Candidate) fingerprint {
 }
 
 // dfCtx pairs a dataflow with the hardware cost constants it implies
-// for one candidate.
+// for one candidate, and records per partition whether those inputs
+// pass the cost model's checks (dataflow.Evaluable). A ladder whose
+// inputs fail them has no rungs at all.
 type dfCtx struct {
-	df dataflow.Dataflow
-	hw dataflow.HW
+	df        dataflow.Dataflow
+	hw        dataflow.HW
+	evaluable [2]bool
 }
 
-// ladderSet is the complete precomputed mapping space for one
-// fingerprint: the dataflow contexts the inner optimizer explores and,
-// per layer, one ladder per (dataflow, partition) pair. It is immutable
-// after construction and therefore shared freely across goroutines.
+// ladderSet is the mapping space for one fingerprint: the dataflow
+// contexts the inner optimizer explores and, per layer, one ladder per
+// (dataflow, partition) pair. Its ladders are built on demand: a ladder
+// evaluates its candidate tile counts in ascending order only as far as
+// a budget scan needs, so a set scanned twice pays for a few rungs per
+// ladder while a set scanned thousands of times (the MSP fingerprint,
+// a warm-tier entry) soon holds every rung its scans reach and serves
+// them as a memo.
 //
-// The set owns the inputs its ladders point at: one copy of the
-// workload's layers and one HW per dataflow context, shared by every
-// ladder instead of copied into each.
+// A set is safe to share across goroutines and searches. Every rung is
+// computed by the same kernel in the same order whoever extends the
+// ladder, so the rungs a set publishes do not depend on which scans ran
+// first, and a published rung never changes. Scans read published rungs
+// without a lock; extensions serialize on mu.
+//
+// The set owns the inputs its rungs are evaluated under: one copy of
+// the workload's layers and one HW per dataflow context. Each ladder's
+// (layer, context, partition) follows from its index, so a ladder
+// stores only its rungs.
 type ladderSet struct {
-	ctxs   []dfCtx
-	layers []dnn.Layer
+	ctxs      []dfCtx
+	layers    []dnn.Layer
+	elemBytes int
+	rexc      float64 // normalized
+	// ntiles[layer][partition] are the candidate tile counts, shared
+	// read-only with every other set of the evaluator that built this one.
+	ntiles [][2][]int
+	mu     sync.Mutex
 	// ladders[(layer*len(ctxs) + ctxIndex)*2 + int(partition)]
-	ladders []intermittent.Ladder
+	ladders []lazyLadder
 }
 
-// ladderAt returns the ladder for (layer, dataflow context, partition).
-func (ls *ladderSet) ladderAt(layer, ctx int, part dataflow.Partition) *intermittent.Ladder {
-	return &ls.ladders[(layer*len(ls.ctxs)+ctx)*2+int(part)]
+// ladderDone is the state bit a ladder sets once every candidate has
+// been evaluated; the bits above it hold the published rung count.
+const ladderDone = 1
+
+// lazyLadder is one (layer, dataflow, partition) ladder of a set. Rung
+// i is head for i == 0 and tail[i-1] after it; tail is allocated once,
+// sized for every remaining candidate, when a second rung is needed.
+// Rungs below the published count are immutable.
+type lazyLadder struct {
+	state atomic.Uint32 // rung count << 1 | ladderDone
+	next  uint32        // next candidate to evaluate; guarded by the set's mu
+	head  intermittent.Rung
+	tail  []intermittent.Rung
 }
 
-// buildLadderSet computes every ladder the inner search needs for one
-// hardware fingerprint, in the exact order the per-call search explored
-// them (dataflows outer, partitions inner) so scans reproduce the old
-// trajectory bit for bit. A layer's candidate tile counts depend only on
-// the layer and the partition, so they are enumerated once per pair and
-// shared by every dataflow's ladder.
-func buildLadderSet(sc Scenario, cand Candidate) (*ladderSet, error) {
+// rung returns rung i, which must be below the published count.
+func (ld *lazyLadder) rung(i int) *intermittent.Rung {
+	if i == 0 {
+		return &ld.head
+	}
+	return &ld.tail[i-1]
+}
+
+// ladderIndex returns the index of the ladder for (layer, dataflow
+// context, partition).
+func (ls *ladderSet) ladderIndex(layer, ctx int, part dataflow.Partition) int {
+	return (layer*len(ls.ctxs)+ctx)*2 + int(part)
+}
+
+// header assembles ladder k's rung-less intermittent.Ladder: the inputs
+// the rung kernel and plan materialization read.
+func (ls *ladderSet) header(k int) (intermittent.Ladder, *dfCtx) {
+	part := dataflow.Partition(k & 1)
+	ctx := &ls.ctxs[(k>>1)%len(ls.ctxs)]
+	layer := &ls.layers[(k>>1)/len(ls.ctxs)]
+	return intermittent.Ladder{Layer: layer, ElemBytes: ls.elemBytes, Dataflow: ctx.df,
+		Partition: part, Rexc: ls.rexc, HW: &ctx.hw}, ctx
+}
+
+// candidates returns ladder k's candidate tile counts.
+func (ls *ladderSet) candidates(k int) []int {
+	return ls.ntiles[(k>>1)/len(ls.ctxs)][k&1]
+}
+
+// extend evaluates ladder k's next candidates until it publishes more
+// than have rungs or runs out of candidates. A scan that raced another
+// to the same extension returns as soon as it sees the published count.
+func (ls *ladderSet) extend(k, have int) {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	ld := &ls.ladders[k]
+	s := ld.state.Load()
+	n := int(s >> 1)
+	if n > have || s&ladderDone != 0 {
+		return
+	}
+	hdr, ctx := ls.header(k)
+	cands := ls.candidates(k)
+	next := int(ld.next)
+	if ctx.evaluable[hdr.Partition] {
+		var c dataflow.Cost
+		for next < len(cands) {
+			r, ok := hdr.RungFor(cands[next], &c)
+			next++
+			if !ok {
+				continue // tile does not fit VM at this count
+			}
+			if n == 0 {
+				ld.head = r
+			} else {
+				if ld.tail == nil {
+					ld.tail = make([]intermittent.Rung, len(cands)-1)
+				}
+				ld.tail[n-1] = r
+			}
+			n++
+			break
+		}
+	} else {
+		next = len(cands) // every count would fail the input checks
+	}
+	ld.next = uint32(next)
+	s = uint32(n) << 1
+	if next == len(cands) {
+		s |= ladderDone
+	}
+	ld.state.Store(s)
+}
+
+// minFeasible returns ladder k's first (smallest-NTile) rung whose tile
+// energy fits the budget at its own power draw, extending the ladder
+// only as far as that rung. ok is false when no candidate fits.
+func (ls *ladderSet) minFeasible(k int, budget intermittent.BudgetFunc) (intermittent.Rung, bool) {
+	ld := &ls.ladders[k]
+	for i := 0; ; {
+		s := ld.state.Load()
+		for n := int(s >> 1); i < n; i++ {
+			r := ld.rung(i)
+			if avail := budget(r.Power); avail > 0 && r.TileEnergy <= avail {
+				return *r, true
+			}
+		}
+		if s&ladderDone != 0 {
+			return intermittent.Rung{}, false
+		}
+		ls.extend(k, i)
+	}
+}
+
+// complete extends ladder k through its last candidate and returns its
+// rung count.
+func (ls *ladderSet) complete(k int) int {
+	ld := &ls.ladders[k]
+	for {
+		s := ld.state.Load()
+		if s&ladderDone != 0 {
+			return int(s >> 1)
+		}
+		ls.extend(k, int(s>>1))
+	}
+}
+
+// byNTile completes ladder k and returns the rung whose requested tile
+// count is n, by binary search over the ascending rungs. ok is false
+// when that count was VM-infeasible (and therefore has no rung).
+func (ls *ladderSet) byNTile(k, n int) (intermittent.Rung, bool) {
+	ld := &ls.ladders[k]
+	cnt := ls.complete(k)
+	i := sort.Search(cnt, func(i int) bool { return ld.rung(i).NTile >= n })
+	if i < cnt && ld.rung(i).NTile == n {
+		return *ld.rung(i), true
+	}
+	return intermittent.Rung{}, false
+}
+
+// planInto materializes the full Plan of ladder k at tile count n, a
+// count one of its rungs carries.
+func (ls *ladderSet) planInto(k, n int, dst *intermittent.Plan) {
+	hdr, _ := ls.header(k)
+	hdr.PlanNTileInto(n, dst)
+}
+
+// candidateLists enumerates every layer's candidate tile counts per
+// partition into one backing array.
+func candidateLists(layers []dnn.Layer) [][2][]int {
+	lists := make([][2][]int, len(layers))
+	var flat []int
+	var ends [][2]int
+	for _, l := range layers {
+		var e [2]int
+		for part := range e {
+			flat = dataflow.AppendCandidateNTiles(flat, l, dataflow.Partition(part))
+			e[part] = len(flat)
+		}
+		ends = append(ends, e)
+	}
+	start := 0
+	for li, e := range ends {
+		for part, end := range e {
+			lists[li][part] = flat[start:end:end]
+			start = end
+		}
+	}
+	return lists
+}
+
+// buildLadderSet sets up the mapping space for one hardware
+// fingerprint: the dataflow contexts, in the order the per-call search
+// explored them (dataflows outer, partitions inner) so scans reproduce
+// the old trajectory bit for bit, and one empty ladder per (layer,
+// dataflow, partition). No rung is evaluated here; scans build them. A
+// traced build records one "build-ladder" span per ladder carrying its
+// identity and candidate count.
+func (e *Evaluator) buildLadderSet(cand Candidate) (*ladderSet, error) {
+	sc := e.sc
+	rexc, err := intermittent.NormalizeRexc(sc.Rexc)
+	if err != nil {
+		return nil, err
+	}
+	e.ntilesOnce.Do(func() { e.ntiles = candidateLists(sc.Workload.Layers) })
 	dfs := dataflowChoices(sc)
-	ls := &ladderSet{ctxs: make([]dfCtx, 0, len(dfs))}
-	for _, df := range dfs {
-		hw, err := platformHW(sc, cand, df)
-		if err != nil {
+	ls := &ladderSet{
+		ctxs:      make([]dfCtx, len(dfs)),
+		layers:    append([]dnn.Layer(nil), sc.Workload.Layers...),
+		elemBytes: sc.Workload.ElemBytes,
+		rexc:      rexc,
+		ntiles:    e.ntiles,
+	}
+	for i, df := range dfs {
+		ctx := &ls.ctxs[i]
+		ctx.df = df
+		if ctx.hw, err = platformHW(sc, cand, df); err != nil {
 			return nil, err
 		}
-		ls.ctxs = append(ls.ctxs, dfCtx{df: df, hw: hw})
-	}
-	ls.layers = append([]dnn.Layer(nil), sc.Workload.Layers...)
-	ls.ladders = make([]intermittent.Ladder, 2*len(ls.ctxs)*len(ls.layers))
-	parts := [2]dataflow.Partition{dataflow.ByChannel, dataflow.BySpatial}
-	var ntiles [2][]int
-	for li := range ls.layers {
-		l := &ls.layers[li]
-		for _, part := range parts {
-			ntiles[part] = dataflow.AppendCandidateNTiles(ntiles[part][:0], *l, part)
+		for part := range ctx.evaluable {
+			ctx.evaluable[part] = dataflow.Evaluable(ls.elemBytes, df, dataflow.Partition(part), &ctx.hw)
 		}
-		for ci := range ls.ctxs {
-			ctx := &ls.ctxs[ci]
-			for _, part := range parts {
-				ld, err := intermittent.BuildLadderShared(sc.Trace, l, sc.Workload.ElemBytes, ctx.df, part, ntiles[part], &ctx.hw, sc.Rexc)
-				if err != nil {
-					return nil, err
-				}
-				*ls.ladderAt(li, ci, part) = ld
-			}
+	}
+	ls.ladders = make([]lazyLadder, 2*len(ls.ctxs)*len(ls.layers))
+	if tr := sc.Trace; tr != nil {
+		for k := range ls.ladders {
+			hdr, _ := ls.header(k)
+			tr.Start("explore", "build-ladder", obs.A("layer", hdr.Layer.Name),
+				obs.A("dataflow", hdr.Dataflow.String()), obs.A("partition", hdr.Partition.String())).
+				End(obs.A("candidates", len(ls.candidates(k))))
 		}
 	}
 	return ls, nil

@@ -218,8 +218,11 @@ var raceEnabled bool
 
 // TestHotPathAllocs pins the steady-state allocation counts of the
 // search's hot path: a lookup of a pinned fingerprint allocates nothing,
-// and scoring a candidate whose MSP fingerprint is already resolved
-// allocates once.
+// scoring a candidate whose MSP fingerprint is already resolved
+// allocates once, and a budget scan over ladders already extended as
+// far as it reads allocates nothing. It also pins a cold ladder-set
+// build at a fixed allocation count that does not grow with the number
+// of ladders: rungs are built by scans, not by the build.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop arenas at random")
@@ -238,14 +241,51 @@ func TestHotPathAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { e.score(cand) }); n != 1 {
 		t.Errorf("score on a resolved MSP fingerprint allocates %v times, want 1", n)
 	}
+
+	for _, w := range []dnn.Workload{dnn.HAR(), dnn.VGG16()} {
+		ae, err := NewEvaluator(Scenario{Workload: w, Platform: Accel, Objective: LatSP})
+		if err != nil {
+			t.Fatal(err)
+		}
+		acand := accelCandidates()[1]
+		// The first build, AllocsPerRun's warm-up, also enumerates the
+		// evaluator's candidate lists once.
+		if n := testing.AllocsPerRun(20, func() { ae.buildLadderSet(acand) }); n != coldSetAllocs {
+			t.Errorf("%s: cold buildLadderSet allocates %v times, want %d whatever the ladder count",
+				w.Name, n, coldSetAllocs)
+		}
+		ls, err := ae.buildLadderSet(acand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs, err := buildSubsystems(ae.sc.Envs, acand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := cycleBudget(subs)
+		scan := func() {
+			for k := range ls.ladders {
+				ls.minFeasible(k, budget)
+			}
+		}
+		scan()
+		if n := testing.AllocsPerRun(100, scan); n != 0 {
+			t.Errorf("%s: scanning an extended ladder set allocates %v times, want 0", w.Name, n)
+		}
+	}
 }
+
+// coldSetAllocs is a cold buildLadderSet's allocation count: the set,
+// its dataflow contexts, its copy of the layers and its ladder slice.
+const coldSetAllocs = 4
 
 // TestTracedColdSearchBuildLadderSpans covers the traced ladder-build
 // path. A traced cold serial search records one "ladder-build" span per
 // cache miss and, per miss, exactly layers × dataflows × 2
-// "build-ladder" spans, each carrying its tuple identity and rung count.
-// A traced evaluator's spans then match the ladders of the set it built,
-// in build order.
+// "build-ladder" spans, each carrying its tuple identity and candidate
+// count (rungs are built on demand, so their number is not known when
+// the set is). A traced evaluator's spans then match the ladders of the
+// set it built, in build order.
 func TestTracedColdSearchBuildLadderSpans(t *testing.T) {
 	tpu := accel.TPU
 	sc := Scenario{Workload: dnn.HAR(), Platform: Accel, Objective: LatSP, Arch: &tpu, Trace: obs.NewTrace(1 << 16)}
@@ -265,8 +305,8 @@ func TestTracedColdSearchBuildLadderSpans(t *testing.T) {
 			sets++
 		case "build-ladder":
 			ladders++
-			if rungs, ok := ev.Args["rungs"].(int); !ok || rungs < 0 {
-				t.Fatalf("build-ladder span without a rung count: %+v", ev.Args)
+			if n, ok := ev.Args["candidates"].(int); !ok || n < 1 {
+				t.Fatalf("build-ladder span without a candidate count: %+v", ev.Args)
 			}
 			for _, k := range []string{"layer", "dataflow", "partition"} {
 				if _, ok := ev.Args[k].(string); !ok {
@@ -298,9 +338,9 @@ func TestTracedColdSearchBuildLadderSpans(t *testing.T) {
 		if k >= len(ls.ladders) {
 			t.Fatalf("more build-ladder spans than the %d ladders built", len(ls.ladders))
 		}
-		ld := &ls.ladders[k]
-		want := map[string]any{"layer": ld.Layer.Name, "dataflow": ld.Dataflow.String(),
-			"partition": ld.Partition.String(), "rungs": len(ld.Rungs), "err": false}
+		hdr, _ := ls.header(k)
+		want := map[string]any{"layer": hdr.Layer.Name, "dataflow": hdr.Dataflow.String(),
+			"partition": hdr.Partition.String(), "candidates": len(ls.candidates(k))}
 		for key, v := range want {
 			if ev.Args[key] != v {
 				t.Fatalf("span %d: %s = %v, want %v", k, key, ev.Args[key], v)
@@ -313,9 +353,11 @@ func TestTracedColdSearchBuildLadderSpans(t *testing.T) {
 	}
 }
 
-// BenchmarkBuildLadderSet times one cold ladder-set build — every
-// (layer, dataflow, partition) ladder of a workload on one hardware
-// fingerprint — the unit of work behind each cold cache miss.
+// BenchmarkBuildLadderSet times one cold ladder-set build carried to
+// completion — every rung of every (layer, dataflow, partition) ladder
+// of a workload on one hardware fingerprint. A search builds only the
+// rungs its budget scans reach, so this is the upper bound of the work
+// behind one cold cache miss.
 func BenchmarkBuildLadderSet(b *testing.B) {
 	cases := []struct {
 		name string
@@ -334,8 +376,12 @@ func BenchmarkBuildLadderSet(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := buildLadderSet(e.sc, tc.cand); err != nil {
+				ls, err := e.buildLadderSet(tc.cand)
+				if err != nil {
 					b.Fatal(err)
+				}
+				for k := range ls.ladders {
+					ls.complete(k)
 				}
 			}
 		})

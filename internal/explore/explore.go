@@ -198,7 +198,7 @@ type Scenario struct {
 	// the evaluator resolves fingerprints through it, reusing ladder sets
 	// previous searches built for the same hardware fingerprint and
 	// publishing the sets it builds. Nil keeps every search cold.
-	// Because ladder builds are deterministic and cached sets immutable,
+	// Because rungs are deterministic and never change once published,
 	// attaching a tier never affects results — warm and cold runs
 	// produce bit-identical Outcomes.
 	Warm *WarmCache
@@ -375,6 +375,13 @@ type Evaluator struct {
 	lookups, misses, builds atomic.Int64
 	// subs memoizes energy subsystems per (panel, cap) gene pair.
 	subs *subsystemCache
+	// ntiles lists each workload layer's candidate tile counts per
+	// partition. They depend only on the workload, so this evaluator's
+	// first ladder-set build enumerates them (ntilesOnce) and every set
+	// it builds reads them in place; a search served only by the warm
+	// tier never pays for them.
+	ntilesOnce sync.Once
+	ntiles     [][2][]int
 }
 
 // NewEvaluator validates the scenario (filling defaults) and returns an
@@ -429,12 +436,12 @@ func (e *Evaluator) resolve(fp fingerprint, cand Candidate) (*ladderSet, error) 
 	build := func() (*ladderSet, error) {
 		e.builds.Add(1)
 		if e.sc.Trace == nil {
-			return buildLadderSet(e.sc, cand)
+			return e.buildLadderSet(cand)
 		}
 		sp := e.sc.Trace.Start("explore", "ladder-build",
 			obs.A("platform", e.sc.Platform.String()), obs.A("arch", fp.arch.String()),
 			obs.A("npe", fp.npe), obs.A("layers", fp.layers))
-		ls, err := buildLadderSet(e.sc, cand)
+		ls, err := e.buildLadderSet(cand)
 		sp.End(obs.A("err", err != nil))
 		return ls, err
 	}
@@ -478,9 +485,9 @@ func takeArena(n int) *evalArena {
 // layer's total energy, subject to every tile fitting the tightest
 // per-cycle budget across environments (Eq. 8). The per-layer plan
 // ladders come from the pinned ladder set; only the budget scan runs
-// per candidate, over slim rungs, and only each layer's winner is
-// materialized as a full Plan — into the caller's arena, which the
-// returned pointers alias.
+// per candidate, over slim rungs built on demand, and only each layer's
+// winner is materialized as a full Plan — by tile count, into the
+// caller's arena, which the returned pointers alias.
 func (e *Evaluator) innerSearch(cand Candidate, budget intermittent.BudgetFunc, a *evalArena) ([]*intermittent.Plan, error) {
 	ls, err := e.ladderSetFor(cand)
 	if err != nil {
@@ -488,26 +495,25 @@ func (e *Evaluator) innerSearch(cand Candidate, budget intermittent.BudgetFunc, 
 	}
 	w := e.sc.Workload
 	for li := range w.Layers {
-		var bestLd *intermittent.Ladder
-		bestIdx := -1
+		bestK, bestN := -1, 0
 		bestE := units.Energy(math.Inf(1))
 		for ci := range ls.ctxs {
 			for _, part := range []dataflow.Partition{dataflow.ByChannel, dataflow.BySpatial} {
-				ld := ls.ladderAt(li, ci, part)
-				i, ok := ld.MinFeasibleIndex(budget)
+				k := ls.ladderIndex(li, ci, part)
+				r, ok := ls.minFeasible(k, budget)
 				if !ok {
 					continue
 				}
-				if r := &ld.Rungs[i]; bestIdx < 0 || r.Energy < bestE {
-					bestLd, bestIdx, bestE = ld, i, r.Energy
+				if bestK < 0 || r.Energy < bestE {
+					bestK, bestN, bestE = k, r.NTile, r.Energy
 				}
 			}
 		}
-		if bestIdx < 0 {
+		if bestK < 0 {
 			return nil, fmt.Errorf("explore: layer %s infeasible on %s: %w",
 				w.Layers[li].Name, cand, intermittent.ErrNoFeasibleTile)
 		}
-		bestLd.PlanInto(bestIdx, &a.backing[li])
+		ls.planInto(bestK, bestN, &a.backing[li])
 	}
 	return a.plans, nil
 }
@@ -869,12 +875,14 @@ type Outcome struct {
 // outer GA's parallel dispatch costs more than it saves, measured on
 // this repo's own score paths: the ladder-cached MSP score runs in a
 // few microseconds — channel handoff and scheduler wakeups dominate and
-// parallel dispatch is a slowdown — while accelerator searches run
-// hundreds of microseconds per candidate and scale near-linearly. 50 µs
-// cleanly separates the two. Explore installs it when the caller leaves
+// parallel dispatch is a slowdown — while a cold accelerator search,
+// whose ladders build rungs on demand, spends about 10–80 µs per
+// candidate (10th to 90th percentile of its generations on a 2-vCPU
+// host) and still gains from fan-out at the low end. 10 µs sits
+// between the two. Explore installs it when the caller leaves
 // GAConfig.SerialCostFloor at zero; pass a negative floor to force
 // parallel dispatch regardless of measured cost.
-const DefaultSerialCostFloor = 50 * time.Microsecond
+const DefaultSerialCostFloor = 10 * time.Microsecond
 
 // resolveWorkers maps the Workers convention shared by Explore,
 // ParetoScan and ParetoSearch onto an explicit worker count: 0 (the

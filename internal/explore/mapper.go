@@ -51,12 +51,12 @@ func gaMapperConfig(layers int, seed int64) search.GAConfig {
 // holds (dataflow, partition, tile-count index) for every layer and a
 // GA minimizes the summed Eq. 5 energy subject to per-layer Eq. 8
 // feasibility. Genome decoding resolves rungs from the pinned ladder
-// set (binary search by tile count) instead of re-running
-// the cost model per evaluation; only the winning genome's plans are
-// materialized, into the caller's arena. The nested GA itself always
-// runs serially (it never sets Workers) — the outer candidate loop is
-// the parallel axis, and each call here is already confined to one
-// worker.
+// set (binary search by tile count over a completed ladder) instead of
+// re-running the cost model per evaluation; only the winning genome's
+// plans are materialized, into the caller's arena. The nested GA itself
+// always runs serially (it never sets Workers) — the outer candidate
+// loop is the parallel axis, and each call here is already confined to
+// one worker.
 func (e *Evaluator) innerSearchGA(cand Candidate, budget intermittent.BudgetFunc, a *evalArena) ([]*intermittent.Plan, error) {
 	w := e.sc.Workload
 	ls, err := e.ladderSetFor(cand)
@@ -64,36 +64,24 @@ func (e *Evaluator) innerSearchGA(cand Candidate, budget intermittent.BudgetFunc
 		return nil, err
 	}
 
-	// Candidate tile counts per layer per partition (precomputed); the
-	// genome indexes the full candidate list, including counts the
-	// ladder excluded as VM-infeasible.
-	type layerSpace struct {
-		ntiles [2][]int // indexed by partition
-	}
-	spaces := make([]layerSpace, len(w.Layers))
-	for i, l := range w.Layers {
-		spaces[i].ntiles[dataflow.ByChannel] = dataflow.CandidateNTiles(l, dataflow.ByChannel)
-		spaces[i].ntiles[dataflow.BySpatial] = dataflow.CandidateNTiles(l, dataflow.BySpatial)
-	}
-
-	// resolve maps one layer's genes to its ladder and rung index; ok is
-	// false when the tile count is VM-infeasible or the budget check
-	// (Eq. 8) fails.
-	resolve := func(genome []float64, i int) (*intermittent.Ladder, int, bool) {
+	// resolve maps one layer's genes to its ladder and rung; ok is false
+	// when the tile count is VM-infeasible or the budget check (Eq. 8)
+	// fails. The genome indexes the full candidate list, including
+	// counts the ladder excluded as VM-infeasible, so the ladder is
+	// completed before its by-count lookup.
+	resolve := func(genome []float64, i int) (int, intermittent.Rung, bool) {
 		dfi := search.MapChoice(genome[3*i], len(ls.ctxs))
 		part := dataflow.Partition(search.MapChoice(genome[3*i+1], 2))
-		nt := spaces[i].ntiles[part]
-		n := nt[search.MapChoice(genome[3*i+2], len(nt))]
-		ld := ls.ladderAt(i, dfi, part)
-		ri, ok := ld.ByNTile(n)
+		nt := ls.ntiles[i][part]
+		k := ls.ladderIndex(i, dfi, part)
+		r, ok := ls.byNTile(k, nt[search.MapChoice(genome[3*i+2], len(nt))])
 		if !ok {
-			return nil, 0, false // tile does not fit VM
+			return 0, r, false // tile does not fit VM
 		}
-		r := &ld.Rungs[ri]
 		if avail := budget(r.Power); avail <= 0 || r.TileEnergy > avail {
-			return nil, 0, false // Eq. 8 violated
+			return 0, r, false // Eq. 8 violated
 		}
-		return ld, ri, true
+		return k, r, true
 	}
 
 	problem := search.Problem{
@@ -101,11 +89,11 @@ func (e *Evaluator) innerSearchGA(cand Candidate, budget intermittent.BudgetFunc
 		Eval: func(genome []float64) float64 {
 			var total float64
 			for i := range w.Layers {
-				ld, ri, ok := resolve(genome, i)
+				_, r, ok := resolve(genome, i)
 				if !ok {
 					return math.Inf(1)
 				}
-				total += float64(ld.Rungs[ri].Energy)
+				total += float64(r.Energy)
 			}
 			return total
 		},
@@ -119,11 +107,11 @@ func (e *Evaluator) innerSearchGA(cand Candidate, budget intermittent.BudgetFunc
 		return nil, fmt.Errorf("explore: gamma mapper found no feasible mapping for %s on %s", w.Name, cand)
 	}
 	for i := range w.Layers {
-		ld, ri, ok := resolve(res.Best, i)
+		k, r, ok := resolve(res.Best, i)
 		if !ok {
 			return nil, fmt.Errorf("explore: gamma mapper winner unresolvable for layer %d of %s", i, w.Name)
 		}
-		ld.PlanInto(ri, &a.backing[i])
+		ls.planInto(k, r.NTile, &a.backing[i])
 	}
 	return a.plans, nil
 }

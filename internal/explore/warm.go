@@ -12,11 +12,13 @@ package explore
 //
 // Three properties make this safe:
 //
-//   - ladderSet is immutable after construction, so one entry serves
-//     any number of concurrent searches without copying.
-//   - Builds are deterministic, so a warm-served set is bit-identical
-//     to the set the search would have built itself; warm and cold runs
-//     produce bit-identical Outcomes.
+//   - A ladderSet's published rungs never change, and scans extend its
+//     ladders under the set's own lock, so one entry serves any number
+//     of concurrent searches without copying.
+//   - Rungs are deterministic, so a warm-served set yields exactly the
+//     rungs the search would have built itself, however far earlier
+//     searches extended it; warm and cold runs produce bit-identical
+//     Outcomes.
 //   - Entries are stamped with the process's cost-model fingerprint
 //     (ModelFingerprint), so a binary running a newer cost model never
 //     serves ladders computed under an older one.
@@ -343,26 +345,35 @@ func (c *WarmCache) removeLocked(sh *warmShard, e *warmEntry) {
 	c.entries.Add(-1)
 }
 
-// ladderSetBytes estimates a set's resident size: the struct spines,
-// the set-owned layers (with their names) and HW contexts counted once,
-// and every ladder's rung slice by capacity. Rungs dominate (a deep
-// workload's set holds thousands of 32-byte rungs); the other terms
-// keep shallow sets from rounding to zero.
+// ladderSetBytes estimates a set's resident size once every ladder is
+// complete: the struct spines, the set-owned layers (with their names)
+// and HW contexts counted once, the candidate lists the set reads, and
+// per ladder one rung for every candidate — the capacity its rungs can
+// grow to. Counting capacity rather than the rungs built so far keeps
+// the tier's byte bound true as scans fill the sets it holds. Rungs
+// dominate (a deep workload's set can hold thousands of 32-byte rungs);
+// the other terms keep shallow sets from rounding to zero.
 func ladderSetBytes(ls *ladderSet) int64 {
 	const (
 		setSize    = int64(unsafe.Sizeof(ladderSet{}))
 		ctxSize    = int64(unsafe.Sizeof(dfCtx{}))
 		layerSize  = int64(unsafe.Sizeof(dnn.Layer{}))
-		ladderSize = int64(unsafe.Sizeof(intermittent.Ladder{}))
+		ladderSize = int64(unsafe.Sizeof(lazyLadder{}))
 		rungSize   = int64(unsafe.Sizeof(intermittent.Rung{}))
+		intSize    = int64(unsafe.Sizeof(int(0)))
+		listsSize  = int64(unsafe.Sizeof([2][]int{}))
 	)
 	sz := setSize + int64(cap(ls.ctxs))*ctxSize + int64(cap(ls.layers))*layerSize +
-		int64(cap(ls.ladders))*ladderSize
+		int64(cap(ls.ladders))*ladderSize + int64(cap(ls.ntiles))*listsSize
 	for i := range ls.layers {
 		sz += int64(len(ls.layers[i].Name))
 	}
-	for i := range ls.ladders {
-		sz += int64(cap(ls.ladders[i].Rungs)) * rungSize
+	for li := range ls.ntiles {
+		for _, nt := range ls.ntiles[li] {
+			// The list itself, plus the tail its len(ctxs) ladders can
+			// grow (the head rung is inside lazyLadder).
+			sz += int64(len(nt))*intSize + int64(len(ls.ctxs))*int64(len(nt)-1)*rungSize
+		}
 	}
 	return sz
 }

@@ -154,11 +154,12 @@ func TestWarmCacheByteBoundAdversarial(t *testing.T) {
 	if one <= 0 {
 		t.Fatalf("ladderSetBytes = %d, want > 0", one)
 	}
-	// The estimate must cover what the set really holds: every rung and
-	// one copy of each workload layer (with its name).
+	// The estimate must cover what the set holds once scans have built
+	// every rung: each rung and one copy of each workload layer (with its
+	// name). It is taken before the set fills, as the tier takes it.
 	var held int64
-	for i := range ls.ladders {
-		held += int64(len(ls.ladders[i].Rungs)) * int64(unsafe.Sizeof(intermittent.Rung{}))
+	for k := range ls.ladders {
+		held += int64(ls.complete(k)) * int64(unsafe.Sizeof(intermittent.Rung{}))
 	}
 	for _, l := range sc.Workload.Layers {
 		held += int64(unsafe.Sizeof(l)) + int64(len(l.Name))

@@ -11,11 +11,9 @@ package intermittent
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"chrysalis/internal/dataflow"
 	"chrysalis/internal/dnn"
-	"chrysalis/internal/obs"
 	"chrysalis/internal/units"
 )
 
@@ -95,9 +93,11 @@ type Plan struct {
 	StaticEnergy units.Energy
 }
 
-// normalizeRexc applies the rexc conventions shared by every planner
-// entry point: negative selects the default, >= 1 is invalid.
-func normalizeRexc(rexc float64) (float64, error) {
+// NormalizeRexc applies the rexc conventions shared by every planner
+// entry point: negative selects the default, >= 1 is invalid. Callers
+// that assemble a Ladder header themselves (see RungFor) store the
+// normalized rate.
+func NormalizeRexc(rexc float64) (float64, error) {
 	if rexc < 0 {
 		return DefaultExceptionRate, nil
 	}
@@ -110,7 +110,7 @@ func normalizeRexc(rexc float64) (float64, error) {
 // PlanLayer evaluates a layer under a mapping and adds intermittent
 // checkpoint accounting. rexc < 0 selects DefaultExceptionRate.
 func PlanLayer(l dnn.Layer, elemBytes int, m dataflow.Mapping, hw dataflow.HW, rexc float64) (Plan, error) {
-	rexc, err := normalizeRexc(rexc)
+	rexc, err := NormalizeRexc(rexc)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -224,7 +224,7 @@ func MinFeasibleTiles(l dnn.Layer, elemBytes int, df dataflow.Dataflow, part dat
 	if budget == nil {
 		return Plan{}, errNilBudget
 	}
-	rexc, err := normalizeRexc(rexc)
+	rexc, err := NormalizeRexc(rexc)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -280,9 +280,10 @@ type Rung struct {
 // energy-gene candidate the outer search proposes.
 //
 // Layer and HW point at storage the ladder shares with its builder's
-// caller (a plan cache's ladder set keeps one layer per workload layer
-// and one HW per dataflow for all of its ladders). Neither may be
-// mutated while the ladder is in use.
+// caller. Neither may be mutated while the ladder is in use. A ladder
+// header with no Rungs is still useful: RungFor and PlanNTileInto read
+// only the inputs, which is how a plan cache builds its rungs on demand
+// instead of keeping one Ladder per tuple.
 type Ladder struct {
 	Layer     *dnn.Layer
 	ElemBytes int
@@ -316,37 +317,22 @@ func BuildLadder(l dnn.Layer, elemBytes int, df dataflow.Dataflow, part dataflow
 func buildCandidates(l *dnn.Layer, elemBytes int, df dataflow.Dataflow, part dataflow.Partition,
 	hw *dataflow.HW, rexc float64) (Ladder, error) {
 	var buf [128]int
-	return BuildLadderShared(nil, l, elemBytes, df, part, dataflow.AppendCandidateNTiles(buf[:0], *l, part), hw, rexc)
+	return BuildLadderShared(l, elemBytes, df, part, dataflow.AppendCandidateNTiles(buf[:0], *l, part), hw, rexc)
 }
 
-// BuildLadderShared is the copy-free rung kernel behind every ladder
-// build. ntiles must be the candidate tile counts of (*l, part), as
-// dataflow.AppendCandidateNTiles lists them; callers building several
-// dataflows' ladders for one (layer, partition) enumerate them once.
-// The returned ladder points at *l and *hw (see Ladder) and retains no
-// reference to ntiles.
+// BuildLadderShared is the copy-free eager ladder build: it runs the
+// rung kernel (RungFor) over every count in ntiles. ntiles must be the
+// candidate tile counts of (*l, part), as dataflow.AppendCandidateNTiles
+// lists them. The returned ladder points at *l and *hw (see Ladder) and
+// retains no reference to ntiles.
 //
 // The input checks run once per ladder, not once per tile count: on an
 // invalid element width, mapping or hardware every candidate would fail
 // them, so the ladder has zero rungs (and a nil error), as it always
-// had. Each feasible count is then evaluated by dataflow.EvaluateInto
-// into one reused Cost and reduced to its Rung by tileCostOf — the same
-// arithmetic PlanAt runs, so every rung is bit-identical to its plan.
-//
-// A non-nil tr records one "build-ladder" span carrying the tuple
-// identity (layer, dataflow, partition) and the resulting rung count,
-// so a Perfetto view of a search shows exactly where ladder-building
-// time went; a nil tr costs nothing.
-func BuildLadderShared(tr *obs.Trace, l *dnn.Layer, elemBytes int, df dataflow.Dataflow,
+// had.
+func BuildLadderShared(l *dnn.Layer, elemBytes int, df dataflow.Dataflow,
 	part dataflow.Partition, ntiles []int, hw *dataflow.HW, rexc float64) (Ladder, error) {
-	if tr != nil {
-		sp := tr.Start("explore", "build-ladder",
-			obs.A("layer", l.Name), obs.A("dataflow", df.String()), obs.A("partition", part.String()))
-		ld, err := BuildLadderShared(nil, l, elemBytes, df, part, ntiles, hw, rexc)
-		sp.End(obs.A("rungs", len(ld.Rungs)), obs.A("err", err != nil))
-		return ld, err
-	}
-	rexc, err := normalizeRexc(rexc)
+	rexc, err := NormalizeRexc(rexc)
 	if err != nil {
 		return Ladder{}, err
 	}
@@ -357,14 +343,29 @@ func BuildLadderShared(tr *obs.Trace, l *dnn.Layer, elemBytes int, df dataflow.D
 	ld.Rungs = make([]Rung, 0, len(ntiles))
 	var c dataflow.Cost
 	for _, n := range ntiles {
-		m := dataflow.Mapping{Dataflow: df, Partition: part, NTile: n}
-		if !dataflow.EvaluateInto(l, elemBytes, m, hw, &c) {
-			continue // tile does not fit VM at this count
+		if r, ok := ld.RungFor(n, &c); ok {
+			ld.Rungs = append(ld.Rungs, r)
 		}
-		tc := tileCostOf(&c, hw, rexc)
-		ld.Rungs = append(ld.Rungs, Rung{NTile: n, Power: tc.power(), TileEnergy: tc.tileE, Energy: tc.energy()})
 	}
 	return ld, nil
+}
+
+// RungFor is the rung kernel every ladder, eager or built on demand,
+// runs per candidate tile count: it evaluates count n under the
+// ladder's inputs by dataflow.EvaluateInto into *c (scratch the caller
+// reuses across counts) and reduces the cost to its Rung by tileCostOf
+// — the same arithmetic PlanNTileInto runs, so every rung is
+// bit-identical to its plan. ok is false when the tile does not fit VM
+// at this count. The caller must have checked dataflow.Evaluable for
+// the ladder's inputs, and ld.Rexc must be normalized (NormalizeRexc);
+// ld.Rungs is neither read nor written.
+func (ld *Ladder) RungFor(n int, c *dataflow.Cost) (Rung, bool) {
+	m := dataflow.Mapping{Dataflow: ld.Dataflow, Partition: ld.Partition, NTile: n}
+	if !dataflow.EvaluateInto(ld.Layer, ld.ElemBytes, m, ld.HW, c) {
+		return Rung{}, false
+	}
+	tc := tileCostOf(c, ld.HW, ld.Rexc)
+	return Rung{NTile: n, Power: tc.power(), TileEnergy: tc.tileE, Energy: tc.energy()}, true
 }
 
 // PlanAt rematerializes the full Plan of rung i by re-running the cost
@@ -373,17 +374,19 @@ func BuildLadderShared(tr *obs.Trace, l *dnn.Layer, elemBytes int, df dataflow.D
 // to the plan the build pass evaluated for that rung.
 func (ld *Ladder) PlanAt(i int) Plan {
 	var p Plan
-	ld.PlanInto(i, &p)
+	ld.PlanNTileInto(ld.Rungs[i].NTile, &p)
 	return p
 }
 
-// PlanInto is PlanAt writing into caller-owned storage (a reusable
-// evaluation arena), so hot search loops materialize winning plans with
-// zero allocations.
-func (ld *Ladder) PlanInto(i int, dst *Plan) {
-	m := dataflow.Mapping{Dataflow: ld.Dataflow, Partition: ld.Partition, NTile: ld.Rungs[i].NTile}
-	// The rung exists, so the same validated inputs evaluated feasibly
-	// at build time; EvaluateInto cannot fail here.
+// PlanNTileInto writes the full Plan of tile count n into caller-owned
+// storage (a reusable evaluation arena), so hot search loops
+// materialize winning plans with zero allocations. n must be a count
+// RungFor accepted under the same inputs — a rung's NTile — so
+// EvaluateInto cannot fail here. It reads only the ladder's inputs,
+// never ld.Rungs, so a ladder header without rungs materializes plans
+// by tile count.
+func (ld *Ladder) PlanNTileInto(n int, dst *Plan) {
+	m := dataflow.Mapping{Dataflow: ld.Dataflow, Partition: ld.Partition, NTile: n}
 	var c dataflow.Cost
 	dataflow.EvaluateInto(ld.Layer, ld.ElemBytes, m, ld.HW, &c)
 	planFromCost(ld.Layer, &c, ld.HW, ld.Rexc, dst)
@@ -417,17 +420,6 @@ func (ld *Ladder) MinFeasible(budget BudgetFunc) (Plan, error) {
 		return ld.PlanAt(i), nil
 	}
 	return Plan{}, noFeasibleTileError(ld.Layer.Name)
-}
-
-// ByNTile returns the index of the rung whose requested tile count is
-// n, using binary search over the ascending rungs. ok is false when
-// that count was VM-infeasible (and therefore excluded from the ladder).
-func (ld *Ladder) ByNTile(n int) (int, bool) {
-	i := sort.Search(len(ld.Rungs), func(i int) bool { return ld.Rungs[i].NTile >= n })
-	if i < len(ld.Rungs) && ld.Rungs[i].NTile == n {
-		return i, true
-	}
-	return 0, false
 }
 
 // PlanWorkload plans every layer of a workload with a fixed dataflow,

@@ -352,11 +352,8 @@ func TestLadderEntriesAscendingAndBudgetFree(t *testing.T) {
 								if !reflect.DeepEqual(ld.PlanAt(i), p) {
 									t.Fatalf("%s NTile=%d: PlanAt differs from direct PlanLayer", where, r.NTile)
 								}
-								if idx, ok := ld.ByNTile(r.NTile); !ok || idx != i {
-									t.Fatalf("%s: ByNTile(%d) = (%d, %v), want (%d, true)", where, r.NTile, idx, ok, i)
-								}
 							}
-							shared, err := BuildLadderShared(nil, &l, w.ElemBytes, df, part,
+							shared, err := BuildLadderShared(&l, w.ElemBytes, df, part,
 								dataflow.CandidateNTiles(l, part), &hw, rexc)
 							if err != nil || !reflect.DeepEqual(shared.Rungs, ld.Rungs) {
 								t.Fatalf("%s: BuildLadderShared rungs differ from BuildLadder (err %v)", where, err)
@@ -377,9 +374,6 @@ func TestLadderEntriesAscendingAndBudgetFree(t *testing.T) {
 	}
 	if ld.Rexc != DefaultExceptionRate {
 		t.Fatalf("rexc -1 stored as %v, want DefaultExceptionRate", ld.Rexc)
-	}
-	if _, ok := ld.ByNTile(-1); ok {
-		t.Fatal("ByNTile must miss on counts excluded from the ladder")
 	}
 }
 
@@ -411,7 +405,7 @@ func TestLadderInvalidInputs(t *testing.T) {
 			t.Errorf("%s: BuildLadder = %d rungs, err %v; want 0 rungs, nil error", tc.name, len(ld.Rungs), err)
 		}
 		ntiles := dataflow.CandidateNTiles(l, tc.part)
-		ld, err = BuildLadderShared(nil, &l, tc.elemBytes, tc.df, tc.part, ntiles, &tc.hw, 0.05)
+		ld, err = BuildLadderShared(&l, tc.elemBytes, tc.df, tc.part, ntiles, &tc.hw, 0.05)
 		if err != nil || len(ld.Rungs) != 0 {
 			t.Errorf("%s: BuildLadderShared = %d rungs, err %v; want 0 rungs, nil error", tc.name, len(ld.Rungs), err)
 		}
@@ -439,7 +433,7 @@ func TestBuildLadderAllocs(t *testing.T) {
 	}
 	ntiles := dataflow.CandidateNTiles(l, dataflow.BySpatial)
 	if got := testing.AllocsPerRun(100, func() {
-		ld, err := BuildLadderShared(nil, &l, 2, dataflow.WS, dataflow.BySpatial, ntiles, &hw, 0.05)
+		ld, err := BuildLadderShared(&l, 2, dataflow.WS, dataflow.BySpatial, ntiles, &hw, 0.05)
 		if err != nil || len(ld.Rungs) == 0 {
 			panic("BuildLadderShared built no rungs")
 		}

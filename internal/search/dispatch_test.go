@@ -15,7 +15,7 @@ func TestForEachIndexCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 64, 257} {
 		for _, workers := range []int{1, 2, 4, 8, 300} {
 			var visits sync.Map
-			forEachIndex(n, workers, nil, func(worker, i int) {
+			forEachIndex(n, workers, nil, func(i int) {
 				if c, loaded := visits.LoadOrStore(i, 1); loaded {
 					visits.Store(i, c.(int)+1)
 				}
@@ -39,21 +39,31 @@ func TestForEachIndexCoversAllIndices(t *testing.T) {
 	}
 }
 
-// TestForEachIndexWorkerSlots checks worker slot numbers stay below the
-// effective worker count, so per-worker state arrays can be sized to it.
+// TestForEachIndexWorkerSlots checks the dispatcher runs every index
+// exactly once while never occupying more than its worker count of
+// concurrent slots.
 func TestForEachIndexWorkerSlots(t *testing.T) {
 	const n, workers = 100, 4
-	var maxWorker atomic.Int64
-	forEachIndex(n, workers, nil, func(worker, i int) {
+	var runs [n]atomic.Int32
+	var active, peak atomic.Int64
+	forEachIndex(n, workers, nil, func(i int) {
+		a := active.Add(1)
 		for {
-			cur := maxWorker.Load()
-			if int64(worker) <= cur || maxWorker.CompareAndSwap(cur, int64(worker)) {
-				return
+			cur := peak.Load()
+			if a <= cur || peak.CompareAndSwap(cur, a) {
+				break
 			}
 		}
+		runs[i].Add(1)
+		active.Add(-1)
 	})
-	if mw := maxWorker.Load(); mw >= workers {
-		t.Errorf("worker slot %d >= workers %d", mw, workers)
+	for i := range runs {
+		if c := runs[i].Load(); c != 1 {
+			t.Errorf("index %d ran %d times, want 1", i, c)
+		}
+	}
+	if p := peak.Load(); p > workers {
+		t.Errorf("%d indices ran at once, above the %d workers", p, workers)
 	}
 }
 
@@ -163,10 +173,10 @@ func TestRunNSGA2WorkersBitIdentical(t *testing.T) {
 // channelDispatch is the dispatcher forEachIndex replaced: one
 // unbuffered channel send per index. Kept here as the benchmark
 // baseline so the win stays measured.
-func channelDispatch(n, workers int, fn func(worker, i int)) {
+func channelDispatch(n, workers int, fn func(i int)) {
 	if workers <= 1 || n < 2 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -177,12 +187,12 @@ func channelDispatch(n, workers int, fn func(worker, i int)) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for i := range idx {
-				fn(worker, i)
+				fn(i)
 			}
-		}(w)
+		}()
 	}
 	for i := 0; i < n; i++ {
 		idx <- i
@@ -209,12 +219,12 @@ func BenchmarkBatchDispatch(b *testing.B) {
 	sink := make([]float64, n)
 	b.Run("chunked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			forEachIndex(n, workers, nil, func(_, i int) { sink[i] = busyEval(i) })
+			forEachIndex(n, workers, nil, func(i int) { sink[i] = busyEval(i) })
 		}
 	})
 	b.Run("channel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			channelDispatch(n, workers, func(_, i int) { sink[i] = busyEval(i) })
+			channelDispatch(n, workers, func(i int) { sink[i] = busyEval(i) })
 		}
 	})
 }

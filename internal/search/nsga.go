@@ -97,7 +97,7 @@ func RunNSGA2(p BiProblem, cfg GAConfig) ([]FrontPoint, NSGAStats, error) {
 	// RunGA).
 	evalBatch := func(batch []nsgaIndividual) {
 		base := stats.Evals
-		forEachIndex(len(batch), cfg.Workers, cfg.Labels, func(_, i int) {
+		forEachIndex(len(batch), cfg.Workers, cfg.Labels, func(i int) {
 			batch[i].f1, batch[i].f2 = eval(EvalContext{Index: base + i}, batch[i].genome)
 		})
 		stats.Evals += len(batch)

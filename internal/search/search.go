@@ -359,7 +359,7 @@ func RunGA(p Problem, cfg GAConfig) (Result, error) {
 // EvalContext{Index: base+i} regardless of worker count.
 func evaluateBatch(p Problem, base int, batch []individual, workers int, labels context.Context) {
 	eval := p.evalFn()
-	forEachIndex(len(batch), workers, labels, func(_, i int) {
+	forEachIndex(len(batch), workers, labels, func(i int) {
 		batch[i].value = eval(EvalContext{Index: base + i}, batch[i].genome)
 	})
 }
@@ -375,23 +375,23 @@ func dispatchChunk(n, workers int) int {
 	return chunk
 }
 
-// forEachIndex runs fn(worker, i) for every i in [0, n), distributed
+// forEachIndex runs fn(i) for every i in [0, n), distributed
 // across the given number of worker goroutines via chunked claims on a
 // shared atomic counter. The earlier implementation pushed every index
 // through an unbuffered channel, which cost two scheduler handoffs per
 // element and dominated cheap objectives; claiming chunks amortizes the
 // synchronization to a few atomic adds per worker (see
 // BenchmarkBatchDispatch). workers <= 1 (or n < 2) degenerates to a
-// plain serial loop on the caller's goroutine with worker slot 0.
+// plain serial loop on the caller's goroutine.
 //
 // labels, when non-nil, is a context carrying runtime/pprof labels;
 // each spawned worker adopts them so profiles attribute the work. The
 // serial path leaves the caller's goroutine labels untouched (the
 // caller already carries its own).
-func forEachIndex(n, workers int, labels context.Context, fn func(worker, i int)) {
+func forEachIndex(n, workers int, labels context.Context, fn func(i int)) {
 	if workers <= 1 || n < 2 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -403,7 +403,7 @@ func forEachIndex(n, workers int, labels context.Context, fn func(worker, i int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			if labels != nil {
 				pprof.SetGoroutineLabels(labels)
@@ -418,10 +418,10 @@ func forEachIndex(n, workers int, labels context.Context, fn func(worker, i int)
 					end = n
 				}
 				for i := start; i < end; i++ {
-					fn(worker, i)
+					fn(i)
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }
@@ -451,7 +451,7 @@ func RunRandomWorkers(p Problem, n int, seed int64, keepVisited bool, workers in
 	}
 	values := make([]float64, n)
 	eval := p.evalFn()
-	forEachIndex(n, workers, nil, func(_, i int) {
+	forEachIndex(n, workers, nil, func(i int) {
 		values[i] = eval(EvalContext{Index: i}, genomes[i])
 	})
 
