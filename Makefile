@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all ci fmt-check build vet test perfbench-test race race-cache race-explore bench bench-json bench-smoke bench-guard experiments examples fuzz cover clean serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
+.PHONY: all ci fmt-check build vet test perfbench-test race race-cache race-explore bench bench-smoke experiments examples fuzz cover clean serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
 
 all: build vet test
 
 # Everything the CI workflow runs.
-ci: fmt-check build vet test perfbench-test race race-explore bench-smoke bench-guard serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
+ci: fmt-check build vet test perfbench-test race race-explore bench-smoke serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
 
 # Fail on any file gofmt would rewrite.
 fmt-check:
@@ -40,49 +40,16 @@ race-cache:
 	$(GO) test -race -run 'Cache|Concurrent' ./internal/explore/ ./internal/serve/
 
 # Race-check the parallel search path end-to-end: the worker dispatcher,
-# the Workers=1-vs-N determinism stress tests and the pin-map hammer.
+# the Workers=1-vs-N determinism stress tests, the pin-map hammer and the
+# ladder-set matrix and extension hammer.
 race-explore:
-	$(GO) test -race -run 'Parallel|Workers|Hammer|Shard|Dispatch|Concurrent' \
+	$(GO) test -race -run 'Parallel|Workers|Hammer|Shard|Dispatch|Concurrent|LadderSet' \
 		./internal/search/ ./internal/explore/ ./internal/serve/
 
 # One-iteration pass over every benchmark: catches bit-rotted bench
 # code without paying for steady-state timing.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-
-# Benchmark trajectory record: run the evaluation-engine
-# micro-benchmarks at a fixed iteration count and serialize the
-# results to a committed JSON file for cross-PR comparison. The search
-# benchmarks additionally run at -cpu 1,4 so the record captures both
-# the serial regression check and the parallel speedup; -baseline
-# computes speedup_vs_baseline ratios against the previous PR's record.
-BENCH_JSON ?= BENCH_PR10.json
-BENCH_BASELINE ?= BENCH_PR9.json
-BENCH_MICRO = CostModel|PlanWorkload|AnalyticEvaluate|StepSimulator|EventSimulator|NSGAFront
-BENCH_MULTI = GASearch|AccelSearch|GASearchWarm|AccelSearchWarm
-
-bench-json:
-	{ $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_MICRO))$$' -benchtime=2000x -benchmem . ; \
-	  $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_MULTI))$$' -benchtime=300x -benchmem -cpu 1,4 . ; } \
-		| $(GO) run ./cmd/benchjson -note "micro fixed -benchtime=2000x (100x undersampled the sub-5us benches), search 300x; Warm variants run the same search against a primed process-lifetime tier; speedup_vs_baseline = baseline ns/op / new ns/op" \
-			-baseline $(BENCH_BASELINE) -out $(BENCH_JSON)
-
-# Benchmark regression gate: re-run the end-to-end search benchmarks
-# (the paths the tracing/metrics hooks ride) and fail if either
-# regressed more than BENCH_GUARD_MAX vs the newest committed record
-# (benchguard auto-discovers the highest-numbered BENCH_*.json, so this
-# target needs no edit when a new PR lands its record). The candidate
-# runs -count=3 and benchguard judges the fastest of the three — shared
-# CI machines swing tens of percent minute to minute, and best-of-N is
-# the estimate least contaminated by that noise. Micro benches are too
-# noisy even for that, so only the guarded names can fail the run.
-BENCH_GUARD_MAX ?= 0.25
-BENCH_GUARD_TMP ?= /tmp/chrysalis-bench-guard.json
-bench-guard:
-	$(GO) test -run='^$$' -bench='^Benchmark($(BENCH_MULTI))$$' -benchtime=300x -count=3 -benchmem -cpu 1,4 . \
-		| $(GO) run ./cmd/benchjson -out $(BENCH_GUARD_TMP)
-	$(GO) run ./cmd/benchguard -baseline auto -candidate $(BENCH_GUARD_TMP) \
-		-bench 'GASearch,AccelSearch,GASearchWarm,AccelSearchWarm' -max-regress $(BENCH_GUARD_MAX)
 
 # Regenerate every paper table/figure at full budget.
 experiments:

@@ -244,8 +244,7 @@ func BenchmarkGASearchWarm(b *testing.B) {
 // BenchmarkAccelSearchWarm re-runs BenchmarkAccelSearch's search warm:
 // the accelerator space fingerprints on (NPE, cache), so each search
 // builds hundreds of ladder sets cold and the tier absorbs nearly all
-// of them. The ≥3× target over cold AccelSearch lives in
-// BENCH_PR10.json and is enforced by scripts/benchguard.
+// of them.
 func BenchmarkAccelSearchWarm(b *testing.B) {
 	benchWarmSearch(b, explore.Scenario{Workload: dnn.VGG16(), Platform: explore.Accel, Objective: explore.LatSP})
 }

@@ -1,20 +1,18 @@
 // Command benchguard compares a fresh benchmark record (the JSON
-// emitted by cmd/benchjson, see `make bench-json`) against a committed
-// baseline record and exits non-zero when a guarded benchmark regressed
-// beyond the allowed ratio. It is the CI tripwire that keeps
-// observability work honest: tracing hooks, metrics registration and
-// timeline bookkeeping all ride the hot search path, and this tool
-// fails the build if they start costing real throughput.
+// emitted by cmd/benchjson) against a baseline record and exits
+// non-zero when a guarded benchmark regressed beyond the allowed ratio.
+// It is a manual tool: one run against an old record is too noisy to
+// gate CI on, so the repository gates regressions on exact allocation
+// counts and measures speed with perfbench's interleaved runs instead.
 //
 // Usage:
 //
 //	benchguard -baseline BENCH_PR7.json -candidate /tmp/bench.json \
 //	    -bench GASearch,AccelSearch -max-regress 0.25
 //
-// -baseline auto discovers the newest committed record by itself: it
-// picks the BENCH_*.json in the current directory with the highest
-// trailing number (BENCH_PR9.json beats BENCH_PR7.json), so the
-// Makefile never hardcodes a PR-numbered baseline again.
+// -baseline auto discovers the newest record by itself: it picks the
+// BENCH_*.json in the current directory with the highest trailing
+// number (BENCH_PR9.json beats BENCH_PR7.json).
 //
 // Entries are matched by (name, procs) so a -cpu 1,4 sweep guards the
 // serial and parallel widths independently; repeated entries from a

@@ -1,7 +1,6 @@
 // Command benchjson converts `go test -bench` text output into a
-// compact JSON record. It exists so benchmark trajectories can be
-// committed alongside the code they measure (see `make bench-json`)
-// and diffed across PRs without parsing free-form bench logs.
+// compact JSON record, so benchmark runs can be diffed (for example by
+// cmd/benchguard) without parsing free-form bench logs.
 //
 // Usage:
 //

@@ -238,17 +238,41 @@ func (s *Subsystem) SteadyHarvest() (units.Power, bool) {
 // This is the operational form of the paper's Eq. 8 right-hand side:
 // the budget a single InterTempMap tile (plus its checkpoint) must fit.
 func (s *Subsystem) CycleBudget(load units.Power) (units.Energy, units.Seconds) {
+	return s.Budgeter().At(load)
+}
+
+// Budgeter is CycleBudget prepared for many loads: it holds the terms
+// that do not depend on the load, computed once from the subsystem.
+// It is a plain value, safe to copy and to share across goroutines.
+type Budgeter struct {
+	harvest units.Power  // net harvest reaching the capacitor at t=0
+	leak    units.Power  // leakage at the mean powered-phase voltage
+	usable  units.Energy // stored energy between U_on and U_off
+	loadEff float64      // the controller's load-side efficiency
+}
+
+// Budgeter returns the subsystem's prepared cycle budget.
+func (s *Subsystem) Budgeter() Budgeter {
 	spec := s.spec
-	harvest := s.HarvestPower(0)
-	drawCap := s.Ctrl.LoadOnCap(load)
 	vAvg := (float64(spec.PMIC.UOn) + float64(spec.PMIC.UOff)) / 2
-	leak := units.Power(spec.Kcap * float64(spec.Cap) * vAvg * vAvg)
-	net := float64(drawCap) + float64(leak) - float64(harvest)
+	return Budgeter{
+		harvest: s.HarvestPower(0),
+		leak:    units.Power(spec.Kcap * float64(spec.Cap) * vAvg * vAvg),
+		usable:  units.CapacitorEnergy(spec.Cap, spec.PMIC.UOn, spec.PMIC.UOff),
+		loadEff: s.Ctrl.Config().LoadEff,
+	}
+}
+
+// At returns CycleBudget(load): the energy deliverable to a load drawing
+// load continuously through one powered phase, and that phase's
+// duration, both +Inf when the harvest covers the load and leakage.
+func (b Budgeter) At(load units.Power) (units.Energy, units.Seconds) {
+	drawCap := units.Power(float64(load) / b.loadEff) // pmic.Controller.LoadOnCap
+	net := float64(drawCap) + float64(b.leak) - float64(b.harvest)
 	if net <= 0 {
 		inf := math.Inf(1)
 		return units.Energy(inf), units.Seconds(inf)
 	}
-	usable := units.CapacitorEnergy(spec.Cap, spec.PMIC.UOn, spec.PMIC.UOff)
-	d := float64(usable) / net
+	d := float64(b.usable) / net
 	return units.MulPT(load, units.Seconds(d)), units.Seconds(d)
 }

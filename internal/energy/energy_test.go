@@ -270,6 +270,90 @@ func TestCycleBudget(t *testing.T) {
 	}
 }
 
+// referenceCycleBudget is CycleBudget's formula written out in full,
+// in its original operation order, without the prepared terms.
+func referenceCycleBudget(s *Subsystem, load units.Power) (units.Energy, units.Seconds) {
+	spec := s.spec
+	harvest := s.HarvestPower(0)
+	drawCap := s.Ctrl.LoadOnCap(load)
+	vAvg := (float64(spec.PMIC.UOn) + float64(spec.PMIC.UOff)) / 2
+	leak := units.Power(spec.Kcap * float64(spec.Cap) * vAvg * vAvg)
+	net := float64(drawCap) + float64(leak) - float64(harvest)
+	if net <= 0 {
+		inf := math.Inf(1)
+		return units.Energy(inf), units.Seconds(inf)
+	}
+	usable := units.CapacitorEnergy(spec.Cap, spec.PMIC.UOn, spec.PMIC.UOff)
+	d := float64(usable) / net
+	return units.MulPT(load, units.Seconds(d)), units.Seconds(d)
+}
+
+// TestBudgeterBitIdentical pins the prepared cycle budget to the
+// unprepared formula bit for bit, for both results: under constant,
+// diurnal (dark and lit at t=0) and cloudy environments, on several
+// panel, capacitor, storage and PMIC specs, at loads that the harvest
+// covers (+Inf), a zero load and ordinary loads.
+func TestBudgeterBitIdentical(t *testing.T) {
+	dawn, err := solar.NewDiurnal(solar.KehBright, 0, 12*3600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	morning, err := solar.NewDiurnal(solar.KehBright, -2*3600, 10*3600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloudyBright, err := solar.NewCloudy(solar.Bright(), 0.4, 600, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloudyMorning, err := solar.NewCloudy(morning, 0.6, 300, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := []solar.Environment{solar.Bright(), solar.Dark(), solar.Constant{K: 0.15e-3, Label: "ash-dimmed"},
+		dawn, morning, cloudyBright, cloudyMorning}
+	lossy := pmic.Default()
+	lossy.LoadEff, lossy.DisableMPPT = 0.7, true
+	specs := []Spec{
+		{PanelArea: 8, Cap: 100e-6},
+		{PanelArea: 30, Cap: 10e-3},
+		{PanelArea: 2, Cap: 47e-6, Storage: storage.Ceramic},
+		{PanelArea: 12, Cap: 1e-3, PMIC: lossy},
+	}
+	loads := []units.Power{0, 1e-9, 1e-6, 1e-4, 9e-3, 20e-3, 1}
+	bits := math.Float64bits
+	var inf, finite int
+	for _, env := range envs {
+		for _, spec := range specs {
+			s, err := NewSolar(spec, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := s.Budgeter()
+			for _, load := range loads {
+				wantE, wantD := referenceCycleBudget(s, load)
+				for name, f := range map[string]func(units.Power) (units.Energy, units.Seconds){
+					"Budgeter.At": b.At, "CycleBudget": s.CycleBudget,
+				} {
+					gotE, gotD := f(load)
+					if bits(float64(gotE)) != bits(float64(wantE)) || bits(float64(gotD)) != bits(float64(wantD)) {
+						t.Errorf("%s %+v load %v: %s = (%v, %v), formula (%v, %v)",
+							env.Name(), spec, load, name, gotE, gotD, wantE, wantD)
+					}
+				}
+				if math.IsInf(float64(wantE), 1) {
+					inf++
+				} else {
+					finite++
+				}
+			}
+		}
+	}
+	if inf == 0 || finite == 0 {
+		t.Fatalf("matrix covered %d always-on and %d finite budgets; want both", inf, finite)
+	}
+}
+
 func TestStorageTechSelection(t *testing.T) {
 	// Ceramic at 47uF: lower leakage coefficient flows through.
 	ce, err := NewSolar(Spec{PanelArea: 8, Cap: 47e-6, Storage: storage.Ceramic}, solar.Bright())

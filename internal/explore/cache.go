@@ -99,23 +99,62 @@ type ladderSet struct {
 // been evaluated; the bits above it hold the published rung count.
 const ladderDone = 1
 
-// lazyLadder is one (layer, dataflow, partition) ladder of a set. Rung
-// i is head for i == 0 and tail[i-1] after it; tail is allocated once,
-// sized for every remaining candidate, when a second rung is needed.
-// Rungs below the published count are immutable.
+// nearRungs is how many rungs after the head a ladder holds in its
+// small fixed chunk. Most scans stop within the first few rungs, so most
+// ladders that grow past the head never need the full-length tail.
+const nearRungs = 3
+
+// lazyLadder is one (layer, dataflow, partition) ladder of a set, stored
+// in three levels sized to what scans read: rung 0 is head, rungs 1 to
+// nearRungs live in near, allocated when rung 1 is built, and the rest
+// in tail, allocated sized for every remaining candidate when a ladder
+// passes near. Each pointer is written once, under the set's mu, before
+// state publishes a rung stored behind it. Rungs below the published
+// count are immutable.
 type lazyLadder struct {
 	state atomic.Uint32 // rung count << 1 | ladderDone
 	next  uint32        // next candidate to evaluate; guarded by the set's mu
 	head  intermittent.Rung
+	near  *[nearRungs]intermittent.Rung
 	tail  []intermittent.Rung
 }
 
 // rung returns rung i, which must be below the published count.
 func (ld *lazyLadder) rung(i int) *intermittent.Rung {
-	if i == 0 {
+	switch {
+	case i == 0:
 		return &ld.head
+	case i <= nearRungs:
+		return &ld.near[i-1]
 	}
-	return &ld.tail[i-1]
+	return &ld.tail[i-1-nearRungs]
+}
+
+// store places rung i of a ladder with ncand candidates, allocating the
+// level it falls in on first use; the set's mu must be held.
+func (ld *lazyLadder) store(i, ncand int, r intermittent.Rung) {
+	switch {
+	case i == 0:
+		ld.head = r
+		return
+	case i <= nearRungs:
+		if ld.near == nil {
+			ld.near = new([nearRungs]intermittent.Rung)
+		}
+		ld.near[i-1] = r
+		return
+	}
+	if ld.tail == nil {
+		ld.tail = make([]intermittent.Rung, ncand-1-nearRungs)
+	}
+	ld.tail[i-1-nearRungs] = r
+}
+
+// fits reports whether a rung's tile energy fits the cycle budget at the
+// rung's own power draw (Eq. 8).
+func fits(r *intermittent.Rung, budget intermittent.BudgetFunc) bool {
+	avail := budget(r.Power)
+	return avail > 0 && r.TileEnergy <= avail
 }
 
 // ladderIndex returns the index of the ladder for (layer, dataflow
@@ -139,39 +178,49 @@ func (ls *ladderSet) candidates(k int) []int {
 	return ls.ntiles[(k>>1)/len(ls.ctxs)][k&1]
 }
 
-// extend evaluates ladder k's next candidates until it publishes more
-// than have rungs or runs out of candidates. A scan that raced another
-// to the same extension returns as soon as it sees the published count.
-func (ls *ladderSet) extend(k, have int) {
+// extend is the only way rungs are built. Under one hold of the set's
+// mu it finishes a budget scan of ladder k whose first have rungs did
+// not fit: it checks any rungs another scan published since, then
+// evaluates the ladder's next candidates, publishing every rung it
+// builds, until one fits the budget, and returns that rung. ok is false
+// when the ladder ran out of candidates first. A nil budget fits no
+// rung, so extend(k, have, nil) builds the ladder through its last
+// candidate. The budget is called with mu held, so it must not read
+// the set.
+func (ls *ladderSet) extend(k, have int, budget intermittent.BudgetFunc) (intermittent.Rung, bool) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	ld := &ls.ladders[k]
 	s := ld.state.Load()
 	n := int(s >> 1)
-	if n > have || s&ladderDone != 0 {
-		return
+	if budget != nil {
+		for i := have; i < n; i++ {
+			if r := ld.rung(i); fits(r, budget) {
+				return *r, true
+			}
+		}
+	}
+	if s&ladderDone != 0 {
+		return intermittent.Rung{}, false
 	}
 	hdr, ctx := ls.header(k)
 	cands := ls.candidates(k)
 	next := int(ld.next)
+	var hit intermittent.Rung
+	found := false
 	if ctx.evaluable[hdr.Partition] {
 		var c dataflow.Cost
-		for next < len(cands) {
+		for !found && next < len(cands) {
 			r, ok := hdr.RungFor(cands[next], &c)
 			next++
 			if !ok {
 				continue // tile does not fit VM at this count
 			}
-			if n == 0 {
-				ld.head = r
-			} else {
-				if ld.tail == nil {
-					ld.tail = make([]intermittent.Rung, len(cands)-1)
-				}
-				ld.tail[n-1] = r
-			}
+			ld.store(n, len(cands), r)
 			n++
-			break
+			if budget != nil && fits(&r, budget) {
+				hit, found = r, true
+			}
 		}
 	} else {
 		next = len(cands) // every count would fail the input checks
@@ -182,6 +231,7 @@ func (ls *ladderSet) extend(k, have int) {
 		s |= ladderDone
 	}
 	ld.state.Store(s)
+	return hit, found
 }
 
 // minFeasible returns ladder k's first (smallest-NTile) rung whose tile
@@ -189,32 +239,29 @@ func (ls *ladderSet) extend(k, have int) {
 // only as far as that rung. ok is false when no candidate fits.
 func (ls *ladderSet) minFeasible(k int, budget intermittent.BudgetFunc) (intermittent.Rung, bool) {
 	ld := &ls.ladders[k]
-	for i := 0; ; {
-		s := ld.state.Load()
-		for n := int(s >> 1); i < n; i++ {
-			r := ld.rung(i)
-			if avail := budget(r.Power); avail > 0 && r.TileEnergy <= avail {
-				return *r, true
-			}
+	s := ld.state.Load()
+	n := int(s >> 1)
+	for i := 0; i < n; i++ {
+		if r := ld.rung(i); fits(r, budget) {
+			return *r, true
 		}
-		if s&ladderDone != 0 {
-			return intermittent.Rung{}, false
-		}
-		ls.extend(k, i)
 	}
+	if s&ladderDone != 0 {
+		return intermittent.Rung{}, false
+	}
+	return ls.extend(k, n, budget)
 }
 
 // complete extends ladder k through its last candidate and returns its
 // rung count.
 func (ls *ladderSet) complete(k int) int {
 	ld := &ls.ladders[k]
-	for {
-		s := ld.state.Load()
-		if s&ladderDone != 0 {
-			return int(s >> 1)
-		}
-		ls.extend(k, int(s>>1))
+	s := ld.state.Load()
+	if s&ladderDone == 0 {
+		ls.extend(k, int(s>>1), nil)
+		s = ld.state.Load()
 	}
+	return int(s >> 1)
 }
 
 // byNTile completes ladder k and returns the rung whose requested tile
@@ -373,19 +420,28 @@ func subsKeyHash(k subsKey) uint64 {
 	return h
 }
 
+// energyGenes is what the evaluation path needs of one energy-gene
+// pair: the subsystem per environment and the budget closure over their
+// prepared cycle budgets.
+type energyGenes struct {
+	subs   []*energy.Subsystem
+	budget intermittent.BudgetFunc
+}
+
 // subsShard is one mutex stripe of the energy-gene map.
 type subsShard struct {
 	mu sync.RWMutex
-	m  map[subsKey][]*energy.Subsystem
+	m  map[subsKey]energyGenes
 	_  [24]byte
 }
 
-// subsystemCache memoizes the per-environment energy subsystems keyed
-// on the candidate's energy genes, striped across mutex shards (the
-// outer GA revisits gene values constantly — elites, crossover copies —
-// from every worker at once). The evaluation path only issues the
-// subsystem's read-only closed-form queries (CycleBudget,
-// sim.Analytic), so one instance safely serves concurrent evaluations.
+// subsystemCache memoizes the per-environment energy subsystems and
+// their budget closure keyed on the candidate's energy genes, striped
+// across mutex shards (the outer GA revisits gene values constantly —
+// elites, crossover copies — from every worker at once). The evaluation
+// path only issues the subsystem's read-only closed-form queries
+// (prepared cycle budgets, sim.Analytic), so one instance safely serves
+// concurrent evaluations.
 type subsystemCache struct {
 	envs   []solar.Environment
 	shards [cacheShards]subsShard
@@ -394,32 +450,37 @@ type subsystemCache struct {
 func newSubsystemCache(envs []solar.Environment) *subsystemCache {
 	c := &subsystemCache{envs: envs}
 	for i := range c.shards {
-		c.shards[i].m = make(map[subsKey][]*energy.Subsystem)
+		c.shards[i].m = make(map[subsKey]energyGenes)
 	}
 	return c
 }
 
-// get returns the candidate's subsystems, building them on a miss.
-// Racing misses may build twice; the loser is discarded.
-func (c *subsystemCache) get(cand Candidate) ([]*energy.Subsystem, error) {
+// get returns the candidate's subsystems and budget closure, building
+// them on a miss. Racing misses may build twice; the loser is discarded.
+func (c *subsystemCache) get(cand Candidate) ([]*energy.Subsystem, intermittent.BudgetFunc, error) {
 	k := subsKey{panel: cand.PanelArea, cap: cand.Cap}
 	shard := &c.shards[subsKeyHash(k)&(cacheShards-1)]
 	shard.mu.RLock()
 	v, ok := shard.m[k]
 	shard.mu.RUnlock()
 	if ok {
-		return v, nil
+		return v.subs, v.budget, nil
 	}
-	built, err := buildSubsystems(c.envs, cand)
+	subs, err := buildSubsystems(c.envs, cand)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	bs := make([]energy.Budgeter, len(subs))
+	for i, es := range subs {
+		bs[i] = es.Budgeter()
+	}
+	v = energyGenes{subs: subs, budget: cycleBudget(bs)}
 	shard.mu.Lock()
 	if raced, ok := shard.m[k]; ok {
-		built = raced
+		v = raced
 	} else {
-		shard.m[k] = built
+		shard.m[k] = v
 	}
 	shard.mu.Unlock()
-	return built, nil
+	return v.subs, v.budget, nil
 }

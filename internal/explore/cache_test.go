@@ -10,6 +10,7 @@ import (
 	"chrysalis/internal/accel"
 	"chrysalis/internal/dataflow"
 	"chrysalis/internal/dnn"
+	"chrysalis/internal/energy"
 	"chrysalis/internal/intermittent"
 	"chrysalis/internal/obs"
 	"chrysalis/internal/units"
@@ -38,6 +39,24 @@ func accelCandidates() []Candidate {
 	}
 }
 
+// oracleBudget is the unprepared Eq. 8 budget closure: it calls
+// CycleBudget per environment per query where the evaluator reads its
+// prepared budgets, and must agree with it bit for bit.
+func oracleBudget(subsystems []*energy.Subsystem) intermittent.BudgetFunc {
+	return func(load units.Power) units.Energy {
+		minB := units.Energy(math.Inf(1))
+		for _, es := range subsystems {
+			if b, _ := es.CycleBudget(load); b < minB {
+				minB = b
+			}
+		}
+		if math.IsInf(float64(minB), 1) {
+			return 1e6
+		}
+		return units.Energy(float64(minB) * budgetMargin)
+	}
+}
+
 // directPlans is the uncached reference for the inner search: it scans
 // each (dataflow, partition) mapping space per call with early exit at
 // the first budget-feasible tile count, instead of reading pinned
@@ -49,7 +68,7 @@ func directPlans(sc Scenario, cand Candidate) ([]intermittent.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	budget := cycleBudget(subsystems)
+	budget := oracleBudget(subsystems)
 	dfs := dataflowChoices(sc)
 	hws := make([]dataflow.HW, len(dfs))
 	for i, df := range dfs {
@@ -217,12 +236,13 @@ func TestEvaluatorCacheConcurrent(t *testing.T) {
 var raceEnabled bool
 
 // TestHotPathAllocs pins the steady-state allocation counts of the
-// search's hot path: a lookup of a pinned fingerprint allocates nothing,
-// scoring a candidate whose MSP fingerprint is already resolved
-// allocates once, and a budget scan over ladders already extended as
-// far as it reads allocates nothing. It also pins a cold ladder-set
-// build at a fixed allocation count that does not grow with the number
-// of ladders: rungs are built by scans, not by the build.
+// search's hot path, exactly: a lookup of a pinned fingerprint, scoring
+// a candidate whose MSP fingerprint is already resolved, scoring an
+// accelerator candidate on a set already extended as far as its scans
+// read, a budget scan over such a set and a prepared cycle budget all
+// allocate nothing. It also pins a cold ladder-set build at a fixed
+// allocation count that does not grow with the number of ladders: rungs
+// are built by scans, not by the build.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop arenas at random")
@@ -238,8 +258,16 @@ func TestHotPathAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { e.ladderSetFor(cand) }); n != 0 {
 		t.Errorf("pinned ladder lookup allocates %v times, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { e.score(cand) }); n != 1 {
-		t.Errorf("score on a resolved MSP fingerprint allocates %v times, want 1", n)
+	if n := testing.AllocsPerRun(100, func() { e.score(cand) }); n != 0 {
+		t.Errorf("score on a resolved MSP fingerprint allocates %v times, want 0", n)
+	}
+	subs, _, err := e.subs.get(cand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := subs[0].Budgeter()
+	if n := testing.AllocsPerRun(100, func() { b.At(1e-3) }); n != 0 {
+		t.Errorf("Budgeter.At allocates %v times, want 0", n)
 	}
 
 	for _, w := range []dnn.Workload{dnn.HAR(), dnn.VGG16()} {
@@ -254,15 +282,14 @@ func TestHotPathAllocs(t *testing.T) {
 			t.Errorf("%s: cold buildLadderSet allocates %v times, want %d whatever the ladder count",
 				w.Name, n, coldSetAllocs)
 		}
-		ls, err := ae.buildLadderSet(acand)
+		ls, err := ae.ladderSetFor(acand)
 		if err != nil {
 			t.Fatal(err)
 		}
-		subs, err := buildSubsystems(ae.sc.Envs, acand)
+		_, budget, err := ae.subs.get(acand)
 		if err != nil {
 			t.Fatal(err)
 		}
-		budget := cycleBudget(subs)
 		scan := func() {
 			for k := range ls.ladders {
 				ls.minFeasible(k, budget)
@@ -271,6 +298,12 @@ func TestHotPathAllocs(t *testing.T) {
 		scan()
 		if n := testing.AllocsPerRun(100, scan); n != 0 {
 			t.Errorf("%s: scanning an extended ladder set allocates %v times, want 0", w.Name, n)
+		}
+		if _, err := ae.score(acand); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { ae.score(acand) }); n != 0 {
+			t.Errorf("%s: score on an extended accelerator set allocates %v times, want 0", w.Name, n)
 		}
 	}
 }

@@ -332,14 +332,15 @@ func buildSubsystems(envs []solar.Environment, cand Candidate) ([]*energy.Subsys
 	return subsystems, nil
 }
 
-// cycleBudget returns the Eq. 8 budget closure: the minimum cycle
-// budget across environments at the querying tile's own power draw
-// (with the Eq. 3 T term), scaled by the jitter margin.
-func cycleBudget(subsystems []*energy.Subsystem) intermittent.BudgetFunc {
+// cycleBudget returns the Eq. 8 budget closure over the candidate's
+// prepared per-environment budgets: the minimum cycle budget across
+// environments at the querying tile's own power draw (with the Eq. 3 T
+// term), scaled by the jitter margin.
+func cycleBudget(bs []energy.Budgeter) intermittent.BudgetFunc {
 	return func(load units.Power) units.Energy {
 		minB := units.Energy(math.Inf(1))
-		for _, es := range subsystems {
-			b, _ := es.CycleBudget(load)
+		for i := range bs {
+			b, _ := bs[i].At(load)
 			if b < minB {
 				minB = b
 			}
@@ -564,11 +565,10 @@ func (e *Evaluator) scoreInner(cand Candidate) (quickScore, error) {
 	if err := e.checkCandidate(cand); err != nil {
 		return quickScore{}, err
 	}
-	subsystems, err := e.subs.get(cand)
+	subsystems, budget, err := e.subs.get(cand)
 	if err != nil {
 		return quickScore{}, err
 	}
-	budget := cycleBudget(subsystems)
 	a := takeArena(len(e.sc.Workload.Layers))
 	defer arenaPool.Put(a)
 	plans, err := e.searchPlans(cand, budget, a)
@@ -636,11 +636,10 @@ func (e *Evaluator) evaluateInner(cand Candidate) (Evaluation, error) {
 	}
 
 	ev := Evaluation{Candidate: cand}
-	subsystems, err := e.subs.get(cand)
+	subsystems, budget, err := e.subs.get(cand)
 	if err != nil {
 		return ev, err
 	}
-	budget := cycleBudget(subsystems)
 
 	a := takeArena(len(sc.Workload.Layers))
 	defer arenaPool.Put(a)

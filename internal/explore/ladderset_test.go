@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -67,6 +68,24 @@ func checkPrefix(ls *ladderSet, k int, eager *intermittent.Ladder) error {
 	return nil
 }
 
+// checkStorage verifies that complete ladder k holds its rungs in the
+// levels sized to them: the near chunk only past the head, and a tail,
+// sized for every candidate past the chunk, only past the chunk.
+func checkStorage(ls *ladderSet, k int) error {
+	ld := &ls.ladders[k]
+	n := int(ld.state.Load() >> 1)
+	if (ld.near != nil) != (n > 1) {
+		return fmt.Errorf("ladder %d: %d rungs, near chunk allocated: %v", k, n, ld.near != nil)
+	}
+	if (ld.tail != nil) != (n > 1+nearRungs) {
+		return fmt.Errorf("ladder %d: %d rungs, tail allocated: %v", k, n, ld.tail != nil)
+	}
+	if want := len(ls.candidates(k)) - 1 - nearRungs; ld.tail != nil && len(ld.tail) != want {
+		return fmt.Errorf("ladder %d: tail holds %d rungs, want %d", k, len(ld.tail), want)
+	}
+	return nil
+}
+
 // budgetRange returns the smallest and largest tile energy over every
 // eager rung, so random budgets can be drawn across the whole range.
 func budgetRange(eager []intermittent.Ladder) (lo, hi float64) {
@@ -122,8 +141,11 @@ func TestLadderSetMatchesEagerLadders(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	// rungs counts the eager rungs compared, deep the scans won past a
 	// ladder's first rung and none the scans no rung fit, so the budgets
-	// are known to reach into the ladders and past their ends.
-	rungs, deep, none := 0, 0, 0
+	// are known to reach into the ladders and past their ends. intoTail
+	// counts the ladders whose rungs run from the near chunk into the
+	// tail, short those with a second candidate but fewer candidates than
+	// the head and near chunk hold.
+	rungs, deep, none, intoTail, short := 0, 0, 0, 0, 0
 	for _, name := range dnn.Names() {
 		w, err := dnn.ByName(name)
 		if err != nil {
@@ -179,6 +201,15 @@ func TestLadderSetMatchesEagerLadders(t *testing.T) {
 					if err := checkPrefix(ls, k, &eager[k]); err != nil {
 						t.Fatalf("%s: %v", where, err)
 					}
+					if err := checkStorage(ls, k); err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					switch nc := len(ls.candidates(k)); {
+					case len(eager[k].Rungs) > 1+nearRungs:
+						intoTail++
+					case nc > 1 && nc <= nearRungs:
+						short++
+					}
 					// By-count lookups hit every rung and miss every
 					// candidate count the eager ladder excluded.
 					i := 0
@@ -197,19 +228,24 @@ func TestLadderSetMatchesEagerLadders(t *testing.T) {
 			}
 		}
 	}
-	if rungs == 0 || deep == 0 || none == 0 {
-		t.Fatalf("the matrix compared %d rungs, with %d scans won past the first rung and %d with no rung",
-			rungs, deep, none)
+	if rungs == 0 || deep == 0 || none == 0 || intoTail == 0 || short == 0 {
+		t.Fatalf("the matrix compared %d rungs, with %d scans won past the first rung and %d with no rung, "+
+			"%d ladders reaching the tail and %d shorter than the near chunk", rungs, deep, none, intoTail, short)
 	}
-	t.Logf("%d rungs; %d scans won past the first rung, %d found none", rungs, deep, none)
+	t.Logf("%d rungs; %d scans won past the first rung, %d found none; %d ladders reach the tail, %d are short",
+		rungs, deep, none, intoTail, short)
 }
 
 // TestLadderSetExtendHammer scans one fresh ladder set from many
-// goroutines at once, each under its own random budgets and ladder
-// order, while others force ladders complete and look rungs up by tile
-// count. Every answer must equal the serial scan of the eager ladders,
-// and the set must end up holding exactly the eager rungs. Run under
-// -race via `make race-explore`.
+// goroutines released at once, each under its own mix of budgets and
+// ladder order, while others force ladders complete and look rungs up
+// by tile count. Budgets are random, pinned to one eager rung's tile
+// energy (so a budget-driven extension stops at that rung, in the near
+// chunk or deep in the tail) or fit no rung at all (so it runs the
+// ladder to its end), and half the scans crowd onto the longest ladders
+// so extensions race. Every answer must equal the serial scan of the
+// eager ladders, and the set must end up holding exactly the eager
+// rungs. Run under -race via `make race-explore`.
 func TestLadderSetExtendHammer(t *testing.T) {
 	sc := Scenario{Workload: dnn.ResNet18(), Platform: Accel, Objective: LatSP}
 	cand := accelCandidates()[2]
@@ -223,6 +259,13 @@ func TestLadderSetExtendHammer(t *testing.T) {
 	}
 	eager := eagerLadders(t, sc, cand)
 	lo, hi := budgetRange(eager)
+	// hot holds the longest ladders, which half the scans share.
+	hot := make([]int, len(eager))
+	for k := range hot {
+		hot[k] = k
+	}
+	sort.Slice(hot, func(i, j int) bool { return len(eager[hot[i]].Rungs) > len(eager[hot[j]].Rungs) })
+	hot = hot[:8]
 
 	const goroutines, steps = 8, 400
 	type probe struct {
@@ -233,25 +276,48 @@ func TestLadderSetExtendHammer(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	plans := make([][]probe, goroutines)
+	tailWins, misses := 0, 0
 	for g := range plans {
 		for s := 0; s < steps; s++ {
 			k := rng.Intn(len(eager))
-			b := randomBudget(rng, lo, hi)
+			if s%2 == 0 {
+				k = hot[rng.Intn(len(hot))]
+			}
+			var b intermittent.BudgetFunc
+			switch rungs := eager[k].Rungs; {
+			case s%3 == 0 && len(rungs) > 0:
+				allow := rungs[rng.Intn(len(rungs))].TileEnergy
+				b = func(units.Power) units.Energy { return allow }
+			case s%7 == 0:
+				b = func(units.Power) units.Energy { return 0 }
+			default:
+				b = randomBudget(rng, lo, hi)
+			}
 			p := probe{k: k, budget: b}
 			if i, ok := eager[k].MinFeasibleIndex(b); ok {
 				p.want, p.ok = eager[k].Rungs[i], true
+				if i > nearRungs {
+					tailWins++
+				}
+			} else {
+				misses++
 			}
 			plans[g] = append(plans[g], p)
 		}
 	}
+	if tailWins == 0 || misses == 0 {
+		t.Fatalf("probes won %d scans in a tail and %d with no rung; want both", tailWins, misses)
+	}
 
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := range plans {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			<-start
 			for s, p := range plans[g] {
-				if g%4 == 3 && s%16 == 0 {
+				if g%4 == 3 && s%8 == 0 {
 					// Mix completions and by-count lookups into the scans.
 					want := eager[p.k].Rungs
 					if n := ls.complete(p.k); n != len(want) {
@@ -274,6 +340,7 @@ func TestLadderSetExtendHammer(t *testing.T) {
 			}
 		}(g)
 	}
+	close(start)
 	wg.Wait()
 	for k := range eager {
 		if err := checkPrefix(ls, k, &eager[k]); err != nil {
@@ -281,6 +348,9 @@ func TestLadderSetExtendHammer(t *testing.T) {
 		}
 		ls.complete(k)
 		if err := checkPrefix(ls, k, &eager[k]); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkStorage(ls, k); err != nil {
 			t.Fatal(err)
 		}
 	}

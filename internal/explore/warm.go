@@ -348,11 +348,13 @@ func (c *WarmCache) removeLocked(sh *warmShard, e *warmEntry) {
 // ladderSetBytes estimates a set's resident size once every ladder is
 // complete: the struct spines, the set-owned layers (with their names)
 // and HW contexts counted once, the candidate lists the set reads, and
-// per ladder one rung for every candidate — the capacity its rungs can
-// grow to. Counting capacity rather than the rungs built so far keeps
-// the tier's byte bound true as scans fill the sets it holds. Rungs
-// dominate (a deep workload's set can hold thousands of 32-byte rungs);
-// the other terms keep shallow sets from rounding to zero.
+// per ladder the storage its rungs can grow to — the near chunk at its
+// fixed size for every ladder with a second candidate, even one shorter
+// than the chunk, plus a tail rung for every candidate past it.
+// Counting capacity rather than the rungs built so far keeps the tier's
+// byte bound true as scans fill the sets it holds. Rungs dominate (a
+// deep workload's set can hold thousands of 32-byte rungs); the other
+// terms keep shallow sets from rounding to zero.
 func ladderSetBytes(ls *ladderSet) int64 {
 	const (
 		setSize    = int64(unsafe.Sizeof(ladderSet{}))
@@ -360,6 +362,7 @@ func ladderSetBytes(ls *ladderSet) int64 {
 		layerSize  = int64(unsafe.Sizeof(dnn.Layer{}))
 		ladderSize = int64(unsafe.Sizeof(lazyLadder{}))
 		rungSize   = int64(unsafe.Sizeof(intermittent.Rung{}))
+		nearSize   = int64(unsafe.Sizeof([nearRungs]intermittent.Rung{}))
 		intSize    = int64(unsafe.Sizeof(int(0)))
 		listsSize  = int64(unsafe.Sizeof([2][]int{}))
 	)
@@ -370,9 +373,13 @@ func ladderSetBytes(ls *ladderSet) int64 {
 	}
 	for li := range ls.ntiles {
 		for _, nt := range ls.ntiles[li] {
-			// The list itself, plus the tail its len(ctxs) ladders can
-			// grow (the head rung is inside lazyLadder).
-			sz += int64(len(nt))*intSize + int64(len(ls.ctxs))*int64(len(nt)-1)*rungSize
+			// The list itself, plus the near chunk and tail each of its
+			// len(ctxs) ladders can grow (the head rung is inside
+			// lazyLadder).
+			sz += int64(len(nt)) * intSize
+			if len(nt) > 1 {
+				sz += int64(len(ls.ctxs)) * (nearSize + int64(max(len(nt)-1-nearRungs, 0))*rungSize)
+			}
 		}
 	}
 	return sz
