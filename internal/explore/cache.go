@@ -78,21 +78,27 @@ type dfCtx struct {
 // first, and a published rung never changes. Scans read published rungs
 // without a lock; extensions serialize on mu.
 //
-// The set owns the inputs its rungs are evaluated under: one copy of
-// the workload's layers and one HW per dataflow context. Each ladder's
-// (layer, context, partition) follows from its index, so a ladder
-// stores only its rungs.
+// The set owns one HW per dataflow context and reads the workload's
+// layers and candidate tile counts from the evaluator that built it.
+// Each ladder's (layer, context, partition) follows from its index, so
+// a ladder stores only its rungs.
 type ladderSet struct {
-	ctxs      []dfCtx
+	ctxs []dfCtx
+	// layers and ntiles[layer][partition], the candidate tile counts,
+	// are shared read-only with every other set of the evaluator that
+	// built this one.
 	layers    []dnn.Layer
+	ntiles    [][2][]int
 	elemBytes int
 	rexc      float64 // normalized
-	// ntiles[layer][partition] are the candidate tile counts, shared
-	// read-only with every other set of the evaluator that built this one.
-	ntiles [][2][]int
-	mu     sync.Mutex
+	mu        sync.Mutex
 	// ladders[(layer*len(ctxs) + ctxIndex)*2 + int(partition)]
 	ladders []lazyLadder
+	// slab, when set, supplies the ladder array and the rung storage of
+	// a set its search owns; a nil slab keeps them on the heap. chunk is
+	// the uncarved rest of the set's current rung chunk, guarded by mu.
+	slab  *slab
+	chunk []intermittent.Rung
 }
 
 // ladderDone is the state bit a ladder sets once every candidate has
@@ -106,11 +112,11 @@ const nearRungs = 3
 
 // lazyLadder is one (layer, dataflow, partition) ladder of a set, stored
 // in three levels sized to what scans read: rung 0 is head, rungs 1 to
-// nearRungs live in near, allocated when rung 1 is built, and the rest
-// in tail, allocated sized for every remaining candidate when a ladder
-// passes near. Each pointer is written once, under the set's mu, before
-// state publishes a rung stored behind it. Rungs below the published
-// count are immutable.
+// nearRungs live in near, taken when rung 1 is built, and the rest in
+// tail, taken sized for every remaining candidate when a ladder passes
+// near (ladderSet.newRungs). Each pointer is written once, under the
+// set's mu, before state publishes a rung stored behind it. Rungs below
+// the published count are immutable.
 type lazyLadder struct {
 	state atomic.Uint32 // rung count << 1 | ladderDone
 	next  uint32        // next candidate to evaluate; guarded by the set's mu
@@ -130,24 +136,40 @@ func (ld *lazyLadder) rung(i int) *intermittent.Rung {
 	return &ld.tail[i-1-nearRungs]
 }
 
-// store places rung i of a ladder with ncand candidates, allocating the
-// level it falls in on first use; the set's mu must be held.
-func (ld *lazyLadder) store(i, ncand int, r intermittent.Rung) {
+// store places rung i of ladder ld, which has ncand candidates,
+// carving the level it falls in on first use; the set's mu must be held.
+func (ls *ladderSet) store(ld *lazyLadder, i, ncand int, r intermittent.Rung) {
 	switch {
 	case i == 0:
 		ld.head = r
 		return
 	case i <= nearRungs:
 		if ld.near == nil {
-			ld.near = new([nearRungs]intermittent.Rung)
+			ld.near = (*[nearRungs]intermittent.Rung)(ls.newRungs(nearRungs))
 		}
 		ld.near[i-1] = r
 		return
 	}
 	if ld.tail == nil {
-		ld.tail = make([]intermittent.Rung, ncand-1-nearRungs)
+		ld.tail = ls.newRungs(ncand - 1 - nearRungs)
 	}
 	ld.tail[i-1-nearRungs] = r
+}
+
+// newRungs returns storage for n rungs: its own allocation in a
+// heap-backed set, and otherwise carved from the set's chunk, which is
+// refilled from the slab with room for at least setChunkRungs rungs.
+// The set's mu must be held.
+func (ls *ladderSet) newRungs(n int) []intermittent.Rung {
+	if ls.slab == nil {
+		return make([]intermittent.Rung, n)
+	}
+	if n > len(ls.chunk) {
+		ls.chunk = ls.slab.rungChunk(max(n, setChunkRungs))
+	}
+	r := ls.chunk[:n:n]
+	ls.chunk = ls.chunk[n:]
+	return r
 }
 
 // fits reports whether a rung's tile energy fits the cycle budget at the
@@ -216,7 +238,7 @@ func (ls *ladderSet) extend(k, have int, budget intermittent.BudgetFunc) (interm
 			if !ok {
 				continue // tile does not fit VM at this count
 			}
-			ld.store(n, len(cands), r)
+			ls.store(ld, n, len(cands), r)
 			n++
 			if budget != nil && fits(&r, budget) {
 				hit, found = r, true
@@ -312,23 +334,29 @@ func candidateLists(layers []dnn.Layer) [][2][]int {
 // fingerprint: the dataflow contexts, in the order the per-call search
 // explored them (dataflows outer, partitions inner) so scans reproduce
 // the old trajectory bit for bit, and one empty ladder per (layer,
-// dataflow, partition). No rung is evaluated here; scans build them. A
-// traced build records one "build-ladder" span per ladder carrying its
-// identity and candidate count.
+// dataflow, partition). No rung is evaluated here; scans build them. The
+// ladder array and rungs come from the evaluator's slab when it has
+// one, and from the heap otherwise. A traced build records one
+// "build-ladder" span per ladder carrying its identity and candidate
+// count.
 func (e *Evaluator) buildLadderSet(cand Candidate) (*ladderSet, error) {
 	sc := e.sc
 	rexc, err := intermittent.NormalizeRexc(sc.Rexc)
 	if err != nil {
 		return nil, err
 	}
-	e.ntilesOnce.Do(func() { e.ntiles = candidateLists(sc.Workload.Layers) })
+	e.inputsOnce.Do(func() {
+		e.layers = append([]dnn.Layer(nil), sc.Workload.Layers...)
+		e.ntiles = candidateLists(e.layers)
+	})
 	dfs := dataflowChoices(sc)
 	ls := &ladderSet{
 		ctxs:      make([]dfCtx, len(dfs)),
-		layers:    append([]dnn.Layer(nil), sc.Workload.Layers...),
+		layers:    e.layers,
+		ntiles:    e.ntiles,
 		elemBytes: sc.Workload.ElemBytes,
 		rexc:      rexc,
-		ntiles:    e.ntiles,
+		slab:      e.slab,
 	}
 	for i, df := range dfs {
 		ctx := &ls.ctxs[i]
@@ -340,7 +368,11 @@ func (e *Evaluator) buildLadderSet(cand Candidate) (*ladderSet, error) {
 			ctx.evaluable[part] = dataflow.Evaluable(ls.elemBytes, df, dataflow.Partition(part), &ctx.hw)
 		}
 	}
-	ls.ladders = make([]lazyLadder, 2*len(ls.ctxs)*len(ls.layers))
+	if n := 2 * len(ls.ctxs) * len(ls.layers); ls.slab != nil {
+		ls.ladders = ls.slab.ladderArray(n)
+	} else {
+		ls.ladders = make([]lazyLadder, n)
+	}
 	if tr := sc.Trace; tr != nil {
 		for k := range ls.ladders {
 			hdr, _ := ls.header(k)

@@ -240,9 +240,10 @@ var raceEnabled bool
 // a candidate whose MSP fingerprint is already resolved, scoring an
 // accelerator candidate on a set already extended as far as its scans
 // read, a budget scan over such a set and a prepared cycle budget all
-// allocate nothing. It also pins a cold ladder-set build at a fixed
-// allocation count that does not grow with the number of ladders: rungs
-// are built by scans, not by the build.
+// allocate nothing, whether the set is on the heap or carved from a
+// search's slab. It also pins a cold ladder-set build, heap-backed and
+// slab-backed, at a fixed allocation count that does not grow with the
+// number of ladders: rungs are built by scans, not by the build.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop arenas at random")
@@ -271,46 +272,66 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 
 	for _, w := range []dnn.Workload{dnn.HAR(), dnn.VGG16()} {
-		ae, err := NewEvaluator(Scenario{Workload: w, Platform: Accel, Objective: LatSP})
+		sc := Scenario{Workload: w, Platform: Accel, Objective: LatSP}
+		ae, err := NewEvaluator(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		acand := accelCandidates()[1]
-		// The first build, AllocsPerRun's warm-up, also enumerates the
-		// evaluator's candidate lists once.
+		// The first build, AllocsPerRun's warm-up, also copies the
+		// evaluator's layers and enumerates their candidate lists once.
 		if n := testing.AllocsPerRun(20, func() { ae.buildLadderSet(acand) }); n != coldSetAllocs {
 			t.Errorf("%s: cold buildLadderSet allocates %v times, want %d whatever the ladder count",
 				w.Name, n, coldSetAllocs)
 		}
-		ls, err := ae.ladderSetFor(acand)
+		se, err := newSearchEvaluator(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, budget, err := ae.subs.get(acand)
-		if err != nil {
-			t.Fatal(err)
+		// Releasing the slab after each build hands its ladder block back
+		// to the pool the next build takes it from.
+		s := se.slab
+		if n := testing.AllocsPerRun(20, func() { se.buildLadderSet(acand); s.release() }); n != slabColdSetAllocs {
+			t.Errorf("%s: slab-backed cold buildLadderSet allocates %v times, want %d whatever the ladder count",
+				w.Name, n, slabColdSetAllocs)
 		}
-		scan := func() {
-			for k := range ls.ladders {
-				ls.minFeasible(k, budget)
+		for _, ae := range []*Evaluator{ae, se} {
+			ls, err := ae.ladderSetFor(acand)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, budget, err := ae.subs.get(acand)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan := func() {
+				for k := range ls.ladders {
+					ls.minFeasible(k, budget)
+				}
+			}
+			scan()
+			if n := testing.AllocsPerRun(100, scan); n != 0 {
+				t.Errorf("%s (slab %v): scanning an extended ladder set allocates %v times, want 0", w.Name, ls.slab != nil, n)
+			}
+			if _, err := ae.score(acand); err != nil {
+				t.Fatal(err)
+			}
+			if n := testing.AllocsPerRun(100, func() { ae.score(acand) }); n != 0 {
+				t.Errorf("%s (slab %v): score on an extended accelerator set allocates %v times, want 0", w.Name, ls.slab != nil, n)
 			}
 		}
-		scan()
-		if n := testing.AllocsPerRun(100, scan); n != 0 {
-			t.Errorf("%s: scanning an extended ladder set allocates %v times, want 0", w.Name, n)
-		}
-		if _, err := ae.score(acand); err != nil {
-			t.Fatal(err)
-		}
-		if n := testing.AllocsPerRun(100, func() { ae.score(acand) }); n != 0 {
-			t.Errorf("%s: score on an extended accelerator set allocates %v times, want 0", w.Name, n)
-		}
+		se.release()
 	}
 }
 
-// coldSetAllocs is a cold buildLadderSet's allocation count: the set,
-// its dataflow contexts, its copy of the layers and its ladder slice.
-const coldSetAllocs = 4
+// coldSetAllocs is a heap-backed cold buildLadderSet's allocation
+// count: the set, its dataflow contexts and its ladder slice. A
+// slab-backed build carves the ladder slice from a recycled block
+// instead (slabColdSetAllocs).
+const (
+	coldSetAllocs     = 3
+	slabColdSetAllocs = 2
+)
 
 // TestTracedColdSearchBuildLadderSpans covers the traced ladder-build
 // path. A traced cold serial search records one "ladder-build" span per

@@ -367,7 +367,7 @@ type Evaluator struct {
 	sc Scenario
 	// pins maps every fingerprint this search has asked for to its
 	// resolved ladder set; the process tier (sc.Warm), when attached, is
-	// the only shared store behind it.
+	// the only shared store behind it. release sets it to nil.
 	mu   sync.Mutex
 	pins map[fingerprint]*pin
 	// lookups counts ladder-set requests, misses the distinct
@@ -376,13 +376,17 @@ type Evaluator struct {
 	lookups, misses, builds atomic.Int64
 	// subs memoizes energy subsystems per (panel, cap) gene pair.
 	subs *subsystemCache
-	// ntiles lists each workload layer's candidate tile counts per
-	// partition. They depend only on the workload, so this evaluator's
-	// first ladder-set build enumerates them (ntilesOnce) and every set
-	// it builds reads them in place; a search served only by the warm
-	// tier never pays for them.
-	ntilesOnce sync.Once
+	// layers is the evaluator's copy of the workload's layers and ntiles
+	// lists each layer's candidate tile counts per partition. They depend
+	// only on the workload, so this evaluator's first ladder-set build
+	// makes them (inputsOnce) and every set it builds reads them in
+	// place; a search served only by the warm tier never pays for them.
+	inputsOnce sync.Once
+	layers     []dnn.Layer
 	ntiles     [][2][]int
+	// slab, set only by the search that owns the evaluator and attaches
+	// no warm tier, supplies its ladder sets' storage until release.
+	slab *slab
 }
 
 // NewEvaluator validates the scenario (filling defaults) and returns an
@@ -393,6 +397,36 @@ func NewEvaluator(sc Scenario) (*Evaluator, error) {
 		return nil, err
 	}
 	return &Evaluator{sc: sc, pins: make(map[fingerprint]*pin), subs: newSubsystemCache(sc.Envs)}, nil
+}
+
+// newSearchEvaluator returns the evaluator of one Explore, ParetoScan
+// or ParetoSearch run, which must call release after its last use of
+// it. Without a warm tier, no ladder set it builds outlives the search,
+// so their storage comes from a slab of recycled blocks.
+func newSearchEvaluator(sc Scenario) (*Evaluator, error) {
+	e, err := NewEvaluator(sc)
+	if err != nil {
+		return nil, err
+	}
+	if e.sc.Warm == nil {
+		e.slab = new(slab)
+	}
+	return e, nil
+}
+
+// release ends the search that owns e: it drops the pinned ladder sets
+// and hands the slab's blocks back for later searches to recycle. The
+// evaluator is unusable afterwards; a later lookup panics rather than
+// read storage another search may be reusing.
+func (e *Evaluator) release() {
+	e.mu.Lock()
+	e.pins = nil
+	s := e.slab
+	e.slab = nil
+	e.mu.Unlock()
+	if s != nil {
+		s.release()
+	}
 }
 
 // Scenario returns the default-filled scenario the evaluator serves.
@@ -419,6 +453,10 @@ func (e *Evaluator) ladderSetFor(cand Candidate) (*ladderSet, error) {
 	fp := fingerprintOf(e.sc, cand)
 	e.lookups.Add(1)
 	e.mu.Lock()
+	if e.pins == nil {
+		e.mu.Unlock()
+		panic("explore: evaluator used after its search released it")
+	}
 	p, ok := e.pins[fp]
 	if !ok {
 		p = &pin{}
@@ -938,10 +976,11 @@ func (b *bestTracker) observe(idx int, v float64, genome []float64) {
 // generation stays sequential and seeded, so the Outcome is
 // bit-identical for any worker count (Outcome.Workers aside).
 func Explore(sc Scenario, b Baseline, cfg search.GAConfig) (Outcome, error) {
-	e, err := NewEvaluator(sc)
+	e, err := newSearchEvaluator(sc)
 	if err != nil {
 		return Outcome{}, err
 	}
+	defer e.release()
 	sc = e.Scenario()
 	g := spec(sc, b)
 	cfg.Workers = resolveWorkers(cfg.Workers)
@@ -1016,10 +1055,11 @@ func ParetoScan(sc Scenario, n int, seed int64) (points, front []ParetoPoint, er
 // points are ordered by sample index, so the result is bit-identical
 // for any worker count.
 func ParetoScanWorkers(sc Scenario, n int, seed int64, workers int) (points, front []ParetoPoint, err error) {
-	e, err := NewEvaluator(sc)
+	e, err := newSearchEvaluator(sc)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer e.release()
 	sc = e.Scenario()
 	g := spec(sc, Full)
 	workers = resolveWorkers(workers)
@@ -1099,10 +1139,11 @@ type ParetoOutcome struct {
 // resolveWorkers convention; the outcome is bit-identical for any
 // count (Workers aside).
 func ParetoSearch(sc Scenario, cfg search.GAConfig) (ParetoOutcome, error) {
-	e, err := NewEvaluator(sc)
+	e, err := newSearchEvaluator(sc)
 	if err != nil {
 		return ParetoOutcome{}, err
 	}
+	defer e.release()
 	sc = e.Scenario()
 	g := spec(sc, Full)
 	cfg.Workers = resolveWorkers(cfg.Workers)

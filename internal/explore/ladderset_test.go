@@ -113,7 +113,9 @@ func randomBudget(rng *rand.Rand, lo, hi float64) intermittent.BudgetFunc {
 // TestLadderSetMatchesEagerLadders is the lazy/eager bit-identity
 // matrix. Over every catalog workload, on the MSP430 and on every
 // accelerator architecture at three NPE/cache points, under r_exc
-// default, 0 and 0.3, a set whose ladders are built on demand must:
+// default, 0 and 0.3, a set whose ladders are built on demand, both on
+// the heap and carved from a slab whose recycled blocks hold garbage
+// (poisonedSlab), must:
 //
 //   - answer every budget scan of a random sequence with the eager
 //     ladder's first feasible rung (and infeasibility where it has none),
@@ -123,6 +125,9 @@ func randomBudget(rng *rand.Rand, lo, hi float64) intermittent.BudgetFunc {
 //   - once every ladder is forced complete, hold exactly the eager
 //     ladder's rungs, compared with math.Float64bits, and find each of
 //     them, and no other candidate count, by tile count.
+//
+// The slab-backed sets thereby show that nothing reads storage a ladder
+// has not published.
 func TestLadderSetMatchesEagerLadders(t *testing.T) {
 	type hwPoint struct {
 		platform PlatformKind
@@ -154,76 +159,89 @@ func TestLadderSetMatchesEagerLadders(t *testing.T) {
 		for _, pt := range points {
 			for _, rexc := range []float64{-1, 0, 0.3} {
 				sc := Scenario{Workload: w, Platform: pt.platform, Objective: LatSP, Rexc: rexc}
-				where := fmt.Sprintf("%s/%s/rexc=%g", w.Name, pt.cand, rexc)
-				e, err := NewEvaluator(sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ls, err := e.buildLadderSet(pt.cand)
-				if err != nil {
-					t.Fatalf("%s: %v", where, err)
-				}
 				eager := eagerLadders(t, sc, pt.cand)
-				if len(eager) != len(ls.ladders) {
-					t.Fatalf("%s: %d lazy ladders, %d eager", where, len(ls.ladders), len(eager))
-				}
 				lo, hi := budgetRange(eager)
-				for step := 0; step < 6; step++ {
-					budget := randomBudget(rng, lo, hi)
-					for k := range eager {
-						r, ok := ls.minFeasible(k, budget)
-						i, eok := eager[k].MinFeasibleIndex(budget)
-						if ok != eok || (ok && !sameRung(r, eager[k].Rungs[i])) {
-							t.Fatalf("%s ladder %d step %d: lazy scan (%+v, %v), eager (%d, %v)", where, k, step, r, ok, i, eok)
-						}
-						switch {
-						case !ok:
-							none++
-						case i > 0:
-							deep++
-						}
-						if err := checkPrefix(ls, k, &eager[k]); err != nil {
-							t.Fatalf("%s step %d: %v", where, step, err)
-						}
-						if ok && step == 0 {
-							var got intermittent.Plan
-							ls.planInto(k, r.NTile, &got)
-							if !reflect.DeepEqual(got, eager[k].PlanAt(i)) {
-								t.Fatalf("%s ladder %d: plan by tile count %d differs from PlanAt", where, k, r.NTile)
+				for _, slabbed := range []bool{false, true} {
+					where := fmt.Sprintf("%s/%s/rexc=%g/slab=%v", w.Name, pt.cand, rexc, slabbed)
+					e, err := NewEvaluator(sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if slabbed {
+						e.slab = poisonedSlab()
+					}
+					ls, err := e.buildLadderSet(pt.cand)
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					if len(eager) != len(ls.ladders) {
+						t.Fatalf("%s: %d lazy ladders, %d eager", where, len(ls.ladders), len(eager))
+					}
+					for step := 0; step < 6; step++ {
+						budget := randomBudget(rng, lo, hi)
+						for k := range eager {
+							r, ok := ls.minFeasible(k, budget)
+							i, eok := eager[k].MinFeasibleIndex(budget)
+							if ok != eok || (ok && !sameRung(r, eager[k].Rungs[i])) {
+								t.Fatalf("%s ladder %d step %d: lazy scan (%+v, %v), eager (%d, %v)", where, k, step, r, ok, i, eok)
+							}
+							switch {
+							case !ok:
+								none++
+							case i > 0:
+								deep++
+							}
+							if err := checkPrefix(ls, k, &eager[k]); err != nil {
+								t.Fatalf("%s step %d: %v", where, step, err)
+							}
+							if ok && step == 0 {
+								var got intermittent.Plan
+								ls.planInto(k, r.NTile, &got)
+								if !reflect.DeepEqual(got, eager[k].PlanAt(i)) {
+									t.Fatalf("%s ladder %d: plan by tile count %d differs from PlanAt", where, k, r.NTile)
+								}
 							}
 						}
 					}
-				}
-				for k := range eager {
-					if n := ls.complete(k); n != len(eager[k].Rungs) {
-						t.Fatalf("%s ladder %d: complete holds %d rungs, eager %d", where, k, n, len(eager[k].Rungs))
-					}
-					if err := checkPrefix(ls, k, &eager[k]); err != nil {
-						t.Fatalf("%s: %v", where, err)
-					}
-					if err := checkStorage(ls, k); err != nil {
-						t.Fatalf("%s: %v", where, err)
-					}
-					switch nc := len(ls.candidates(k)); {
-					case len(eager[k].Rungs) > 1+nearRungs:
-						intoTail++
-					case nc > 1 && nc <= nearRungs:
-						short++
-					}
-					// By-count lookups hit every rung and miss every
-					// candidate count the eager ladder excluded.
-					i := 0
-					for _, n := range ls.candidates(k) {
-						r, ok := ls.byNTile(k, n)
-						hit := i < len(eager[k].Rungs) && eager[k].Rungs[i].NTile == n
-						if ok != hit || (ok && !sameRung(r, eager[k].Rungs[i])) {
-							t.Fatalf("%s ladder %d: byNTile(%d) = (%+v, %v), eager has it: %v", where, k, n, r, ok, hit)
+					for k := range eager {
+						if n := ls.complete(k); n != len(eager[k].Rungs) {
+							t.Fatalf("%s ladder %d: complete holds %d rungs, eager %d", where, k, n, len(eager[k].Rungs))
 						}
-						if hit {
-							i++
+						if err := checkPrefix(ls, k, &eager[k]); err != nil {
+							t.Fatalf("%s: %v", where, err)
 						}
+						if err := checkStorage(ls, k); err != nil {
+							t.Fatalf("%s: %v", where, err)
+						}
+						switch nc := len(ls.candidates(k)); {
+						case len(eager[k].Rungs) > 1+nearRungs:
+							intoTail++
+						case nc > 1 && nc <= nearRungs:
+							short++
+						}
+						// By-count lookups hit every rung and miss every
+						// candidate count the eager ladder excluded.
+						i := 0
+						for _, n := range ls.candidates(k) {
+							r, ok := ls.byNTile(k, n)
+							hit := i < len(eager[k].Rungs) && eager[k].Rungs[i].NTile == n
+							if ok != hit || (ok && !sameRung(r, eager[k].Rungs[i])) {
+								t.Fatalf("%s ladder %d: byNTile(%d) = (%+v, %v), eager has it: %v", where, k, n, r, ok, hit)
+							}
+							if hit {
+								i++
+							}
+						}
+						rungs += len(eager[k].Rungs)
 					}
-					rungs += len(eager[k].Rungs)
+					if s := e.slab; s != nil {
+						// Every carve came from the poisoned blocks.
+						if len(s.lblocks) != 1 || len(s.rblocks) > 1 {
+							t.Fatalf("%s: the set took %d ladder and %d rung blocks, want only the poisoned ones",
+								where, len(s.lblocks), len(s.rblocks))
+						}
+						s.release()
+					}
 				}
 			}
 		}

@@ -346,13 +346,15 @@ func (c *WarmCache) removeLocked(sh *warmShard, e *warmEntry) {
 }
 
 // ladderSetBytes estimates a set's resident size once every ladder is
-// complete: the struct spines, the set-owned layers (with their names)
-// and HW contexts counted once, the candidate lists the set reads, and
+// complete: the struct spines, the layers (with their names) and HW
+// contexts counted once, the candidate lists the set reads, and
 // per ladder the storage its rungs can grow to — the near chunk at its
 // fixed size for every ladder with a second candidate, even one shorter
 // than the chunk, plus a tail rung for every candidate past it.
 // Counting capacity rather than the rungs built so far keeps the tier's
-// byte bound true as scans fill the sets it holds. Rungs dominate (a
+// byte bound true as scans fill the sets it holds, and the layers and
+// candidate lists, which every set of one evaluator shares, are counted
+// per set, so the estimate is an upper bound. Rungs dominate (a
 // deep workload's set can hold thousands of 32-byte rungs); the other
 // terms keep shallow sets from rounding to zero.
 func ladderSetBytes(ls *ladderSet) int64 {

@@ -29,7 +29,9 @@ func normalizeWarm(out Outcome) Outcome {
 // contract: a search that reuses ladder sets a previous search built
 // must return an Outcome bit-identical to a cold run, at any worker
 // count, on every platform preset (MSP430, TPU-pinned and
-// Eyeriss-pinned accelerators).
+// Eyeriss-pinned accelerators). It also compares the two kinds of
+// ladder storage: the warm runs' sets are heap-backed, the cold run's
+// are carved from its search's slab.
 func TestWarmColdWorkersBitIdentical(t *testing.T) {
 	tpu, eyeriss := accel.TPU, accel.Eyeriss
 	presets := []struct {
