@@ -7,7 +7,7 @@ GO ?= go
 all: build vet test
 
 # Everything the CI workflow runs.
-ci: fmt-check build vet test perfbench-test race race-explore bench-smoke serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
+ci: fmt-check build vet test perfbench-test race bench-smoke serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
 
 # Fail on any file gofmt would rewrite.
 fmt-check:
@@ -35,13 +35,15 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Race-check the concurrent evaluator-cache paths (fingerprint pins,
-# warm tier, subsystem cache, GA worker pool).
+# warm tier, subsystem cache, GA worker pool). A focused local run:
+# `race` already covers every test it selects, so ci does not repeat it.
 race-cache:
 	$(GO) test -race -run 'Cache|Concurrent' ./internal/explore/ ./internal/serve/
 
 # Race-check the parallel search path end-to-end: the worker dispatcher,
 # the Workers=1-vs-N determinism stress tests, the pin-map hammer and the
-# ladder-set matrix and extension hammer.
+# ladder-set matrix and extension hammer. A focused local run: `race`
+# already covers every test it selects, so ci does not repeat it.
 race-explore:
 	$(GO) test -race -run 'Parallel|Workers|Hammer|Shard|Dispatch|Concurrent|LadderSet' \
 		./internal/search/ ./internal/explore/ ./internal/serve/

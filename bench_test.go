@@ -10,6 +10,7 @@ package chrysalis
 // One figure only:  go test -bench=BenchmarkFig9
 
 import (
+	"context"
 	"errors"
 	"io"
 	"testing"
@@ -171,7 +172,7 @@ func BenchmarkGASearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		if _, err := explore.Explore(sc, explore.Full, cfg); err != nil {
+		if _, err := explore.Explore(context.Background(), sc, explore.Full, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -189,7 +190,7 @@ func BenchmarkAccelSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		if _, err := explore.Explore(sc, explore.Full, cfg); err != nil && !errors.Is(err, explore.ErrNoFeasibleDesign) {
+		if _, err := explore.Explore(context.Background(), sc, explore.Full, cfg); err != nil && !errors.Is(err, explore.ErrNoFeasibleDesign) {
 			b.Fatal(err)
 		}
 	}
@@ -214,7 +215,7 @@ func benchWarmSearch(b *testing.B, sc explore.Scenario) {
 	cfg := search.DefaultGA(1)
 	cfg.Population = 10
 	cfg.Generations = 6
-	if _, err := explore.Explore(sc, explore.Full, cfg); err != nil && !errors.Is(err, explore.ErrNoFeasibleDesign) {
+	if _, err := explore.Explore(context.Background(), sc, explore.Full, cfg); err != nil && !errors.Is(err, explore.ErrNoFeasibleDesign) {
 		b.Fatal(err)
 	}
 	perturbed := sc
@@ -222,7 +223,7 @@ func benchWarmSearch(b *testing.B, sc explore.Scenario) {
 	var warmHits int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := explore.Explore(perturbed, explore.Full, cfg)
+		out, err := explore.Explore(context.Background(), perturbed, explore.Full, cfg)
 		if err != nil && !errors.Is(err, explore.ErrNoFeasibleDesign) {
 			b.Fatal(err)
 		}
@@ -307,7 +308,7 @@ func BenchmarkNSGAFront(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		if _, err := explore.ParetoSearch(sc, cfg); err != nil {
+		if _, err := explore.ParetoSearch(context.Background(), sc, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,6 +26,8 @@
 package chrysalis
 
 import (
+	"context"
+
 	"chrysalis/internal/core"
 	"chrysalis/internal/dnn"
 	"chrysalis/internal/explore"
@@ -82,13 +84,13 @@ type Spec = core.Spec
 
 // SearchConfig sizes the HW-level optimizer. Its Progress field, when
 // set, receives a callback after every outer-GA generation (generation
-// index, cumulative evaluations, best objective value so far), its
+// index, cumulative evaluations, best objective value so far), and its
 // OnQuality field receives the full GenQuality telemetry record per
-// generation, and its Stop field is polled between generations to end a
-// search early — the hooks behind chrysalisd's live SSE telemetry and
-// job cancellation. Its Workers field sets the candidate-evaluation
-// concurrency (0 = all cores, negative = serial); the returned design
-// is bit-identical for any worker count. Patience enables the plateau
+// generation — the hooks behind chrysalisd's live SSE telemetry. To end
+// a search early, cancel the ctx given to DesignContext. Its Workers
+// field sets the candidate-evaluation concurrency (0 = all cores,
+// negative = serial); the returned design is bit-identical for any
+// worker count. Patience enables the plateau
 // early-stop policy (stop after N generations whose relative
 // improvement stays below PlateauTol); unlike Workers it changes the
 // result, so serving layers include it in cache keys.
@@ -148,6 +150,13 @@ func ParseSimMode(s string) (SimMode, error) { return sim.ParseMode(s) }
 // and return the ideal AuT configuration for the spec.
 func Design(spec Spec) (Result, error) { return core.Run(spec) }
 
+// DesignContext is Design under a context: cancelling ctx (or passing
+// its deadline) ends the search between generations and returns the
+// best design found so far.
+func DesignContext(ctx context.Context, spec Spec) (Result, error) {
+	return core.RunBaseline(ctx, spec, explore.Full)
+}
+
 // DesignWithBaseline runs the pipeline under one of the paper's
 // Table VI ablated search spaces ("wo/Cap", "wo/SP", "wo/EA", "wo/PE",
 // "wo/Cache", "wo/IA") for comparison studies. The name "chrysalis"
@@ -155,7 +164,7 @@ func Design(spec Spec) (Result, error) { return core.Run(spec) }
 func DesignWithBaseline(spec Spec, baseline string) (Result, error) {
 	for _, b := range explore.Baselines() {
 		if b.String() == baseline {
-			return core.RunBaseline(spec, b)
+			return core.RunBaseline(context.TODO(), spec, b)
 		}
 	}
 	return Result{}, errUnknownBaseline(baseline)

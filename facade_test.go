@@ -1,6 +1,7 @@
 package chrysalis
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -126,5 +127,26 @@ func TestEvaluateErrors(t *testing.T) {
 	}
 	if _, err := Evaluate(harSpec(), DesignPoint{PanelArea: 99, Cap: 100e-6}); err == nil {
 		t.Fatal("out-of-space panel should fail")
+	}
+}
+
+// TestDesignContextCancel checks the facade's cancellation route:
+// cancelling the ctx from the progress hook ends the search after that
+// generation with the best design found so far.
+func TestDesignContextCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	spec := harSpec()
+	spec.Search = SearchConfig{Budget: 400, Seed: 1, Progress: func(gen, _ int, _ float64) {
+		if gen == 2 {
+			cancel()
+		}
+	}}
+	res, err := DesignContext(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.History) != 2 || res.PanelArea <= 0 {
+		t.Fatalf("cancelled design ran %d generations (want 2), panel %v", len(res.History), res.PanelArea)
 	}
 }

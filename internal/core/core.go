@@ -94,28 +94,20 @@ type SearchConfig struct {
 	// excluded from identity, serialization and caching.
 	OnQuality func(q search.GenQuality) `json:"-"`
 	// Progress, when non-nil, receives a callback after every outer-GA
-	// generation: the 1-based generation index, cumulative candidate
-	// evaluations and best objective value so far. It runs on the search
+	// generation, before OnQuality: the 1-based generation index,
+	// cumulative candidate evaluations and best objective value so far
+	// (+Inf while no candidate is feasible). It runs on the search
 	// goroutine and must be fast. Not part of a design's identity (it is
 	// ignored by serialization and caching layers).
 	Progress func(gen, evals int, best float64) `json:"-"`
-	// Stop, when non-nil, is polled between generations; returning true
-	// ends the search early with the best design found so far. Serving
-	// layers use it to honor context cancellation and deadlines.
-	Stop func() bool `json:"-"`
 	// Trace, when non-nil, records spans for the whole pipeline — the
 	// outer GA's per-generation spans, the explorer's score/evaluate and
 	// ladder-build spans — for Chrome trace-event / Perfetto export. Like
 	// Progress it is observational only: not part of a design's identity,
 	// ignored by serialization and caching layers. Nil (the default)
-	// disables tracing at zero cost.
+	// disables tracing at zero cost. Cancellation is not a field: it is
+	// the ctx given to RunBaseline.
 	Trace *obs.Trace `json:"-"`
-	// Labels, when non-nil, carries runtime/pprof labels
-	// (pprof.WithLabels) that evaluation worker goroutines adopt, so CPU
-	// profiles attribute search work to the owning job. Observational
-	// only: like Trace it is excluded from identity, serialization and
-	// caching.
-	Labels context.Context `json:"-"`
 	// Warm, when non-nil, attaches the process-lifetime warm-start tier
 	// (explore.WarmCache): the search reuses plan ladders previous
 	// searches built and publishes its own. Like Trace it is excluded
@@ -248,7 +240,7 @@ type FrontMember struct {
 // Run executes the full CHRYSALIS pipeline for a spec under the full
 // (co-design) search space.
 func Run(spec Spec) (Result, error) {
-	return RunBaseline(spec, explore.Full)
+	return RunBaseline(context.TODO(), spec, explore.Full)
 }
 
 // RunBaseline executes the pipeline with one of Table VI's ablated
@@ -256,21 +248,25 @@ func Run(spec Spec) (Result, error) {
 // searches the full co-design space (the front is a Figure-6 artifact,
 // not a Table VI ablation) and reports the Pareto front alongside the
 // minimum-lat·sp member as the headline design.
-func RunBaseline(spec Spec, b explore.Baseline) (Result, error) {
+//
+// Cancelling ctx ends the search between generations with the best
+// design found so far. spec.Search.Trace, when set, rides ctx down to
+// the explorer and the optimizer.
+func RunBaseline(ctx context.Context, spec Spec, b explore.Baseline) (Result, error) {
 	sc, err := spec.scenario()
 	if err != nil {
 		return Result{}, err
 	}
-	sc.Trace = spec.Search.Trace
 	sc.Warm = spec.Search.Warm
 	cfg, err := gaConfig(spec.Search)
 	if err != nil {
 		return Result{}, err
 	}
+	ctx = obs.WithTrace(ctx, spec.Search.Trace)
 	if spec.Search.withDefaults().Algorithm == "nsga" {
-		return runPareto(sc, b, cfg)
+		return runPareto(ctx, sc, b, cfg)
 	}
-	out, err := explore.Explore(sc, b, cfg)
+	out, err := explore.Explore(ctx, sc, b, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -279,8 +275,8 @@ func RunBaseline(spec Spec, b explore.Baseline) (Result, error) {
 
 // runPareto is the multi-objective pipeline: NSGA-II over (panel,
 // latency), headline design = the front member minimizing lat·sp.
-func runPareto(sc explore.Scenario, b explore.Baseline, cfg search.GAConfig) (Result, error) {
-	po, err := explore.ParetoSearch(sc, cfg)
+func runPareto(ctx context.Context, sc explore.Scenario, b explore.Baseline, cfg search.GAConfig) (Result, error) {
+	po, err := explore.ParetoSearch(ctx, sc, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -334,15 +330,25 @@ func gaConfig(s SearchConfig) (search.GAConfig, error) {
 		return search.GAConfig{}, fmt.Errorf("core: unknown search algorithm %q (want ga, random or nsga)", s.Algorithm)
 	}
 	sizeGA(&cfg, s.Budget)
-	cfg.Progress = s.Progress
-	cfg.Stop = s.Stop
-	cfg.Trace = s.Trace
-	cfg.Labels = s.Labels
 	cfg.Workers = s.Workers
 	cfg.Patience = s.Patience
 	cfg.PlateauTol = s.PlateauTol
-	cfg.OnQuality = s.OnQuality
+	cfg.OnQuality = onGeneration(s.Progress, s.OnQuality)
 	return cfg, nil
+}
+
+// onGeneration folds the two per-generation hooks into the optimizer's
+// one: Progress reads the (Gen, Evals, Best) slice of the record.
+func onGeneration(progress func(gen, evals int, best float64), onQuality func(search.GenQuality)) func(search.GenQuality) {
+	if progress == nil {
+		return onQuality
+	}
+	return func(q search.GenQuality) {
+		progress(q.Gen, q.Evals, q.Best)
+		if onQuality != nil {
+			onQuality(q)
+		}
+	}
 }
 
 // sizeGA scales population/generations to approximate an evaluation

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"chrysalis/internal/explore"
+	"chrysalis/internal/search"
 	"chrysalis/internal/units"
 )
 
@@ -100,7 +105,7 @@ func TestRandomAlgorithm(t *testing.T) {
 }
 
 func TestRunBaselinePinsDims(t *testing.T) {
-	res, err := RunBaseline(Spec{
+	res, err := RunBaseline(context.Background(), Spec{
 		WorkloadName: "simpleconv",
 		Platform:     explore.MSP,
 		Objective:    explore.LatSP,
@@ -355,5 +360,48 @@ func TestRunPreset(t *testing.T) {
 	}
 	if _, err := RunPreset("moonbase", "har", fastSearch(11)); err == nil {
 		t.Fatal("unknown preset should fail")
+	}
+}
+
+// TestProgressMatchesOnQuality checks the fold of the two per-generation
+// hooks into the optimizer's one: Progress sees, generation by
+// generation and before OnQuality, exactly the (Gen, Evals, Best) of
+// the OnQuality record — for a finite best and for a search in which no
+// candidate is ever feasible (+Inf), under both the GA and NSGA-II.
+func TestProgressMatchesOnQuality(t *testing.T) {
+	type triple struct {
+		gen, evals int
+		best       float64
+	}
+	for _, tc := range []struct {
+		algo     string
+		maxPanel units.AreaCM2
+		inf      bool
+	}{{"ga", 0, false}, {"ga", 0.01, true}, {"nsga", 0, false}} {
+		t.Run(fmt.Sprintf("%s/max_panel=%g", tc.algo, tc.maxPanel), func(t *testing.T) {
+			var fromProgress, fromQuality []triple
+			cfg := fastSearch(3)
+			cfg.Algorithm = tc.algo
+			cfg.Progress = func(gen, evals int, best float64) {
+				fromProgress = append(fromProgress, triple{gen, evals, best})
+			}
+			cfg.OnQuality = func(q search.GenQuality) {
+				if len(fromProgress) != len(fromQuality)+1 {
+					t.Fatalf("generation %d: Progress did not run right before OnQuality", q.Gen)
+				}
+				fromQuality = append(fromQuality, triple{q.Gen, q.Evals, q.Best})
+			}
+			_, err := Run(Spec{WorkloadName: "har", Platform: explore.MSP, Objective: explore.Lat,
+				MaxPanel: tc.maxPanel, Search: cfg})
+			if tc.inf != errors.Is(err, explore.ErrNoFeasibleDesign) {
+				t.Fatalf("Run: %v", err)
+			}
+			if len(fromQuality) == 0 || !reflect.DeepEqual(fromProgress, fromQuality) {
+				t.Fatalf("Progress %v != OnQuality %v", fromProgress, fromQuality)
+			}
+			if last := fromQuality[len(fromQuality)-1].best; math.IsInf(last, 1) != tc.inf {
+				t.Fatalf("final best %g, want +Inf = %v", last, tc.inf)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -75,7 +76,7 @@ func runFig10(o Options) ([]fig10Cell, error) {
 			defer wg.Done()
 			for j := range ch {
 				cell := j.cell
-				out, err := explore.Explore(j.sc, j.b, o.ga(j.seed))
+				out, err := explore.Explore(context.TODO(), j.sc, j.b, o.ga(j.seed))
 				if err == nil {
 					cell.value = out.Value
 					cell.outcome = &out
@@ -243,7 +244,7 @@ func Fig11(w io.Writer, o Options) error {
 			row := []string{wl.Name, arch.String()}
 			for _, b := range explore.Baselines() {
 				seed++
-				out, err := explore.Explore(sc, b, o.ga(seed))
+				out, err := explore.Explore(context.TODO(), sc, b, o.ga(seed))
 				if err != nil {
 					row = append(row, "inf")
 					continue

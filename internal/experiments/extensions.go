@@ -6,6 +6,7 @@ package experiments
 // temperature coupling.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -202,7 +203,7 @@ func ExtRobustness(w io.Writer, o Options) error {
 				cfg.Elite = 0
 				cfg.TournamentK = 1
 			}
-			out, err := explore.Explore(sc, explore.Full, cfg)
+			out, err := explore.Explore(context.TODO(), sc, explore.Full, cfg)
 			if err != nil {
 				values = append(values, math.Inf(1))
 				continue

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -53,7 +54,7 @@ func Fig6(w io.Writer, o Options) error {
 		if cfg.Generations < 4 {
 			cfg.Generations = 4
 		}
-		po, err := explore.ParetoSearch(sc, cfg)
+		po, err := explore.ParetoSearch(context.TODO(), sc, cfg)
 		nsga := po.Front
 		if err == nil && len(nsga) > 0 {
 			fmt.Fprintf(w, "NSGA-II front: %d points spanning %v..%v panel, %s..%s latency\n",

@@ -373,7 +373,7 @@ func (e *Evaluator) buildLadderSet(cand Candidate) (*ladderSet, error) {
 	} else {
 		ls.ladders = make([]lazyLadder, n)
 	}
-	if tr := sc.Trace; tr != nil {
+	if tr := e.trace; tr != nil {
 		for k := range ls.ladders {
 			hdr, _ := ls.header(k)
 			tr.Start("explore", "build-ladder", obs.A("layer", hdr.Layer.Name),

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -284,7 +285,7 @@ func TestHotPathAllocs(t *testing.T) {
 			t.Errorf("%s: cold buildLadderSet allocates %v times, want %d whatever the ladder count",
 				w.Name, n, coldSetAllocs)
 		}
-		se, err := newSearchEvaluator(sc)
+		se, err := newSearchEvaluator(context.Background(), sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,22 +339,24 @@ const (
 // cache miss and, per miss, exactly layers × dataflows × 2
 // "build-ladder" spans, each carrying its tuple identity and candidate
 // count (rungs are built on demand, so their number is not known when
-// the set is). A traced evaluator's spans then match the ladders of the
-// set it built, in build order.
+// the set is). The tracer rides the search's ctx (obs.WithTrace). A
+// traced evaluator's spans then match the ladders of the set it built,
+// in build order.
 func TestTracedColdSearchBuildLadderSpans(t *testing.T) {
 	tpu := accel.TPU
-	sc := Scenario{Workload: dnn.HAR(), Platform: Accel, Objective: LatSP, Arch: &tpu, Trace: obs.NewTrace(1 << 16)}
+	sc := Scenario{Workload: dnn.HAR(), Platform: Accel, Objective: LatSP, Arch: &tpu}
+	tr := obs.NewTrace(1 << 16)
 	cfg := smallGA(11)
 	cfg.Workers = -1
-	out, err := Explore(sc, Full, cfg)
+	out, err := Explore(obs.WithTrace(context.Background(), tr), sc, Full, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := sc.Trace.Dropped(); n != 0 {
+	if n := tr.Dropped(); n != 0 {
 		t.Fatalf("trace ring dropped %d events; enlarge it", n)
 	}
 	var sets, ladders int
-	for _, ev := range sc.Trace.Events() {
+	for _, ev := range tr.Events() {
 		switch ev.Name {
 		case "ladder-build":
 			sets++
@@ -375,17 +378,18 @@ func TestTracedColdSearchBuildLadderSpans(t *testing.T) {
 			out.CacheMisses, sets, ladders, out.CacheMisses, out.CacheMisses*int64(perMiss))
 	}
 
-	sc.Trace = obs.NewTrace(1 << 12)
-	e, err := NewEvaluator(sc)
+	tr = obs.NewTrace(1 << 12)
+	e, err := newSearchEvaluator(obs.WithTrace(context.Background(), tr), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.release()
 	ls, err := e.ladderSetFor(accelCandidates()[2])
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := 0
-	for _, ev := range sc.Trace.Events() {
+	for _, ev := range tr.Events() {
 		if ev.Name != "build-ladder" {
 			continue
 		}

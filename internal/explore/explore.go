@@ -11,6 +11,7 @@
 package explore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -183,11 +184,6 @@ type Scenario struct {
 	// analytical planner by default, or the CHRYSALIS-GAMMA genetic
 	// mapper).
 	Mapper Mapper
-	// Trace, when non-nil, records evaluation spans (score vs. full
-	// evaluate, ladder builds, per-span cache hit/miss attributes) for
-	// Perfetto export. Nil disables tracing at zero cost; it never
-	// affects results or cache identity.
-	Trace *obs.Trace
 	// SimMode selects the simulator core used whenever a candidate of
 	// this scenario is co-simulated (SimulateCandidate and the
 	// verification paths built on it). Search scoring always stays on
@@ -387,6 +383,11 @@ type Evaluator struct {
 	// slab, set only by the search that owns the evaluator and attaches
 	// no warm tier, supplies its ladder sets' storage until release.
 	slab *slab
+	// trace, set only by a search whose ctx carries one (obs.WithTrace),
+	// records evaluation spans: score vs. full evaluate, ladder builds,
+	// per-span cache hit/miss attributes. Nil keeps every path untraced
+	// at the cost of one nil test; it never affects results.
+	trace *obs.Trace
 }
 
 // NewEvaluator validates the scenario (filling defaults) and returns an
@@ -402,8 +403,9 @@ func NewEvaluator(sc Scenario) (*Evaluator, error) {
 // newSearchEvaluator returns the evaluator of one Explore, ParetoScan
 // or ParetoSearch run, which must call release after its last use of
 // it. Without a warm tier, no ladder set it builds outlives the search,
-// so their storage comes from a slab of recycled blocks.
-func newSearchEvaluator(sc Scenario) (*Evaluator, error) {
+// so their storage comes from a slab of recycled blocks. The run's
+// tracer, if ctx carries one, is read here once.
+func newSearchEvaluator(ctx context.Context, sc Scenario) (*Evaluator, error) {
 	e, err := NewEvaluator(sc)
 	if err != nil {
 		return nil, err
@@ -411,6 +413,7 @@ func newSearchEvaluator(sc Scenario) (*Evaluator, error) {
 	if e.sc.Warm == nil {
 		e.slab = new(slab)
 	}
+	e.trace = obs.TraceFrom(ctx)
 	return e, nil
 }
 
@@ -474,10 +477,10 @@ func (e *Evaluator) ladderSetFor(cand Candidate) (*ladderSet, error) {
 func (e *Evaluator) resolve(fp fingerprint, cand Candidate) (*ladderSet, error) {
 	build := func() (*ladderSet, error) {
 		e.builds.Add(1)
-		if e.sc.Trace == nil {
+		if e.trace == nil {
 			return e.buildLadderSet(cand)
 		}
-		sp := e.sc.Trace.Start("explore", "ladder-build",
+		sp := e.trace.Start("explore", "ladder-build",
 			obs.A("platform", e.sc.Platform.String()), obs.A("arch", fp.arch.String()),
 			obs.A("npe", fp.npe), obs.A("layers", fp.layers))
 		ls, err := e.buildLadderSet(cand)
@@ -582,11 +585,11 @@ type quickScore struct {
 // the same analytic model as Evaluate, so the numbers are bit-identical
 // to the ones Evaluate reports; only the discarded per-candidate
 // bookkeeping (layer choices, per-env reports) is skipped. When the
-// scenario carries a tracer, each score records a span annotated with
+// search is traced, each score records a span annotated with
 // feasibility and the ladder-set hits/misses it incurred; with tracing
 // off the fast path is untouched.
 func (e *Evaluator) score(cand Candidate) (quickScore, error) {
-	if tr := e.sc.Trace; tr != nil {
+	if tr := e.trace; tr != nil {
 		h0, m0 := e.CacheStats()
 		sp := tr.Start("explore", "score")
 		s, err := e.scoreInner(cand)
@@ -653,11 +656,11 @@ func (e *Evaluator) checkCandidate(cand Candidate) error {
 // Evaluate runs the inner mapping search and the analytic evaluator
 // under every environment for one candidate, reusing cached plan
 // ladders and building each environment's energy subsystem exactly
-// once. With a scenario tracer attached it records a "full-evaluate"
+// once. In a traced search it records a "full-evaluate"
 // span, distinguishing the rare materializing evaluations from the
 // lean score path in a trace.
 func (e *Evaluator) Evaluate(cand Candidate) (Evaluation, error) {
-	if tr := e.sc.Trace; tr != nil {
+	if tr := e.trace; tr != nil {
 		sp := tr.Start("explore", "full-evaluate")
 		ev, err := e.evaluateInner(cand)
 		sp.End(obs.A("feasible", ev.Feasible), obs.A("err", err != nil))
@@ -975,8 +978,12 @@ func (b *bestTracker) observe(idx int, v float64, genome []float64) {
 // inner mapping search is memoized across the whole run. Candidate
 // generation stays sequential and seeded, so the Outcome is
 // bit-identical for any worker count (Outcome.Workers aside).
-func Explore(sc Scenario, b Baseline, cfg search.GAConfig) (Outcome, error) {
-	e, err := newSearchEvaluator(sc)
+//
+// ctx ends the search early when cancelled (search.RunGA); a tracer
+// attached with obs.WithTrace records the run, its generations and its
+// evaluations.
+func Explore(ctx context.Context, sc Scenario, b Baseline, cfg search.GAConfig) (Outcome, error) {
+	e, err := newSearchEvaluator(ctx, sc)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -989,8 +996,8 @@ func Explore(sc Scenario, b Baseline, cfg search.GAConfig) (Outcome, error) {
 	}
 
 	var runSpan *obs.Span
-	if sc.Trace != nil {
-		runSpan = sc.Trace.Start("explore", "explore "+b.String(),
+	if e.trace != nil {
+		runSpan = e.trace.Start("explore", "explore "+b.String(),
 			obs.A("workload", sc.Workload.Name), obs.A("platform", sc.Platform.String()),
 			obs.A("objective", sc.Objective.String()))
 		defer func() {
@@ -1013,7 +1020,7 @@ func Explore(sc Scenario, b Baseline, cfg search.GAConfig) (Outcome, error) {
 			return v
 		},
 	}
-	res, err := search.RunGA(problem, cfg)
+	res, err := search.RunGA(ctx, problem, cfg)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -1055,7 +1062,7 @@ func ParetoScan(sc Scenario, n int, seed int64) (points, front []ParetoPoint, er
 // points are ordered by sample index, so the result is bit-identical
 // for any worker count.
 func ParetoScanWorkers(sc Scenario, n int, seed int64, workers int) (points, front []ParetoPoint, err error) {
-	e, err := newSearchEvaluator(sc)
+	e, err := newSearchEvaluator(context.TODO(), sc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1137,9 +1144,9 @@ type ParetoOutcome struct {
 // stronger generator for the paper's Figure 6 curve than the random
 // scan, at the same evaluation budget. cfg.Workers follows the
 // resolveWorkers convention; the outcome is bit-identical for any
-// count (Workers aside).
-func ParetoSearch(sc Scenario, cfg search.GAConfig) (ParetoOutcome, error) {
-	e, err := newSearchEvaluator(sc)
+// count (Workers aside). ctx plays the same part as in Explore.
+func ParetoSearch(ctx context.Context, sc Scenario, cfg search.GAConfig) (ParetoOutcome, error) {
+	e, err := newSearchEvaluator(ctx, sc)
 	if err != nil {
 		return ParetoOutcome{}, err
 	}
@@ -1158,7 +1165,7 @@ func ParetoSearch(sc Scenario, cfg search.GAConfig) (ParetoOutcome, error) {
 			return float64(cand.PanelArea), float64(s.avgLatency)
 		},
 	}
-	raw, stats, err := search.RunNSGA2(problem, cfg)
+	raw, stats, err := search.RunNSGA2(ctx, problem, cfg)
 	if err != nil {
 		return ParetoOutcome{}, err
 	}

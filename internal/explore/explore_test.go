@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -145,7 +146,7 @@ func TestAccelBeatsMSPOnLatency(t *testing.T) {
 
 func TestExploreMSPLatSP(t *testing.T) {
 	sc := Scenario{Workload: dnn.SimpleConv(), Platform: MSP, Objective: LatSP}
-	out, err := Explore(sc, Full, smallGA(1))
+	out, err := Explore(context.Background(), sc, Full, smallGA(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestExploreMSPLatSP(t *testing.T) {
 
 func TestExploreRespectsLatConstraint(t *testing.T) {
 	sc := Scenario{Workload: dnn.SimpleConv(), Platform: MSP, Objective: Lat, MaxPanel: 10}
-	out, err := Explore(sc, Full, smallGA(2))
+	out, err := Explore(context.Background(), sc, Full, smallGA(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestExploreRespectsLatConstraint(t *testing.T) {
 
 func TestExploreRespectsSPConstraint(t *testing.T) {
 	sc := Scenario{Workload: dnn.SimpleConv(), Platform: MSP, Objective: SP, MaxLatency: 60}
-	out, err := Explore(sc, Full, smallGA(3))
+	out, err := Explore(context.Background(), sc, Full, smallGA(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,12 +192,12 @@ func TestFullBeatsAblations(t *testing.T) {
 	// at least as good as every ablated space (allowing small search
 	// noise at test budgets).
 	sc := Scenario{Workload: dnn.SimpleConv(), Platform: MSP, Objective: LatSP}
-	full, err := Explore(sc, Full, smallGA(4))
+	full, err := Explore(context.Background(), sc, Full, smallGA(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range []Baseline{WoCap, WoSP, WoEA} {
-		out, err := Explore(sc, b, smallGA(4))
+		out, err := Explore(context.Background(), sc, b, smallGA(4))
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
@@ -208,7 +209,7 @@ func TestFullBeatsAblations(t *testing.T) {
 
 func TestWoEAPinsEnergySubsystem(t *testing.T) {
 	sc := Scenario{Workload: dnn.SimpleConv(), Platform: MSP, Objective: LatSP}
-	out, err := Explore(sc, WoEA, smallGA(5))
+	out, err := Explore(context.Background(), sc, WoEA, smallGA(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestWoEAPinsEnergySubsystem(t *testing.T) {
 
 func TestWoIAPinsInferenceSubsystem(t *testing.T) {
 	sc := Scenario{Workload: dnn.HAR(), Platform: Accel, Objective: LatSP}
-	out, err := Explore(sc, WoIA, smallGA(6))
+	out, err := Explore(context.Background(), sc, WoIA, smallGA(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestDecodeRespectsBaselineSpec(t *testing.T) {
 func TestForcedArchPinned(t *testing.T) {
 	a := accel.Eyeriss
 	sc := Scenario{Workload: dnn.HAR(), Platform: Accel, Objective: LatSP, Arch: &a}
-	out, err := Explore(sc, Full, smallGA(9))
+	out, err := Explore(context.Background(), sc, Full, smallGA(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func TestForcedArchPinned(t *testing.T) {
 func TestParetoSearchNSGA(t *testing.T) {
 	sc := Scenario{Workload: dnn.SimpleConv(), Platform: MSP, Objective: LatSP}
 	cfg := smallGA(13)
-	out, err := ParetoSearch(sc, cfg)
+	out, err := ParetoSearch(context.Background(), sc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -56,7 +57,9 @@ func gaMapperConfig(layers int, seed int64) search.GAConfig {
 // plans are materialized, into the caller's arena. The nested GA itself
 // always runs serially (it never sets Workers) — the outer candidate
 // loop is the parallel axis, and each call here is already confined to
-// one worker.
+// one worker. It runs untraced under its own background context: it is
+// part of one candidate evaluation, and the outer GA is where a search
+// is cancelled or traced.
 func (e *Evaluator) innerSearchGA(cand Candidate, budget intermittent.BudgetFunc, a *evalArena) ([]*intermittent.Plan, error) {
 	w := e.sc.Workload
 	ls, err := e.ladderSetFor(cand)
@@ -99,7 +102,7 @@ func (e *Evaluator) innerSearchGA(cand Candidate, budget intermittent.BudgetFunc
 		},
 	}
 	seed := int64(float64(cand.PanelArea)*1e3) ^ int64(float64(cand.Cap)*1e9)
-	res, err := search.RunGA(problem, gaMapperConfig(len(w.Layers), seed))
+	res, err := search.RunGA(context.Background(), problem, gaMapperConfig(len(w.Layers), seed))
 	if err != nil {
 		return nil, err
 	}

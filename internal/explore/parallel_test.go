@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -23,9 +24,9 @@ func exploreWorkers(t *testing.T, sc Scenario, b Baseline, workers int) Outcome 
 	// Opt out of the cost-aware serial fallback: this contract test must
 	// exercise true parallel dispatch even for cheap score paths.
 	cfg.SerialCostFloor = -1
-	out, err := Explore(sc, b, cfg)
+	out, err := Explore(context.Background(), sc, b, cfg)
 	if err != nil {
-		t.Fatalf("Explore(%v, workers=%d): %v", b, workers, err)
+		t.Fatalf("Explore(context.Background(), %v, workers=%d): %v", b, workers, err)
 	}
 	out.Workers = 0
 	return out
@@ -74,9 +75,9 @@ func TestSerialCostFloorBitIdentical(t *testing.T) {
 		cfg := smallGA(11)
 		cfg.Workers = workers
 		cfg.SerialCostFloor = floor
-		out, err := Explore(sc, Full, cfg)
+		out, err := Explore(context.Background(), sc, Full, cfg)
 		if err != nil {
-			t.Fatalf("Explore(workers=%d, floor=%v): %v", workers, floor, err)
+			t.Fatalf("Explore(context.Background(), workers=%d, floor=%v): %v", workers, floor, err)
 		}
 		out.Workers = 0
 		return out
@@ -98,7 +99,7 @@ func TestSerialCostFloorBitIdentical(t *testing.T) {
 // resolves to GOMAXPROCS and is reported in the Outcome.
 func TestExploreWorkersDefaultsToAllCores(t *testing.T) {
 	sc := Scenario{Workload: dnn.HAR(), Platform: MSP, Objective: LatSP}
-	out, err := Explore(sc, Full, smallGA(11))
+	out, err := Explore(context.Background(), sc, Full, smallGA(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestExploreWorkersDefaultsToAllCores(t *testing.T) {
 	}
 	cfg := smallGA(11)
 	cfg.Workers = -1
-	out, err = Explore(sc, Full, cfg)
+	out, err = Explore(context.Background(), sc, Full, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestParetoSearchWorkersBitIdentical(t *testing.T) {
 	run := func(workers int) ParetoOutcome {
 		cfg := smallGA(5)
 		cfg.Workers = workers
-		out, err := ParetoSearch(sc, cfg)
+		out, err := ParetoSearch(context.Background(), sc, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,9 +176,9 @@ func TestPatienceEarlyStopWorkersBitIdentical(t *testing.T) {
 		cfg.Patience = 3
 		cfg.Workers = workers
 		cfg.SerialCostFloor = -1
-		out, err := Explore(sc, Full, cfg)
+		out, err := Explore(context.Background(), sc, Full, cfg)
 		if err != nil {
-			t.Fatalf("Explore(workers=%d): %v", workers, err)
+			t.Fatalf("Explore(context.Background(), workers=%d): %v", workers, err)
 		}
 		out.Workers = 0
 		return out

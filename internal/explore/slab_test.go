@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -39,7 +40,7 @@ func poisonedSlab() *slab {
 // panics with a message that names the release instead of reading
 // storage another search may be reusing.
 func TestEvaluatorReleaseContract(t *testing.T) {
-	e, err := newSearchEvaluator(Scenario{Workload: dnn.HAR(), Platform: Accel, Objective: LatSP})
+	e, err := newSearchEvaluator(context.Background(), Scenario{Workload: dnn.HAR(), Platform: Accel, Objective: LatSP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestSlabSetsNeverReachWarmTier(t *testing.T) {
 			t.Fatalf("NewEvaluator: slab %v, err %v", err == nil && e.slab != nil, err)
 		}
 		sc.Warm = warm
-		e, err := newSearchEvaluator(sc)
+		e, err := newSearchEvaluator(context.Background(), sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +96,7 @@ func TestSlabSetsNeverReachWarmTier(t *testing.T) {
 			t.Fatal("a search evaluator with a warm tier has a slab")
 		}
 		e.release()
-		if _, err := Explore(sc, Full, smallGA(3)); err != nil {
+		if _, err := Explore(context.Background(), sc, Full, smallGA(3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,7 +129,7 @@ func TestSlabConcurrentSearchHammer(t *testing.T) {
 		cfg.Generations = gens
 		cfg.Workers = workers
 		cfg.SerialCostFloor = -1
-		return Explore(sc, Full, cfg)
+		return Explore(context.Background(), sc, Full, cfg)
 	}
 	const shortGens, longGens = 4, 40
 	wantShort, err := run(short, shortGens, 1)

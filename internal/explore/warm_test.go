@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -48,9 +49,9 @@ func TestWarmColdWorkersBitIdentical(t *testing.T) {
 		cfg := smallGA(11)
 		cfg.Workers = workers
 		cfg.SerialCostFloor = -1
-		out, err := Explore(sc, Full, cfg)
+		out, err := Explore(context.Background(), sc, Full, cfg)
 		if err != nil {
-			t.Fatalf("Explore(workers=%d, warm=%v): %v", workers, warm != nil, err)
+			t.Fatalf("Explore(context.Background(), workers=%d, warm=%v): %v", workers, warm != nil, err)
 		}
 		return out
 	}
@@ -88,7 +89,7 @@ func TestWarmTierConcurrentSearches(t *testing.T) {
 	sc := Scenario{Workload: dnn.HAR(), Platform: Accel, Objective: LatSP, Arch: &tpu}
 	cfg := smallGA(11)
 	cfg.SerialCostFloor = -1
-	cold, err := Explore(sc, Full, cfg)
+	cold, err := Explore(context.Background(), sc, Full, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestWarmTierConcurrentSearches(t *testing.T) {
 			defer wg.Done()
 			wsc := sc
 			wsc.Warm = warm
-			outs[i], errs[i] = Explore(wsc, Full, cfg)
+			outs[i], errs[i] = Explore(context.Background(), wsc, Full, cfg)
 		}(i)
 	}
 	wg.Wait()

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"sort"
@@ -75,6 +76,26 @@ func NewTrace(capacity int) *Trace {
 		capacity = DefaultTraceEvents
 	}
 	return &Trace{anchor: time.Now(), ring: make([]event, 0, capacity)}
+}
+
+// traceKey is the context key WithTrace stores a tracer under.
+type traceKey struct{}
+
+// WithTrace returns a copy of ctx that carries tr, the way a run hands
+// its tracer down through every layer that records spans. A nil tr
+// returns ctx unchanged.
+func WithTrace(ctx context.Context, tr *Trace) context.Context {
+	if tr == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, traceKey{}, tr)
+}
+
+// TraceFrom returns the tracer ctx carries, or nil — which, like every
+// *Trace, is safe to record into.
+func TraceFrom(ctx context.Context) *Trace {
+	tr, _ := ctx.Value(traceKey{}).(*Trace)
+	return tr
 }
 
 // now returns microseconds since the tracer's creation.

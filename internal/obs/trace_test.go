@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -44,6 +45,26 @@ func TestNilTraceIsSafe(t *testing.T) {
 	}
 	if len(out.TraceEvents) != 0 {
 		t.Fatalf("nil trace exported %d events", len(out.TraceEvents))
+	}
+}
+
+// TestTraceContextRoundTrip checks that a tracer attached with
+// WithTrace comes back from TraceFrom, including through a derived
+// context, and that the absent cases (no tracer, nil tracer) read as a
+// nil tracer.
+func TestTraceContextRoundTrip(t *testing.T) {
+	tr := NewTrace(8)
+	ctx, cancel := context.WithCancel(WithTrace(context.Background(), tr))
+	defer cancel()
+	if got := TraceFrom(ctx); got != tr {
+		t.Fatalf("TraceFrom = %p, want %p", got, tr)
+	}
+	if got := TraceFrom(context.Background()); got != nil {
+		t.Fatalf("TraceFrom(background) = %p, want nil", got)
+	}
+	bg := context.Background()
+	if WithTrace(bg, nil) != bg {
+		t.Fatal("WithTrace(ctx, nil) should return ctx unchanged")
 	}
 }
 

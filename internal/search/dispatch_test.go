@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"sync"
@@ -15,7 +16,7 @@ func TestForEachIndexCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 64, 257} {
 		for _, workers := range []int{1, 2, 4, 8, 300} {
 			var visits sync.Map
-			forEachIndex(n, workers, nil, func(i int) {
+			forEachIndex(n, workers, func(i int) {
 				if c, loaded := visits.LoadOrStore(i, 1); loaded {
 					visits.Store(i, c.(int)+1)
 				}
@@ -46,7 +47,7 @@ func TestForEachIndexWorkerSlots(t *testing.T) {
 	const n, workers = 100, 4
 	var runs [n]atomic.Int32
 	var active, peak atomic.Int64
-	forEachIndex(n, workers, nil, func(i int) {
+	forEachIndex(n, workers, func(i int) {
 		a := active.Add(1)
 		for {
 			cur := peak.Load()
@@ -90,7 +91,7 @@ func TestEvalContextIndexDeterministic(t *testing.T) {
 		cfg.Population = 12
 		cfg.Generations = 4
 		cfg.Workers = workers
-		if _, err := RunGA(p, cfg); err != nil {
+		if _, err := RunGA(context.Background(), p, cfg); err != nil {
 			t.Fatal(err)
 		}
 		return got
@@ -117,7 +118,7 @@ func TestRunGAWorkersBitIdentical(t *testing.T) {
 		cfg.Population = 16
 		cfg.Generations = 8
 		cfg.Workers = workers
-		res, err := RunGA(sphere, cfg)
+		res, err := RunGA(context.Background(), sphere, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +160,7 @@ func TestRunNSGA2WorkersBitIdentical(t *testing.T) {
 		cfg.Population = 20
 		cfg.Generations = 6
 		cfg.Workers = workers
-		front, _, err := RunNSGA2(p, cfg)
+		front, _, err := RunNSGA2(context.Background(), p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +220,7 @@ func BenchmarkBatchDispatch(b *testing.B) {
 	sink := make([]float64, n)
 	b.Run("chunked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			forEachIndex(n, workers, nil, func(i int) { sink[i] = busyEval(i) })
+			forEachIndex(n, workers, func(i int) { sink[i] = busyEval(i) })
 		}
 	})
 	b.Run("channel", func(b *testing.B) {

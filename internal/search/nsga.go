@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -78,10 +79,10 @@ type NSGAStats struct {
 // The hypervolume indicator uses cfg.HVRef when set; otherwise the
 // reference point freezes at 1.1× the finite objective maxima of the
 // first generation with a feasible member (deterministic: the early
-// population depends only on the seed). cfg.Stop is polled once per
-// generation; cfg.Progress and cfg.OnQuality fire per generation with
-// the scalarized (f1·f2) population best and the quality record.
-func RunNSGA2(p BiProblem, cfg GAConfig) ([]FrontPoint, NSGAStats, error) {
+// population depends only on the seed). ctx is checked once per
+// generation, as in RunGA; cfg.OnQuality fires per generation with the
+// quality record, whose Best is the scalarized (f1·f2) population best.
+func RunNSGA2(ctx context.Context, p BiProblem, cfg GAConfig) ([]FrontPoint, NSGAStats, error) {
 	var stats NSGAStats
 	if err := p.Validate(); err != nil {
 		return nil, stats, err
@@ -97,7 +98,7 @@ func RunNSGA2(p BiProblem, cfg GAConfig) ([]FrontPoint, NSGAStats, error) {
 	// RunGA).
 	evalBatch := func(batch []nsgaIndividual) {
 		base := stats.Evals
-		forEachIndex(len(batch), cfg.Workers, cfg.Labels, func(i int) {
+		forEachIndex(len(batch), cfg.Workers, func(i int) {
 			batch[i].f1, batch[i].f2 = eval(EvalContext{Index: base + i}, batch[i].genome)
 		})
 		stats.Evals += len(batch)
@@ -116,7 +117,7 @@ func RunNSGA2(p BiProblem, cfg GAConfig) ([]FrontPoint, NSGAStats, error) {
 	stopper := newPlateau(cfg.Patience, cfg.PlateauTol)
 
 	for gen := 0; gen < cfg.Generations; gen++ {
-		if cfg.Stop != nil && cfg.Stop() {
+		if ctx.Err() != nil {
 			break
 		}
 		// Offspring.
@@ -161,9 +162,6 @@ func RunNSGA2(p BiProblem, cfg GAConfig) ([]FrontPoint, NSGAStats, error) {
 		q.Stagnation, stop = stopper.observe(-q.Hypervolume)
 		stats.History = append(stats.History, q.Hypervolume)
 		stats.Quality = append(stats.Quality, q)
-		if cfg.Progress != nil {
-			cfg.Progress(gen+1, stats.Evals, q.Best)
-		}
 		if cfg.OnQuality != nil {
 			cfg.OnQuality(q)
 		}

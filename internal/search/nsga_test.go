@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -21,21 +22,21 @@ func nsgaCfg(seed int64) GAConfig {
 }
 
 func TestNSGA2Validation(t *testing.T) {
-	if _, _, err := RunNSGA2(BiProblem{Dim: 0, Eval: schaffer}, nsgaCfg(1)); err == nil {
+	if _, _, err := RunNSGA2(context.Background(), BiProblem{Dim: 0, Eval: schaffer}, nsgaCfg(1)); err == nil {
 		t.Error("zero dim should fail")
 	}
-	if _, _, err := RunNSGA2(BiProblem{Dim: 1}, nsgaCfg(1)); err == nil {
+	if _, _, err := RunNSGA2(context.Background(), BiProblem{Dim: 1}, nsgaCfg(1)); err == nil {
 		t.Error("nil eval should fail")
 	}
 	bad := nsgaCfg(1)
 	bad.Population = 1
-	if _, _, err := RunNSGA2(BiProblem{Dim: 1, Eval: schaffer}, bad); err == nil {
+	if _, _, err := RunNSGA2(context.Background(), BiProblem{Dim: 1, Eval: schaffer}, bad); err == nil {
 		t.Error("bad GA config should fail")
 	}
 }
 
 func TestNSGA2FindsSchafferFront(t *testing.T) {
-	front, stats, err := RunNSGA2(BiProblem{Dim: 1, Eval: schaffer}, nsgaCfg(42))
+	front, stats, err := RunNSGA2(context.Background(), BiProblem{Dim: 1, Eval: schaffer}, nsgaCfg(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +81,11 @@ func TestNSGA2FindsSchafferFront(t *testing.T) {
 }
 
 func TestNSGA2Deterministic(t *testing.T) {
-	a, _, err := RunNSGA2(BiProblem{Dim: 1, Eval: schaffer}, nsgaCfg(7))
+	a, _, err := RunNSGA2(context.Background(), BiProblem{Dim: 1, Eval: schaffer}, nsgaCfg(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := RunNSGA2(BiProblem{Dim: 1, Eval: schaffer}, nsgaCfg(7))
+	b, _, err := RunNSGA2(context.Background(), BiProblem{Dim: 1, Eval: schaffer}, nsgaCfg(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestNSGA2HandlesInfeasibleRegions(t *testing.T) {
 		}
 		return schaffer([]float64{(g[0] - 0.5) * 2})
 	}
-	front, _, err := RunNSGA2(BiProblem{Dim: 1, Eval: eval}, nsgaCfg(3))
+	front, _, err := RunNSGA2(context.Background(), BiProblem{Dim: 1, Eval: eval}, nsgaCfg(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestNSGA2HandlesInfeasibleRegions(t *testing.T) {
 func TestNSGA2BeatsRandomScanHypervolume(t *testing.T) {
 	// At equal evaluation budgets the NSGA-II front should dominate at
 	// least as much objective space as a random scan's front.
-	front, stats, err := RunNSGA2(BiProblem{Dim: 1, Eval: schaffer}, nsgaCfg(9))
+	front, stats, err := RunNSGA2(context.Background(), BiProblem{Dim: 1, Eval: schaffer}, nsgaCfg(9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -158,7 +159,7 @@ func TestRunGAQualityAndPatience(t *testing.T) {
 	cfg := DefaultGA(5)
 	cfg.Population = 16
 	cfg.Generations = 60
-	full, err := RunGA(sphere, cfg)
+	full, err := RunGA(context.Background(), sphere, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestRunGAQualityAndPatience(t *testing.T) {
 	cfg.Patience = 4
 	var seen []GenQuality
 	cfg.OnQuality = func(q GenQuality) { seen = append(seen, q) }
-	early, err := RunGA(sphere, cfg)
+	early, err := RunGA(context.Background(), sphere, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestNSGA2PatienceStopsOnHypervolumePlateau(t *testing.T) {
 	run := func(workers int) ([]FrontPoint, NSGAStats) {
 		c := cfg
 		c.Workers = workers
-		front, stats, err := RunNSGA2(BiProblem{Dim: 1, Eval: schaffer}, c)
+		front, stats, err := RunNSGA2(context.Background(), BiProblem{Dim: 1, Eval: schaffer}, c)
 		if err != nil {
 			t.Fatal(err)
 		}

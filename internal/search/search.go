@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime/pprof"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -122,16 +121,6 @@ type GAConfig struct {
 	// <= 0 disables the floor. Never changes results, only wall-clock:
 	// worker count is invisible to the search trajectory by design.
 	SerialCostFloor time.Duration
-	// Progress, when non-nil, is called by RunGA after every generation
-	// with the 1-based generation index, the cumulative evaluation count
-	// and the best objective value so far. It runs on the search
-	// goroutine, so implementations must be fast and must not call back
-	// into the optimizer.
-	Progress func(gen, evals int, best float64)
-	// Stop, when non-nil, is polled once per generation; returning true
-	// ends the search early with the best individual found so far (used
-	// for context cancellation and deadlines by serving layers).
-	Stop func() bool
 	// Patience, when > 0, enables the plateau early-stop policy: the run
 	// ends after Patience consecutive generations whose relative
 	// improvement of the best objective (dominated hypervolume for
@@ -152,19 +141,10 @@ type GAConfig struct {
 	// seed. Ignored by the scalar GA.
 	HVRef [2]float64
 	// OnQuality, when non-nil, receives each generation's GenQuality
-	// record right after it is computed, on the search goroutine (same
-	// rules as Progress: fast, no re-entry). Observational only.
+	// record right after it is computed, on the search goroutine. It is
+	// the run's only per-generation hook: implementations must be fast
+	// and must not call back into the optimizer. Observational only.
 	OnQuality func(q GenQuality)
-	// Trace, when non-nil, records one span per generation (with the
-	// cumulative evaluation count and best objective as attributes) plus
-	// a run-level span. Nil disables tracing at zero cost.
-	Trace *obs.Trace
-	// Labels, when non-nil, is a context carrying runtime/pprof labels
-	// (built with pprof.WithLabels); every evaluation worker goroutine
-	// adopts them, so CPU profiles attribute objective work to the
-	// owning job and phase instead of anonymous search workers. Like
-	// Trace it is observational only — it never affects results.
-	Labels context.Context
 }
 
 // DefaultGA returns a reasonable configuration for the AuT design
@@ -214,7 +194,14 @@ type individual struct {
 
 // RunGA minimizes the problem with a (μ+λ)-style generational GA using
 // tournament selection, uniform crossover and Gaussian mutation.
-func RunGA(p Problem, cfg GAConfig) (Result, error) {
+//
+// ctx is checked once per generation, before the generation runs: a
+// cancelled run ends early with the best individual found so far and a
+// nil error. A trace attached with obs.WithTrace records one span per
+// generation (with the cumulative evaluation count and best objective
+// as attributes) plus a run-level span. Evaluation workers inherit the
+// caller's pprof labels.
+func RunGA(ctx context.Context, p Problem, cfg GAConfig) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -253,7 +240,7 @@ func RunGA(p Problem, cfg GAConfig) (Result, error) {
 			// overstate the steady-state cost.
 			for i := 0; i < 2; i++ {
 				start := time.Now()
-				evaluateBatch(p, base, rest[:1], 1, cfg.Labels)
+				evaluateBatch(p, base, rest[:1], 1)
 				if d := time.Since(start); costEst < 0 || d < costEst {
 					costEst = d
 				}
@@ -265,7 +252,7 @@ func RunGA(p Problem, cfg GAConfig) (Result, error) {
 			workers = 1
 		}
 		start := time.Now()
-		evaluateBatch(p, base, rest, workers, cfg.Labels)
+		evaluateBatch(p, base, rest, workers)
 		if n := len(rest); n > 0 && cfg.SerialCostFloor > 0 {
 			per := time.Since(start) / time.Duration(n)
 			if workers > 1 {
@@ -276,9 +263,10 @@ func RunGA(p Problem, cfg GAConfig) (Result, error) {
 		record(batch)
 	}
 
+	tr := obs.TraceFrom(ctx)
 	var runSpan *obs.Span
-	if cfg.Trace != nil {
-		runSpan = cfg.Trace.Start("search", "ga-run",
+	if tr != nil {
+		runSpan = tr.Start("search", "ga-run",
 			obs.A("population", cfg.Population), obs.A("generations", cfg.Generations),
 			obs.A("dim", p.Dim), obs.A("seed", cfg.Seed))
 	}
@@ -297,12 +285,12 @@ func RunGA(p Problem, cfg GAConfig) (Result, error) {
 	stopper := newPlateau(cfg.Patience, cfg.PlateauTol)
 
 	for gen := 0; gen < cfg.Generations; gen++ {
-		if cfg.Stop != nil && cfg.Stop() {
+		if ctx.Err() != nil {
 			break
 		}
 		var genSpan *obs.Span
-		if cfg.Trace != nil {
-			genSpan = cfg.Trace.Start("search", fmt.Sprintf("generation %d", gen+1))
+		if tr != nil {
+			genSpan = tr.Start("search", fmt.Sprintf("generation %d", gen+1))
 		}
 		next := make([]individual, 0, cfg.Population)
 		// Elitism (already evaluated).
@@ -333,9 +321,6 @@ func RunGA(p Problem, cfg GAConfig) (Result, error) {
 		if genSpan != nil {
 			genSpan.End(obs.A("evals", res.Evals), obs.A("best", pop[0].value))
 		}
-		if cfg.Progress != nil {
-			cfg.Progress(gen+1, res.Evals, pop[0].value)
-		}
 		if cfg.OnQuality != nil {
 			cfg.OnQuality(q)
 		}
@@ -357,9 +342,9 @@ func RunGA(p Problem, cfg GAConfig) (Result, error) {
 // workers. base is the global ordinal of batch[0] (the run's cumulative
 // evaluation count before this batch), so batch[i] evaluates as
 // EvalContext{Index: base+i} regardless of worker count.
-func evaluateBatch(p Problem, base int, batch []individual, workers int, labels context.Context) {
+func evaluateBatch(p Problem, base int, batch []individual, workers int) {
 	eval := p.evalFn()
-	forEachIndex(len(batch), workers, labels, func(i int) {
+	forEachIndex(len(batch), workers, func(i int) {
 		batch[i].value = eval(EvalContext{Index: base + i}, batch[i].genome)
 	})
 }
@@ -382,13 +367,10 @@ func dispatchChunk(n, workers int) int {
 // element and dominated cheap objectives; claiming chunks amortizes the
 // synchronization to a few atomic adds per worker (see
 // BenchmarkBatchDispatch). workers <= 1 (or n < 2) degenerates to a
-// plain serial loop on the caller's goroutine.
-//
-// labels, when non-nil, is a context carrying runtime/pprof labels;
-// each spawned worker adopts them so profiles attribute the work. The
-// serial path leaves the caller's goroutine labels untouched (the
-// caller already carries its own).
-func forEachIndex(n, workers int, labels context.Context, fn func(i int)) {
+// plain serial loop on the caller's goroutine. Spawned workers inherit
+// the caller's pprof labels, so profiles attribute their work to
+// whatever job and phase the caller is tagged with.
+func forEachIndex(n, workers int, fn func(i int)) {
 	if workers <= 1 || n < 2 {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -405,9 +387,6 @@ func forEachIndex(n, workers int, labels context.Context, fn func(i int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if labels != nil {
-				pprof.SetGoroutineLabels(labels)
-			}
 			for {
 				end := int(next.Add(int64(chunk)))
 				start := end - chunk
@@ -451,7 +430,7 @@ func RunRandomWorkers(p Problem, n int, seed int64, keepVisited bool, workers in
 	}
 	values := make([]float64, n)
 	eval := p.evalFn()
-	forEachIndex(n, workers, nil, func(i int) {
+	forEachIndex(n, workers, func(i int) {
 		values[i] = eval(EvalContext{Index: i}, genomes[i])
 	})
 

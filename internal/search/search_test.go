@@ -1,7 +1,9 @@
 package search
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -55,7 +57,7 @@ func TestGAConfigValidate(t *testing.T) {
 
 func TestGAFindsSphereMinimum(t *testing.T) {
 	p := Problem{Dim: 4, Eval: sphere}
-	res, err := RunGA(p, DefaultGA(42))
+	res, err := RunGA(context.Background(), p, DefaultGA(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,18 +74,18 @@ func TestGAFindsSphereMinimum(t *testing.T) {
 
 func TestGADeterministicPerSeed(t *testing.T) {
 	p := Problem{Dim: 3, Eval: sphere}
-	a, err := RunGA(p, DefaultGA(7))
+	a, err := RunGA(context.Background(), p, DefaultGA(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunGA(p, DefaultGA(7))
+	b, err := RunGA(context.Background(), p, DefaultGA(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.BestValue != b.BestValue {
 		t.Fatal("same seed must reproduce the same result")
 	}
-	c, err := RunGA(p, DefaultGA(8))
+	c, err := RunGA(context.Background(), p, DefaultGA(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func equal(a, b []float64) bool {
 func TestGAHistoryMonotone(t *testing.T) {
 	// With elitism the best-so-far never regresses.
 	p := Problem{Dim: 5, Eval: sphere}
-	res, err := RunGA(p, DefaultGA(3))
+	res, err := RunGA(context.Background(), p, DefaultGA(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestGAHandlesInfeasible(t *testing.T) {
 		}
 		return sphere(g)
 	}
-	res, err := RunGA(Problem{Dim: 2, Eval: eval}, DefaultGA(11))
+	res, err := RunGA(context.Background(), Problem{Dim: 2, Eval: eval}, DefaultGA(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +143,7 @@ func TestGAHandlesInfeasible(t *testing.T) {
 func TestGAKeepVisited(t *testing.T) {
 	cfg := DefaultGA(5)
 	cfg.KeepVisited = true
-	res, err := RunGA(Problem{Dim: 2, Eval: sphere}, cfg)
+	res, err := RunGA(context.Background(), Problem{Dim: 2, Eval: sphere}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +161,7 @@ func TestGABeatsRandomOnBudget(t *testing.T) {
 		return 100*(y-x*x)*(y-x*x) + (1-x)*(1-x)
 	}
 	p := Problem{Dim: 2, Eval: rosen}
-	ga, err := RunGA(p, DefaultGA(21))
+	ga, err := RunGA(context.Background(), p, DefaultGA(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,62 +174,141 @@ func TestGABeatsRandomOnBudget(t *testing.T) {
 	}
 }
 
+// progress is the (Gen, Evals, Best) slice of a GenQuality record —
+// the triple the per-generation progress hook of the serving and
+// facade layers reads.
+type progress struct {
+	gen, evals int
+	best       float64
+}
+
+func progressOf(qs []GenQuality) []progress {
+	out := make([]progress, len(qs))
+	for i, q := range qs {
+		out[i] = progress{q.Gen, q.Evals, q.Best}
+	}
+	return out
+}
+
+func infeasible(g []float64) float64 { return math.Inf(1) }
+
+// TestGAProgressCallback checks that the OnQuality stream carries, per
+// generation, exactly the (Gen, Evals, Best) progress triple the
+// optimizers report elsewhere — for the GA the 1-based generation, the
+// cumulative evaluation count and the population's best value (its
+// History entry), for NSGA-II the scalarized best of its Quality record
+// — both while the best is finite and while nothing is feasible (+Inf).
 func TestGAProgressCallback(t *testing.T) {
 	cfg := DefaultGA(1)
 	cfg.Population = 10
 	cfg.Generations = 5
-	var gens, lastEvals []int
-	var bests []float64
-	cfg.Progress = func(gen, evals int, best float64) {
-		gens = append(gens, gen)
-		lastEvals = append(lastEvals, evals)
-		bests = append(bests, best)
+	for _, tc := range []struct {
+		name string
+		eval func([]float64) float64
+	}{{"finite", sphere}, {"infeasible", infeasible}} {
+		t.Run("ga/"+tc.name, func(t *testing.T) {
+			c := cfg
+			var seen []GenQuality
+			c.OnQuality = func(q GenQuality) { seen = append(seen, q) }
+			res, err := RunGA(context.Background(), Problem{Dim: 3, Eval: tc.eval}, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]progress, c.Generations)
+			for i := range want {
+				want[i] = progress{i + 1, c.Population + (i+1)*(c.Population-c.Elite), res.History[i]}
+			}
+			if got := progressOf(seen); !reflect.DeepEqual(got, want) {
+				t.Fatalf("OnQuality progress = %v, want %v", got, want)
+			}
+			if last := seen[len(seen)-1]; last.Evals != res.Evals || last.Best != res.BestValue {
+				t.Fatalf("final record %+v disagrees with result evals %d best %g", last, res.Evals, res.BestValue)
+			}
+			if math.IsInf(res.BestValue, 1) != (tc.name == "infeasible") {
+				t.Fatalf("best %g under a %s objective", res.BestValue, tc.name)
+			}
+		})
 	}
-	res, err := RunGA(Problem{Dim: 3, Eval: sphere}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gens) != cfg.Generations {
-		t.Fatalf("progress called %d times, want %d", len(gens), cfg.Generations)
-	}
-	for i, g := range gens {
-		if g != i+1 {
-			t.Fatalf("gens = %v, want 1..%d", gens, cfg.Generations)
-		}
-		if i > 0 && lastEvals[i] <= lastEvals[i-1] {
-			t.Fatalf("evals not increasing: %v", lastEvals)
-		}
-		if i > 0 && bests[i] > bests[i-1] {
-			t.Fatalf("best not monotone: %v", bests)
-		}
-	}
-	if lastEvals[len(lastEvals)-1] != res.Evals {
-		t.Fatalf("final progress evals %d != result evals %d", lastEvals[len(lastEvals)-1], res.Evals)
-	}
-	if bests[len(bests)-1] != res.BestValue {
-		t.Fatalf("final progress best %g != result best %g", bests[len(bests)-1], res.BestValue)
+	for _, tc := range []struct {
+		name string
+		eval func([]float64) (float64, float64)
+	}{{"finite", schaffer}, {"infeasible", func([]float64) (float64, float64) { return math.Inf(1), math.Inf(1) }}} {
+		t.Run("nsga/"+tc.name, func(t *testing.T) {
+			c := cfg
+			var seen []GenQuality
+			c.OnQuality = func(q GenQuality) { seen = append(seen, q) }
+			_, stats, err := RunNSGA2(context.Background(), BiProblem{Dim: 1, Eval: tc.eval}, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]progress, c.Generations)
+			for i := range want {
+				want[i] = progress{i + 1, (i + 2) * c.Population, stats.Quality[i].Best}
+				if math.IsInf(want[i].best, 1) != (tc.name == "infeasible") {
+					t.Fatalf("generation %d best %g under a %s objective", i+1, want[i].best, tc.name)
+				}
+			}
+			if got := progressOf(seen); !reflect.DeepEqual(got, want) {
+				t.Fatalf("OnQuality progress = %v, want %v", got, want)
+			}
+		})
 	}
 }
 
+// TestGAStopEndsSearchEarly checks ctx cancellation for both
+// optimizers: cancelling ends the run before the next generation with
+// the best found so far and a nil error, and an already-cancelled ctx
+// runs no generation past the initial population.
 func TestGAStopEndsSearchEarly(t *testing.T) {
 	cfg := DefaultGA(1)
 	cfg.Population = 10
 	cfg.Generations = 1000
-	calls := 0
-	cfg.Progress = func(int, int, float64) { calls++ }
-	cfg.Stop = func() bool { return calls >= 3 }
-	res, err := RunGA(Problem{Dim: 3, Eval: sphere}, cfg)
-	if err != nil {
-		t.Fatal(err)
+	run := func(t *testing.T, nsga bool, cancelAfter int) (gens, evals int, best float64) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		if cancelAfter == 0 {
+			cancel()
+		}
+		c := cfg
+		c.OnQuality = func(GenQuality) {
+			if gens++; gens == cancelAfter {
+				cancel()
+			}
+		}
+		if nsga {
+			front, stats, err := RunNSGA2(ctx, BiProblem{Dim: 1, Eval: schaffer}, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(front) == 0 {
+				t.Fatal("cancelled NSGA-II run must still return its front")
+			}
+			return gens, stats.Evals, front[0].F1
+		}
+		res, err := RunGA(ctx, Problem{Dim: 3, Eval: sphere}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Best) != 3 || math.IsInf(res.BestValue, 1) || len(res.History) != gens {
+			t.Fatalf("cancelled search must still return the best so far: %+v", res)
+		}
+		return gens, res.Evals, res.BestValue
 	}
-	if calls != 3 {
-		t.Fatalf("ran %d generations after stop, want 3", calls)
-	}
-	if len(res.Best) != 3 || math.IsInf(res.BestValue, 1) {
-		t.Fatalf("stopped search must still return the best so far: %+v", res)
-	}
-	if res.Evals >= 10*1000 {
-		t.Fatal("stop did not shorten the search")
+	for _, name := range []string{"ga", "nsga"} {
+		nsga := name == "nsga"
+		t.Run(name, func(t *testing.T) {
+			gens, evals, _ := run(t, nsga, 3)
+			if gens != 3 {
+				t.Fatalf("ran %d generations, want 3", gens)
+			}
+			if evals >= cfg.Population*cfg.Generations {
+				t.Fatal("cancel did not shorten the search")
+			}
+			if gens, evals, best := run(t, nsga, 0); gens != 0 || evals != cfg.Population || math.IsInf(best, 1) {
+				t.Fatalf("pre-cancelled run: %d generations, %d evals, best %g; want 0, %d, finite",
+					gens, evals, best, cfg.Population)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -75,7 +76,7 @@ func (s Stats) String() string {
 
 // RunRepeatedGA runs the GA across n seeds and summarizes the best
 // values; it also returns the overall best result.
-func RunRepeatedGA(p Problem, cfg GAConfig, n int) (Stats, Result, error) {
+func RunRepeatedGA(ctx context.Context, p Problem, cfg GAConfig, n int) (Stats, Result, error) {
 	if n < 1 {
 		return Stats{}, Result{}, fmt.Errorf("search: need at least 1 repetition, got %d", n)
 	}
@@ -85,7 +86,7 @@ func RunRepeatedGA(p Problem, cfg GAConfig, n int) (Stats, Result, error) {
 	for i := 0; i < n; i++ {
 		c := cfg
 		c.Seed = cfg.Seed + int64(i)*7919
-		res, err := RunGA(p, c)
+		res, err := RunGA(ctx, p, c)
 		if err != nil {
 			return Stats{}, Result{}, err
 		}

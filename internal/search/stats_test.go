@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -55,7 +56,7 @@ func TestRunRepeatedGA(t *testing.T) {
 	cfg := DefaultGA(1)
 	cfg.Population = 10
 	cfg.Generations = 8
-	stats, best, err := RunRepeatedGA(p, cfg, 5)
+	stats, best, err := RunRepeatedGA(context.Background(), p, cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestRunRepeatedGA(t *testing.T) {
 	if stats.Std < 0 {
 		t.Fatal("negative std")
 	}
-	if _, _, err := RunRepeatedGA(p, cfg, 0); err == nil {
+	if _, _, err := RunRepeatedGA(context.Background(), p, cfg, 0); err == nil {
 		t.Fatal("zero repetitions should fail")
 	}
 }
@@ -78,11 +79,11 @@ func TestParallelGADeterministic(t *testing.T) {
 	serial := DefaultGA(11)
 	parallel := DefaultGA(11)
 	parallel.Workers = 4
-	a, err := RunGA(p, serial)
+	a, err := RunGA(context.Background(), p, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunGA(p, parallel)
+	b, err := RunGA(context.Background(), p, parallel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,13 +17,20 @@ import (
 // maxBodyBytes bounds request bodies (inline workloads included).
 const maxBodyBytes = 1 << 20
 
-// writeJSON renders v with the given status code.
+// writeJSON renders v with the given status code. It encodes before
+// it commits the status, so a value encoding/json rejects (a +Inf, say)
+// answers 500 with an error body instead of the promised code with an
+// empty one.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		code = http.StatusInternalServerError
+		// A map of strings always encodes.
+		body, _ = json.MarshalIndent(map[string]string{"error": "encoding response: " + err.Error()}, "", "  ")
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // writeError renders an error payload.

@@ -45,7 +45,9 @@ var (
 	ErrQueueFull = errors.New("serve: job queue full")
 )
 
-// ProgressInfo is the most recent GA telemetry of a running job.
+// ProgressInfo is the most recent GA telemetry of a running job. Best
+// is 0 while no candidate has been feasible (JSON has no +Inf; the
+// matching quality record's feasible count is 0 then).
 type ProgressInfo struct {
 	Gen   int     `json:"gen"`
 	Evals int     `json:"evals"`
@@ -640,8 +642,9 @@ func (m *manager) run(j *job) {
 	j.stream.publish("state", map[string]string{"state": string(JobRunning)})
 
 	// Tag this worker goroutine with the job ID so CPU and goroutine
-	// profiles attribute pipeline work to the job that caused it; the
-	// search inherits the labels (plus its own phase) via the config.
+	// profiles attribute pipeline work to the job that caused it; each
+	// phase below adds its own label, and the search's evaluation
+	// workers inherit this goroutine's labels when they start.
 	lctx := pprof.WithLabels(ctx, pprof.Labels("job", j.id))
 	pprof.SetGoroutineLabels(lctx)
 	defer pprof.SetGoroutineLabels(ctx)
@@ -683,23 +686,18 @@ func (m *manager) run(j *job) {
 
 	spec.Search.Trace = j.trace
 	spec.Search.Warm = m.warm
-	spec.Search.Labels = pprof.WithLabels(lctx, pprof.Labels("phase", "search"))
-	spec.Search.Progress = func(gen, evals int, best float64) {
-		p := ProgressInfo{Gen: gen, Evals: evals, Best: best}
+	spec.Search.OnQuality = func(q search.GenQuality) {
+		// Sanitize before storing: the progress snapshot and the record
+		// ride SSE, job polls and the convergence endpoint, all of which
+		// marshal with encoding/json (which rejects the +Inf an
+		// all-infeasible generation carries).
+		sq := q.SanitizeJSON()
+		p := ProgressInfo{Gen: sq.Gen, Evals: sq.Evals, Best: sq.Best}
 		j.mu.Lock()
 		j.progress = &p
-		j.mu.Unlock()
-		j.stream.publish("progress", p)
-	}
-	spec.Search.Stop = func() bool { return ctx.Err() != nil }
-	spec.Search.OnQuality = func(q search.GenQuality) {
-		// Sanitize before storing: the record rides SSE and the
-		// convergence endpoint, both of which marshal with encoding/json
-		// (which rejects the +Inf an all-infeasible generation carries).
-		sq := q.SanitizeJSON()
-		j.mu.Lock()
 		j.quality = append(j.quality, sq)
 		j.mu.Unlock()
+		j.stream.publish("progress", p)
 		j.stream.publish("quality", sq)
 		m.met.searchGenerations.Inc()
 		if q.Stagnation > 0 {
@@ -708,8 +706,9 @@ func (m *manager) run(j *job) {
 	}
 
 	m.met.evaluations.Inc()
+	pprof.SetGoroutineLabels(pprof.WithLabels(lctx, pprof.Labels("phase", "search")))
 	searchStart := time.Now()
-	res, err := core.RunBaseline(spec, j.js.baseline)
+	res, err := core.RunBaseline(ctx, spec, j.js.baseline)
 	m.addPhase(j, "search", searchStart, time.Now(), obs.A("workers", workers))
 	// The search is over: hand the extra slots back before the (serial)
 	// verify replay so queued jobs can fan out while this one replays.

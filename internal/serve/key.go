@@ -92,9 +92,10 @@ type jobSpec struct {
 
 // keyPayload is the canonical identity of a design request: every field
 // that changes the search outcome, in a fixed order, with defaults
-// already applied. Callback fields (Progress/Stop) and SearchWorkers
-// are deliberately absent — they never alter the result (the search is
-// bit-identical for any worker count).
+// already applied. The search's observation hooks (Progress,
+// OnQuality), its trace and warm tier, its cancellation (the job ctx)
+// and SearchWorkers are deliberately absent — they never alter the
+// result (the search is bit-identical for any worker count).
 type keyPayload struct {
 	Workload   string  `json:"workload"`
 	Platform   string  `json:"platform"`

@@ -116,8 +116,7 @@ type traceResponse struct {
 
 // TestTraceEndpoint completes a verify job and asserts its trace export
 // is Perfetto-loadable JSON containing the search's per-generation
-// spans and the simulator's power-cycle, tile and checkpoint slices,
-// on both route spellings.
+// spans and the simulator's power-cycle, tile and checkpoint slices.
 func TestTraceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	req := smallJob()
@@ -135,58 +134,57 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatalf("job state %s (%s)", final.State, final.Error)
 	}
 
-	for _, path := range []string{"/v1/designs/" + st.ID + "/trace", "/jobs/" + st.ID + "/trace"} {
-		hresp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hresp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d", path, hresp.StatusCode)
-		}
-		if ct := hresp.Header.Get("Content-Type"); ct != "application/json" {
-			t.Fatalf("GET %s content type %q", path, ct)
-		}
-		var tr traceResponse
-		if err := json.NewDecoder(hresp.Body).Decode(&tr); err != nil {
-			t.Fatalf("GET %s: invalid trace JSON: %v", path, err)
-		}
-		hresp.Body.Close()
-		if len(tr.TraceEvents) == 0 {
-			t.Fatalf("GET %s: empty trace", path)
-		}
+	path := "/v1/designs/" + st.ID + "/trace"
+	hresp, err := http.Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hresp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %d", path, hresp.StatusCode)
+	}
+	if ct := hresp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("GET %s content type %q", path, ct)
+	}
+	var tr traceResponse
+	if err := json.NewDecoder(hresp.Body).Decode(&tr); err != nil {
+		t.Fatalf("GET %s: invalid trace JSON: %v", path, err)
+	}
+	hresp.Body.Close()
+	if len(tr.TraceEvents) == 0 {
+		t.Fatalf("GET %s: empty trace", path)
+	}
 
-		var genSpans, powered, tiles, ckpt int
-		lastTS := -1.0
-		for i, ev := range tr.TraceEvents {
-			if ev.Ph != "M" {
-				if ev.TS < lastTS {
-					t.Fatalf("event %d (%s) out of order", i, ev.Name)
-				}
-				lastTS = ev.TS
+	var genSpans, powered, tiles, ckpt int
+	lastTS := -1.0
+	for i, ev := range tr.TraceEvents {
+		if ev.Ph != "M" {
+			if ev.TS < lastTS {
+				t.Fatalf("event %d (%s) out of order", i, ev.Name)
 			}
-			switch {
-			case strings.HasPrefix(ev.Name, "generation "):
-				genSpans++
-			case ev.Name == "powered":
-				powered++
-			case strings.HasPrefix(ev.Name, "L") && strings.Contains(ev.Name, " tile "):
-				tiles++
-			case ev.Name == "checkpoint" || ev.Name == "resume" || ev.Name == "retry":
-				ckpt++
-			}
+			lastTS = ev.TS
 		}
-		if genSpans == 0 {
-			t.Errorf("GET %s: no search generation spans", path)
+		switch {
+		case strings.HasPrefix(ev.Name, "generation "):
+			genSpans++
+		case ev.Name == "powered":
+			powered++
+		case strings.HasPrefix(ev.Name, "L") && strings.Contains(ev.Name, " tile "):
+			tiles++
+		case ev.Name == "checkpoint" || ev.Name == "resume" || ev.Name == "retry":
+			ckpt++
 		}
-		if powered == 0 {
-			t.Errorf("GET %s: no sim power-cycle slices", path)
-		}
-		if tiles == 0 {
-			t.Errorf("GET %s: no sim tile slices", path)
-		}
-		if ckpt == 0 {
-			t.Errorf("GET %s: no sim checkpoint activity", path)
-		}
+	}
+	if genSpans == 0 {
+		t.Errorf("GET %s: no search generation spans", path)
+	}
+	if powered == 0 {
+		t.Errorf("GET %s: no sim power-cycle slices", path)
+	}
+	if tiles == 0 {
+		t.Errorf("GET %s: no sim tile slices", path)
+	}
+	if ckpt == 0 {
+		t.Errorf("GET %s: no sim checkpoint activity", path)
 	}
 
 	// Unknown jobs are a 404 on the trace route too.

@@ -12,13 +12,12 @@
 //   - GET  /v1/designs/{id}/events  live SSE telemetry (GA generations
 //     and, for verify jobs, step-simulator events)
 //   - GET  /v1/designs/{id}/trace   Chrome trace-event / Perfetto JSON
-//     of the job's pipeline spans (also mounted as /jobs/{id}/trace)
+//     of the job's pipeline spans
 //   - GET  /v1/designs/{id}/waveform  flight-recorder energy waveform
 //     and per-cycle ledgers as JSON (default) or CSV (?format=csv)
-//   - GET  /v1/designs/{id}/timeline  end-to-end job timeline (also
-//     mounted as /jobs/{id}/timeline): admission, queue wait, peer
-//     hop, search, sim replay and WAL journal as ordered phases —
-//     across nodes for delegated jobs
+//   - GET  /v1/designs/{id}/timeline  end-to-end job timeline:
+//     admission, queue wait, peer hop, search, sim replay and WAL
+//     journal as ordered phases — across nodes for delegated jobs
 //   - GET  /v1/designs/{id}/convergence  per-generation search-quality
 //     series (best/mean/median, diversity, stagnation; hypervolume,
 //     front size and spacing for Pareto runs) — live while the job
@@ -196,8 +195,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/designs/{id}/waveform", s.handleWaveform)
 	s.mux.HandleFunc("GET /v1/designs/{id}/timeline", s.handleTimeline)
 	s.mux.HandleFunc("GET /v1/designs/{id}/convergence", s.handleConvergence)
-	s.mux.HandleFunc("GET /jobs/{id}/trace", s.handleTrace)
-	s.mux.HandleFunc("GET /jobs/{id}/timeline", s.handleTimeline)
 	s.mux.HandleFunc("GET /v1/fleet", s.handleFleet)
 	s.mux.HandleFunc("GET /debug/dashboard", s.handleDashboard)
 	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)

@@ -55,7 +55,7 @@ func (m *manager) addPhase(j *job, name string, start, end time.Time, attrs ...o
 	j.mu.Unlock()
 }
 
-// TimelinePhase is one phase of GET /jobs/{id}/timeline.
+// TimelinePhase is one phase of GET /v1/designs/{id}/timeline.
 type TimelinePhase struct {
 	Name string `json:"name"`
 	// Node is the node the phase ran on (delegated phases carry the
@@ -66,7 +66,7 @@ type TimelinePhase struct {
 	Detail      map[string]any `json:"detail,omitempty"`
 }
 
-// Timeline is the wire form of GET /jobs/{id}/timeline: the job's whole
+// Timeline is the wire form of GET /v1/designs/{id}/timeline: the job's whole
 // life as ordered phases, across every node it touched.
 type Timeline struct {
 	ID      string          `json:"id"`

@@ -275,15 +275,6 @@ func TestTimelineEndpoint(t *testing.T) {
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("phase sequence = %v, want %v", got, want)
 	}
-
-	// Both route spellings serve the same timeline.
-	var alias Timeline
-	if code := getJSON(t, ts.URL+"/jobs/"+st.ID+"/timeline", &alias); code != http.StatusOK {
-		t.Fatalf("GET /jobs timeline: %d", code)
-	}
-	if alias.ID != tl.ID || len(alias.Phases) != len(tl.Phases) {
-		t.Errorf("route alias disagrees: %d phases vs %d", len(alias.Phases), len(tl.Phases))
-	}
 }
 
 // TestFleetEndpoint asserts GET /v1/fleet on any node aggregates every
