@@ -64,8 +64,11 @@ examples:
 	$(GO) run ./examples/customharvester
 	$(GO) run ./examples/jsonworkload
 
+# Each target's seed corpus also runs in `go test ./...`.
 fuzz:
-	$(GO) test ./internal/dnn/ -fuzz FuzzParseJSON -fuzztime 30s
+	$(GO) test ./internal/dnn/ -run '^$$' -fuzz FuzzParseJSON -fuzztime 30s
+	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 30s
+	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzOpen -fuzztime 30s
 
 # End-to-end chrysalisd check: boot on a random port, run a design job
 # to completion, assert the resubmission is a cache hit.
@@ -115,7 +118,7 @@ trace-cluster-smoke:
 
 # End-to-end flight-recorder check: a design search with an audited
 # verification replay through the CLI (non-zero exit on any energy-
-# conservation finding), plus the daemon-side waveform/dashboard test.
+# conservation finding), plus the daemon-side audit and waveform test.
 audit-smoke:
 	$(GO) run ./cmd/chrysalis -workload har -budget 100 -audit -waveform-out /tmp/chrysalis-wave.csv >/dev/null
 	$(GO) test ./internal/serve/ -run TestAuditSmoke -v

@@ -18,7 +18,6 @@
 //	curl -s localhost:8080/v1/fleet                    # aggregated cluster view
 //	curl -s 'localhost:8080/v1/designs/j-000001/waveform?format=csv' \
 //	     -o wave.csv                                   # flight recording (verify jobs)
-//	open http://localhost:8080/debug/dashboard         # live flight deck
 //	curl -s localhost:8080/metrics | grep chrysalisd_
 //	go tool pprof localhost:8080/debug/pprof/profile
 //
@@ -73,14 +72,12 @@ func main() {
 		logLevel     = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
 		showVersion  = flag.Bool("version", false, "print version and exit")
 
-		walDir       = flag.String("wal-dir", "", "write-ahead-log directory for a durable job store (empty = in-memory only); queued and running jobs survive a crash and re-run on restart")
-		self         = flag.String("self", "", "this node's base URL as listed in -peers (cluster mode)")
-		peers        = flag.String("peers", "", "comma-separated base URLs of every cluster node including this one (empty = single node); all nodes must pass the same list")
-		clusterTO    = flag.Duration("cluster-timeout", 0, "per-peer-call timeout in cluster mode (0 = 2s)")
-		quota        = flag.Float64("quota", 0, "per-client sustained submissions/sec, keyed on the X-API-Key header (0 = unlimited); over-quota submissions get 429 + Retry-After")
-		quotaBurst   = flag.Int("quota-burst", 0, "per-client burst allowance in submissions (0 = 2x -quota, minimum 1)")
-		sloLatency   = flag.Duration("slo-latency", 0, "job-latency SLO target; jobs finishing within it count as good (0 = 30s)")
-		sloObjective = flag.Float64("slo-objective", 0, "target good-fraction of jobs for the SLO burn-rate gauges (0 = 0.99)")
+		walDir     = flag.String("wal-dir", "", "write-ahead-log directory for a durable job store (empty = in-memory only); queued and running jobs survive a crash and re-run on restart")
+		self       = flag.String("self", "", "this node's base URL as listed in -peers (cluster mode)")
+		peers      = flag.String("peers", "", "comma-separated base URLs of every cluster node including this one (empty = single node); all nodes must pass the same list")
+		clusterTO  = flag.Duration("cluster-timeout", 0, "per-peer-call timeout in cluster mode (0 = 2s)")
+		quota      = flag.Float64("quota", 0, "per-client sustained submissions/sec, keyed on the X-API-Key header (0 = unlimited); over-quota submissions get 429 + Retry-After")
+		quotaBurst = flag.Int("quota-burst", 0, "per-client burst allowance in submissions (0 = 2x -quota, minimum 1)")
 	)
 	queueDepth := flag.Int("max-queue", 64, "maximum queued jobs before submissions are shed with 429 + Retry-After")
 	flag.IntVar(queueDepth, "queue", 64, "alias for -max-queue (kept for compatibility)")
@@ -127,8 +124,6 @@ func main() {
 		ClusterTimeout: *clusterTO,
 		QuotaRPS:       *quota,
 		QuotaBurst:     *quotaBurst,
-		SLOLatency:     *sloLatency,
-		SLOObjective:   *sloObjective,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chrysalisd: %v\n", err)

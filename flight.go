@@ -18,7 +18,7 @@ import (
 // min/max (peaks survive, unlike plain decimation).
 //
 // A recorder is safe to snapshot concurrently while a simulation runs —
-// the pattern behind chrysalisd's live dashboard:
+// the pattern behind chrysalisd's live waveform endpoint:
 //
 //	rec := chrysalis.NewFlightRecorder(0)
 //	run, report, _ := chrysalis.VerifyFlight(spec, res, nil, rec)

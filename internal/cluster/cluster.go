@@ -55,11 +55,6 @@ type Options struct {
 
 // Stats is a point-in-time snapshot of the client's counters.
 type Stats struct {
-	// RemoteHits counts designs served from a peer's result cache.
-	RemoteHits int64
-	// RemoteMisses counts owner probes that missed and turned into
-	// delegated evaluations.
-	RemoteMisses int64
 	// PeerErrors counts failed peer calls (timeouts, refused
 	// connections, non-2xx responses).
 	PeerErrors int64
@@ -76,10 +71,8 @@ type Client struct {
 	http *http.Client
 	now  func() time.Time
 
-	remoteHits   atomic.Int64
-	remoteMisses atomic.Int64
-	peerErrors   atomic.Int64
-	fallbacks    atomic.Int64
+	peerErrors atomic.Int64
+	fallbacks  atomic.Int64
 
 	mu       sync.Mutex
 	breakers map[string]*breaker
@@ -145,10 +138,8 @@ func (c *Client) Self() string { return c.opts.Self }
 // Stats snapshots the counters.
 func (c *Client) Stats() Stats {
 	return Stats{
-		RemoteHits:   c.remoteHits.Load(),
-		RemoteMisses: c.remoteMisses.Load(),
-		PeerErrors:   c.peerErrors.Load(),
-		Fallbacks:    c.fallbacks.Load(),
+		PeerErrors: c.peerErrors.Load(),
+		Fallbacks:  c.fallbacks.Load(),
 	}
 }
 
@@ -372,10 +363,6 @@ func (c *Client) Delegate(ctx context.Context, owner string, req []byte) ([]byte
 func (c *Client) Get(ctx context.Context, peer, path string) ([]byte, int, error) {
 	return c.do(ctx, peer, http.MethodGet, path, nil)
 }
-
-// CountRemoteHit / CountRemoteMiss record delegation outcomes.
-func (c *Client) CountRemoteHit()  { c.remoteHits.Add(1) }
-func (c *Client) CountRemoteMiss() { c.remoteMisses.Add(1) }
 
 // traceparentKey carries a W3C traceparent header value through a
 // context into every peer call made under it.

@@ -284,18 +284,8 @@ func runPareto(ctx context.Context, sc explore.Scenario, b explore.Baseline, cfg
 		return Result{}, fmt.Errorf("core: empty Pareto front for %s/%s: %w",
 			po.Scenario.Workload.Name, po.Scenario.Platform, explore.ErrNoFeasibleDesign)
 	}
-	best := po.Front[0]
-	for _, p := range po.Front[1:] {
-		if p.LatSP < best.LatSP {
-			best = p
-		}
-	}
-	ev, err := explore.EvaluateCandidate(po.Scenario, best.Candidate)
-	if err != nil {
-		return Result{}, err
-	}
 	r := assemble(explore.Outcome{
-		Scenario: po.Scenario, Baseline: b, Best: ev, Value: ev.LatSP,
+		Scenario: po.Scenario, Baseline: b, Best: po.Best, Value: po.Best.LatSP,
 		Evals: po.Evals, Workers: po.Workers,
 		CacheHits: po.CacheHits, CacheMisses: po.CacheMisses, WarmHits: po.WarmHits,
 		History: po.History, Quality: po.Quality, StoppedEarly: po.StoppedEarly,

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"chrysalis/internal/explore"
+	"chrysalis/internal/obs"
 	"chrysalis/internal/search"
 	"chrysalis/internal/units"
 )
@@ -403,5 +404,85 @@ func TestProgressMatchesOnQuality(t *testing.T) {
 				t.Fatalf("final best %g, want +Inf = %v", last, tc.inf)
 			}
 		})
+	}
+}
+
+// TestParetoHeadlineEvaluatedOnce pins how an NSGA run materializes its
+// headline design: through the search's own evaluator, so a traced
+// MSP/har run records one "ladder-build" span per hardware fingerprint
+// and one traced "full-evaluate" span, and the headline equals a fresh
+// evaluator's evaluation of the same front member.
+func TestParetoHeadlineEvaluatedOnce(t *testing.T) {
+	spec := Spec{WorkloadName: "har", Platform: explore.MSP, Objective: explore.LatSP, Search: fastSearch(3)}
+	spec.Search.Algorithm = "nsga"
+	tr := obs.NewTrace(1 << 16)
+	res, err := RunBaseline(obs.WithTrace(context.Background(), tr), spec, explore.Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := tr.Dropped(); n != 0 {
+		t.Fatalf("trace ring dropped %d events; enlarge it", n)
+	}
+	builds := map[string]int{}
+	evaluations := 0
+	for _, ev := range tr.Events() {
+		switch ev.Name {
+		case "ladder-build":
+			builds[fmt.Sprint(ev.Args["platform"], ev.Args["arch"], ev.Args["npe"], ev.Args["layers"])]++
+		case "full-evaluate":
+			evaluations++
+		}
+	}
+	if len(builds) == 0 || int64(len(builds)) != res.CacheMisses {
+		t.Fatalf("%d fingerprints built, want the %d cache misses: %v", len(builds), res.CacheMisses, builds)
+	}
+	for fp, n := range builds {
+		if n != 1 {
+			t.Errorf("fingerprint %s built %d times, want once", fp, n)
+		}
+	}
+	if evaluations != 1 {
+		t.Errorf("%d full-evaluate spans, want 1 (the headline)", evaluations)
+	}
+
+	// The trace never changes the result.
+	untraced, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, untraced) {
+		t.Fatal("traced NSGA result differs from the untraced one")
+	}
+
+	// The headline is what a fresh evaluator makes of the front's
+	// minimum-LatSP member (the first on ties).
+	sc, err := spec.scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := gaConfig(spec.Search)
+	if err != nil {
+		t.Fatal(err)
+	}
+	po, err := explore.ParetoSearch(context.Background(), sc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := po.Front[0]
+	for _, p := range po.Front[1:] {
+		if p.LatSP < best.LatSP {
+			best = p
+		}
+	}
+	fresh, err := explore.EvaluateCandidate(po.Scenario, best.Candidate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(po.Best, fresh) {
+		t.Fatalf("headline %+v differs from a fresh evaluation %+v", po.Best, fresh)
+	}
+	if res.LatSP != fresh.LatSP || res.PanelArea != fresh.Candidate.PanelArea || res.Cap != fresh.Candidate.Cap {
+		t.Fatalf("result headline (%g, %v, %v) is not the front's best (%g, %v, %v)",
+			res.LatSP, res.PanelArea, res.Cap, fresh.LatSP, fresh.Candidate.PanelArea, fresh.Candidate.Cap)
 	}
 }

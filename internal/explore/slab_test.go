@@ -5,11 +5,13 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"chrysalis/internal/accel"
 	"chrysalis/internal/dnn"
 	"chrysalis/internal/intermittent"
+	"chrysalis/internal/search"
 	"chrysalis/internal/units"
 )
 
@@ -118,25 +120,28 @@ func TestSlabSetsNeverReachWarmTier(t *testing.T) {
 // two workers, sharing the block pools: a short search runs again and
 // again, releasing its slab each time, while a long search keeps
 // scanning sets carved from blocks the pools hand out. Every Outcome
-// must equal its serial reference. Run under -race via
-// `make race-explore`.
+// must equal its serial reference. The long search waits at its first
+// generation until the first short search has returned and released
+// its slab, so the overlap does not depend on scheduling. Run under
+// -race via `make race`.
 func TestSlabConcurrentSearchHammer(t *testing.T) {
 	tpu := accel.TPU
 	short := Scenario{Workload: dnn.HAR(), Platform: Accel, Objective: LatSP, Arch: &tpu}
 	long := Scenario{Workload: dnn.VGG16(), Platform: Accel, Objective: Lat}
-	run := func(sc Scenario, gens, workers int) (Outcome, error) {
+	run := func(sc Scenario, gens, workers int, onQuality func(search.GenQuality)) (Outcome, error) {
 		cfg := smallGA(5)
 		cfg.Generations = gens
 		cfg.Workers = workers
 		cfg.SerialCostFloor = -1
+		cfg.OnQuality = onQuality
 		return Explore(context.Background(), sc, Full, cfg)
 	}
 	const shortGens, longGens = 4, 40
-	wantShort, err := run(short, shortGens, 1)
+	wantShort, err := run(short, shortGens, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLong, err := run(long, longGens, 1)
+	wantLong, err := run(long, longGens, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +150,17 @@ func TestSlabConcurrentSearchHammer(t *testing.T) {
 	var gotLong Outcome
 	var longErr error
 	done := make(chan struct{})
+	shortReleased := make(chan struct{})
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(shortReleased) }) }
+	defer release() // a failing short search must not strand the long one
 	go func() {
 		defer close(done)
-		gotLong, longErr = run(long, longGens, 2)
+		gotLong, longErr = run(long, longGens, 2, func(search.GenQuality) { <-shortReleased })
 	}()
 	overlapped := 0
 	for running := true; running; {
-		got, err := run(short, shortGens, 2)
+		got, err := run(short, shortGens, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,6 +172,7 @@ func TestSlabConcurrentSearchHammer(t *testing.T) {
 			running = false
 		default:
 			overlapped++
+			release()
 		}
 	}
 	if longErr != nil {

@@ -41,15 +41,9 @@ type family struct {
 	// fn, when non-nil, is sampled at render time (CounterFunc /
 	// GaugeFunc families).
 	fn func() int64
-	// floatFn, when non-nil, is sampled at render time and rendered %g
-	// (GaugeFloatFunc / CounterFloatFunc families).
-	floatFn func() float64
 	// sampleFn, when non-nil, is sampled at render time and yields one
 	// line per labeled child (GaugeSampleFunc families).
 	sampleFn func() []LabeledValue
-	// floatSampleFn is sampleFn's float-valued form
-	// (GaugeFloatSampleFunc families — e.g. SLO burn rates per window).
-	floatSampleFn func() []LabeledFloat
 }
 
 // renderable is anything a family can render as one or more exposition
@@ -259,31 +253,6 @@ func (r *Registry) GaugeSampleFunc(name, help string, labelKeys []string, fn fun
 	r.lookup(name, help, "gauge", labelKeys).sampleFn = fn
 }
 
-// GaugeFloatFunc registers a float-valued gauge sampled from fn at
-// render time (ratios, seconds, burn rates — anything the integer
-// Gauge would truncate).
-func (r *Registry) GaugeFloatFunc(name, help string, fn func() float64) {
-	r.lookup(name, help, "gauge", nil).floatFn = fn
-}
-
-// CounterFloatFunc registers a float-valued counter sampled from fn at
-// render time (e.g. cumulative seconds spent compacting).
-func (r *Registry) CounterFloatFunc(name, help string, fn func() float64) {
-	r.lookup(name, help, "counter", nil).floatFn = fn
-}
-
-// LabeledFloat is one sample of a GaugeFloatSampleFunc family.
-type LabeledFloat struct {
-	Labels []string
-	Value  float64
-}
-
-// GaugeFloatSampleFunc is GaugeSampleFunc with float values — e.g. SLO
-// burn rates keyed by window.
-func (r *Registry) GaugeFloatSampleFunc(name, help string, labelKeys []string, fn func() []LabeledFloat) {
-	r.lookup(name, help, "gauge", labelKeys).floatSampleFn = fn
-}
-
 // --- Histogram ---
 
 // DefaultLatencyBuckets spans microseconds to minutes — wide enough for
@@ -447,19 +416,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
 		if f.fn != nil {
 			fmt.Fprintf(w, "%s %d\n", f.name, f.fn())
-			continue
-		}
-		if f.floatFn != nil {
-			fmt.Fprintf(w, "%s %g\n", f.name, f.floatFn())
-			continue
-		}
-		if f.floatSampleFn != nil {
-			for _, lv := range f.floatSampleFn() {
-				if len(lv.Labels) != len(f.labelKeys) {
-					continue // malformed sample: skip rather than emit bad exposition
-				}
-				fmt.Fprintf(w, "%s%s %g\n", f.name, f.labelString(strings.Join(lv.Labels, "\x00")), lv.Value)
-			}
 			continue
 		}
 		if f.sampleFn != nil {

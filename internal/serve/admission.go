@@ -125,7 +125,7 @@ func retryAfterValue(d time.Duration) string {
 // the queue depth times the recent p50 job latency, spread over the
 // worker pool, clamped to [1s, 60s].
 func (m *manager) retryAfterQueue() time.Duration {
-	p50, _, _ := m.met.quantiles()
+	p50 := m.met.p50()
 	if p50 <= 0 {
 		p50 = 1
 	}

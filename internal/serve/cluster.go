@@ -121,13 +121,11 @@ func (m *manager) runRemote(ctx context.Context, j *job) bool {
 				"job", j.id, "owner", owner, "error", err)
 			return false
 		}
-		m.cluster.CountRemoteHit()
 		m.addPhase(j, "peer-hop", hopStart, time.Now(),
 			obs.A("owner", owner), obs.A("outcome", "cache-hit"))
 		m.adoptRemote(j, p.Result, p.Verify, p.Audit, true)
 		return true
 	}
-	m.cluster.CountRemoteMiss()
 
 	reqBody, err := json.Marshal(j.js.req)
 	if err != nil {

@@ -21,6 +21,13 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, n int) *testCluster {
 	t.Helper()
+	return newTestClusterWith(t, n, func(int) Options { return Options{Workers: 2} })
+}
+
+// newTestClusterWith builds an n-node cluster whose node i runs with
+// opts(i); Self, Peers and Logger are filled in here.
+func newTestClusterWith(t *testing.T, n int, opts func(i int) Options) *testCluster {
+	t.Helper()
 	tc := &testCluster{}
 	lns := make([]net.Listener, n)
 	for i := range lns {
@@ -32,12 +39,9 @@ func newTestCluster(t *testing.T, n int) *testCluster {
 		tc.urls = append(tc.urls, "http://"+ln.Addr().String())
 	}
 	for i, ln := range lns {
-		s, err := New(Options{
-			Workers: 2,
-			Self:    tc.urls[i],
-			Peers:   tc.urls,
-			Logger:  testLogger(t),
-		})
+		o := opts(i)
+		o.Self, o.Peers, o.Logger = tc.urls[i], tc.urls, testLogger(t)
+		s, err := New(o)
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}

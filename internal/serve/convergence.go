@@ -12,7 +12,7 @@ import (
 // search's per-generation quality series. For finished (and cached, and
 // WAL-recovered) jobs it is cut from Result.Quality, which rides the
 // result cache and the journal; for running jobs it is the live series
-// streamed by the search so far, so a dashboard can poll the endpoint
+// streamed by the search so far, so a client can poll the endpoint
 // mid-flight and watch the curve grow.
 type Convergence struct {
 	ID           string   `json:"id"`

@@ -4,7 +4,7 @@ package serve
 // health at GET /internal/metrics/snapshot; GET /v1/fleet pulls every
 // peer's snapshot on demand and returns the aggregated cluster view —
 // per-node queue depth, cache hit ratio, breaker states, simulator
-// fast-path ratio and SLO burn rates — without any background gossip:
+// fast-path ratio and warm-tier traffic — without any background gossip:
 // the fleet view is only as fresh as the request that asked for it.
 
 import (
@@ -37,7 +37,6 @@ type nodeSnapshot struct {
 	SimLiteralSteps int64               `json:"sim_literal_steps"`
 	SimFastRatio    float64             `json:"sim_fast_ratio"`
 	TraceDropped    int64               `json:"trace_dropped"`
-	SLOBurn         []obs.WindowBurn    `json:"slo_burn,omitempty"`
 
 	// Warm-start tier residency and traffic (zero values when the node
 	// runs without -warm-cache-mb). In cluster mode the consistent-hash
@@ -79,9 +78,6 @@ func (m *manager) snapshot() nodeSnapshot {
 	if m.cluster != nil {
 		ns.PeersUp = m.cluster.PeersUp()
 		ns.Breakers = m.cluster.PeerStates()
-	}
-	if met.slo != nil {
-		ns.SLOBurn = met.slo.BurnRates()
 	}
 	if m.warm != nil {
 		ws := m.warm.Stats()

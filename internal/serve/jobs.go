@@ -173,7 +173,7 @@ func (j *job) status() JobStatus {
 
 // recorder returns the job's flight recorder, if the job carries one.
 // The recorder is safe to snapshot while the verify replay is running —
-// the waveform endpoint and the dashboard read it live.
+// the waveform endpoint reads it live.
 func (j *job) recorder() *sim.Recorder {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -219,8 +219,6 @@ func newManager(opts Options) (*manager, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
-	m.met.slo = obs.NewSLO(opts.SLOLatency.Seconds(), opts.SLOObjective)
-	m.met.slo.Register(m.met.reg, "chrysalisd_job")
 	if opts.WarmCacheMB > 0 {
 		m.warm = explore.NewWarmCache(int64(opts.WarmCacheMB) << 20)
 		m.met.registerWarm(m.warm)
@@ -313,28 +311,12 @@ func newManager(opts Options) (*manager, error) {
 	m.met.reg.GaugeFunc("chrysalisd_queue_depth",
 		"Design jobs waiting in the queue right now.",
 		func() int64 { return int64(len(m.queue)) })
-	m.met.reg.GaugeFloatSampleFunc("chrysalis_search_best_objective",
-		"Most recent per-generation best objective of each running search.",
-		[]string{"job"}, m.searchGauge(func(q search.GenQuality) (float64, bool) {
-			return q.Best, true
-		}))
-	m.met.reg.GaugeFloatSampleFunc("chrysalis_search_hypervolume",
-		"Most recent dominated hypervolume of each running Pareto search.",
-		[]string{"job"}, m.searchGauge(func(q search.GenQuality) (float64, bool) {
-			return q.Hypervolume, q.FrontSize > 0
-		}))
 	if m.adm != nil {
 		m.met.reg.GaugeSampleFunc("chrysalisd_quota_tokens_remaining",
 			"Admission tokens currently available per client (token bucket).",
 			[]string{"client"}, m.adm.remaining)
 	}
 	if m.cluster != nil {
-		m.met.reg.CounterFunc("chrysalisd_cluster_remote_hits_total",
-			"Designs served from a peer's result cache.",
-			func() int64 { return m.cluster.Stats().RemoteHits })
-		m.met.reg.CounterFunc("chrysalisd_cluster_remote_misses_total",
-			"Owner cache probes that missed and became delegated evaluations.",
-			func() int64 { return m.cluster.Stats().RemoteMisses })
 		m.met.reg.CounterFunc("chrysalisd_cluster_peer_errors_total",
 			"Failed peer calls (timeouts, refused connections, bad statuses).",
 			func() int64 { return m.cluster.Stats().PeerErrors })
@@ -350,39 +332,6 @@ func newManager(opts Options) (*manager, error) {
 		go m.worker()
 	}
 	return m, nil
-}
-
-// searchGauge samples one field of every running job's most recent
-// quality record, labeled by job ID. The field func reports whether the
-// sample applies to the job (e.g. hypervolume only for Pareto runs).
-func (m *manager) searchGauge(field func(search.GenQuality) (float64, bool)) func() []obs.LabeledFloat {
-	return func() []obs.LabeledFloat {
-		m.mu.Lock()
-		jobs := make([]*job, 0, len(m.jobs))
-		for _, id := range m.order {
-			if j, ok := m.jobs[id]; ok {
-				jobs = append(jobs, j)
-			}
-		}
-		m.mu.Unlock()
-		var out []obs.LabeledFloat
-		for _, j := range jobs {
-			j.mu.Lock()
-			var q search.GenQuality
-			sample := j.state == JobRunning && len(j.quality) > 0
-			if sample {
-				q = j.quality[len(j.quality)-1]
-			}
-			j.mu.Unlock()
-			if !sample {
-				continue
-			}
-			if v, ok := field(q); ok {
-				out = append(out, obs.LabeledFloat{Labels: []string{j.id}, Value: v})
-			}
-		}
-		return out
-	}
 }
 
 // adopt installs WAL-recovered jobs: terminal records become finished
@@ -700,9 +649,6 @@ func (m *manager) run(j *job) {
 		j.stream.publish("progress", p)
 		j.stream.publish("quality", sq)
 		m.met.searchGenerations.Inc()
-		if q.Stagnation > 0 {
-			m.met.stagnantGens.Inc()
-		}
 	}
 
 	m.met.evaluations.Inc()
@@ -745,8 +691,8 @@ func (m *manager) run(j *job) {
 		// streaming a bounded prefix of its events (the rest are
 		// summarized by the drop count) while the trace adapter maps the
 		// full stream onto Perfetto slices. The recorder is published on
-		// the job before the replay starts so the waveform endpoint and
-		// the dashboard can snapshot it mid-flight.
+		// the job before the replay starts so the waveform endpoint can
+		// snapshot it mid-flight.
 		rec := sim.NewRecorder(0)
 		j.mu.Lock()
 		j.rec = rec
@@ -785,8 +731,8 @@ func (m *manager) run(j *job) {
 		j.verify = &sum
 		j.audit = auditRep
 		j.mu.Unlock()
-		// Publish the physics verdict on the stream: dashboards and SSE
-		// clients learn whether energy conservation held without polling.
+		// Publish the physics verdict on the stream: SSE clients learn
+		// whether energy conservation held without polling.
 		j.stream.publish("audit", auditRep)
 	}
 	m.finish(j, JobDone, nil)

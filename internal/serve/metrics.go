@@ -43,27 +43,19 @@ type metrics struct {
 	jobLatency      *obs.Histogram
 
 	// Search-observatory counters: one generation of telemetry per tick,
-	// stagnant generations as flagged by the plateau detector, and runs
-	// the Patience policy actually cut short.
+	// and runs the Patience policy actually cut short.
 	searchGenerations *obs.Counter
-	stagnantGens      *obs.Counter
 	searchEarlyStops  *obs.Counter
 
 	httpRequests *obs.CounterVec
 	httpLatency  *obs.Histogram
 
-	// slo tracks the job-latency objective and its multi-window burn
-	// rates (nil until newManager wires the configured target in; every
-	// SLO method is nil-safe, so bare newMetrics() still works in tests).
-	slo *obs.SLO
-
 	// Windowed job-latency reservoir, kept alongside the histogram so
-	// the p50/p95 quantiles over recent jobs stay queryable exactly
+	// the p50 over recent jobs that Retry-After derives from stays exact
 	// (histogram quantiles are bucket-interpolated estimates).
-	mu       sync.Mutex
-	lat      []float64
-	latNext  int
-	latCount int64
+	mu      sync.Mutex
+	lat     []float64
+	latNext int
 }
 
 // newMetrics builds the registry and the families every server carries.
@@ -99,8 +91,6 @@ func newMetrics() *metrics {
 			"Job wall-clock latency from start to terminal state.", nil),
 		searchGenerations: reg.Counter("chrysalis_search_generations_total",
 			"Search generations completed across all jobs on this node."),
-		stagnantGens: reg.Counter("chrysalis_search_stagnant_generations_total",
-			"Generations whose relative improvement stayed below the plateau tolerance."),
 		searchEarlyStops: reg.Counter("chrysalis_search_early_stops_total",
 			"Searches stopped by the Patience plateau policy before their generation budget."),
 		httpRequests: reg.CounterVec("chrysalisd_http_requests_total",
@@ -108,9 +98,6 @@ func newMetrics() *metrics {
 		httpLatency: reg.Histogram("chrysalisd_http_request_seconds",
 			"HTTP request handling latency.", nil),
 	}
-	reg.CounterFunc("chrysalisd_sim_fast_segments_total",
-		"Analytic multi-step jumps taken by the event-driven simulator.",
-		func() int64 { segs, _, _, _ := sim.EventStats(); return segs })
 	reg.CounterFunc("chrysalisd_sim_fast_steps_total",
 		"Simulator steps replaced by analytic jumps on the event fast path.",
 		func() int64 { _, fast, _, _ := sim.EventStats(); return fast })
@@ -127,42 +114,23 @@ func newMetrics() *metrics {
 	return m
 }
 
-// registerWarm exposes a warm-start tier's counters and residency on
-// the registry. Called once from newManager when -warm-cache-mb > 0;
-// the tier's own atomics are the source of truth, sampled at render
-// time.
+// registerWarm exposes a warm-start tier's hits and residency on the
+// registry. Called once from newManager when -warm-cache-mb > 0; the
+// tier's own atomics are the source of truth, sampled at render time.
+// The rest of its traffic rides the /v1/fleet warm row.
 func (m *metrics) registerWarm(w *explore.WarmCache) {
 	m.reg.CounterFunc("chrysalisd_warm_cache_hits_total",
 		"Warm-tier lookups that reused a ladder set built by an earlier search.",
 		func() int64 { return w.Stats().Hits })
-	m.reg.CounterFunc("chrysalisd_warm_cache_misses_total",
-		"Warm-tier lookups that found no reusable ladder set.",
-		func() int64 { return w.Stats().Misses })
-	m.reg.CounterFunc("chrysalisd_warm_cache_dedup_total",
-		"Ladder builds avoided by the warm tier's single-flight group (waiters sharing a leader's build).",
-		func() int64 { return w.Stats().Dedup })
-	m.reg.CounterFunc("chrysalisd_warm_cache_evictions_total",
-		"Warm-tier entries evicted by the byte bound.",
-		func() int64 { return w.Stats().Evictions })
-	m.reg.CounterFunc("chrysalisd_warm_cache_expirations_total",
-		"Warm-tier entries dropped for a stale cost-model fingerprint.",
-		func() int64 { return w.Stats().Expirations })
-	m.reg.GaugeFunc("chrysalisd_warm_cache_bytes",
-		"Estimated resident bytes of warm-tier ladder sets.",
-		func() int64 { return w.Stats().Bytes })
 	m.reg.GaugeFunc("chrysalisd_warm_cache_entries",
 		"Resident warm-tier ladder sets.",
 		func() int64 { return w.Stats().Entries })
-	m.reg.GaugeFunc("chrysalisd_warm_cache_max_bytes",
-		"Configured warm-tier byte bound.",
-		func() int64 { return w.Stats().MaxBytes })
 }
 
 // observeLatency records one finished job's wall-clock seconds in both
 // the histogram and the quantile reservoir.
 func (m *metrics) observeLatency(sec float64) {
 	m.jobLatency.Observe(sec)
-	m.slo.Observe(sec)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.lat) < latencyWindow {
@@ -171,23 +139,19 @@ func (m *metrics) observeLatency(sec float64) {
 		m.lat[m.latNext] = sec
 		m.latNext = (m.latNext + 1) % latencyWindow
 	}
-	m.latCount++
 }
 
-// quantiles returns the nearest-rank p50 and p95 job latency over the
-// window. The earlier truncating formula int(q·(len-1)) read one sample
-// low at full windows (p95 over 1024 samples took index 971, not 972);
-// obs.Quantile implements the unbiased nearest-rank definition and a
-// regression test pins the difference.
-func (m *metrics) quantiles() (p50, p95 float64, count int64) {
+// p50 returns the nearest-rank median job latency over the window
+// (obs.Quantile), 0 before any job has finished.
+func (m *metrics) p50() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.lat) == 0 {
-		return 0, 0, m.latCount
+		return 0
 	}
 	sorted := append([]float64(nil), m.lat...)
 	sort.Float64s(sorted)
-	return obs.Quantile(sorted, 0.50), obs.Quantile(sorted, 0.95), m.latCount
+	return obs.Quantile(sorted, 0.50)
 }
 
 // statusWriter records the response code while preserving the Flusher
@@ -269,8 +233,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 // requestLogLevel demotes high-frequency scrape and probe endpoints to
 // debug so the default info level stays readable.
 func requestLogLevel(path string) slog.Level {
-	if path == "/metrics" || path == "/healthz" || path == "/debug/dashboard" ||
-		strings.HasPrefix(path, "/debug/pprof") {
+	if path == "/metrics" || path == "/healthz" || strings.HasPrefix(path, "/debug/pprof") {
 		return slog.LevelDebug
 	}
 	return slog.LevelInfo

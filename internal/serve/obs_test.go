@@ -3,8 +3,11 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -253,4 +256,79 @@ func readAll(t *testing.T, resp *http.Response) string {
 		}
 	}
 	return b.String()
+}
+
+// TestMetricsInventory pins the family names /metrics exports on a
+// fully configured node (WAL, two-node cluster, warm tier, quotas).
+// Every family here has a reader: a test that checks its meaning, a
+// perfbench metric or a runbook step. A new series needs a deliberate
+// edit to this list.
+func TestMetricsInventory(t *testing.T) {
+	dir := t.TempDir()
+	tc := newTestClusterWith(t, 2, func(i int) Options {
+		return Options{Workers: 1, WALDir: fmt.Sprintf("%s/node%d", dir, i),
+			WarmCacheMB: 8, QuotaRPS: 100}
+	})
+	resp, err := http.Get(tc.urls[0] + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			got = append(got, f[2])
+		}
+	}
+	sort.Strings(got)
+	want := []string{
+		"chrysalis_build_info",
+		"chrysalis_search_early_stops_total",
+		"chrysalis_search_generations_total",
+		"chrysalisd_admission_shed_total",
+		"chrysalisd_cache_entries",
+		"chrysalisd_cache_hits_total",
+		"chrysalisd_cache_misses_total",
+		"chrysalisd_cluster_breaker_open",
+		"chrysalisd_cluster_breaker_transitions_total",
+		"chrysalisd_cluster_fallbacks_total",
+		"chrysalisd_cluster_hop_seconds",
+		"chrysalisd_cluster_peer_errors_total",
+		"chrysalisd_cluster_peers_up",
+		"chrysalisd_evaluations_total",
+		"chrysalisd_evaluator_cache_hits_total",
+		"chrysalisd_evaluator_cache_misses_total",
+		"chrysalisd_http_request_seconds",
+		"chrysalisd_http_requests_total",
+		"chrysalisd_job_latency_seconds",
+		"chrysalisd_job_records",
+		"chrysalisd_jobs_cancelled_total",
+		"chrysalisd_jobs_done_total",
+		"chrysalisd_jobs_failed_total",
+		"chrysalisd_jobs_queued_total",
+		"chrysalisd_jobs_recovered_total",
+		"chrysalisd_jobs_running",
+		"chrysalisd_queue_depth",
+		"chrysalisd_quota_tokens_remaining",
+		"chrysalisd_search_worker_slots",
+		"chrysalisd_search_worker_slots_in_use",
+		"chrysalisd_sim_fallback_runs_total",
+		"chrysalisd_sim_fast_steps_total",
+		"chrysalisd_sim_literal_steps_total",
+		"chrysalisd_wal_appended_bytes_total",
+		"chrysalisd_wal_appends_total",
+		"chrysalisd_wal_fsync_seconds",
+		"chrysalisd_wal_recovery_snapshot_corrupt",
+		"chrysalisd_wal_recovery_truncated_bytes",
+		"chrysalisd_warm_cache_entries",
+		"chrysalisd_warm_cache_hits_total",
+		"obs_trace_dropped_total",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("/metrics families changed:\ngot  %q\nwant %q", got, want)
+	}
 }

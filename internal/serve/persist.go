@@ -166,8 +166,7 @@ func openJournal(dir string, logger *slog.Logger) (jn *journal, jobs []*recovere
 }
 
 // registerWALMetrics exports the journal's durability counters: append
-// and fsync volume, compaction work, and the recovery outcome of the
-// last startup. The fsync histogram is fed straight from the log's sync
+// and fsync volume, and the recovery outcome of the last startup. The fsync histogram is fed straight from the log's sync
 // observer, so every journal fsync (terminal records, snapshots,
 // shutdown) lands in it.
 func (m *manager) registerWALMetrics() {
@@ -181,15 +180,6 @@ func (m *manager) registerWALMetrics() {
 	reg.CounterFunc("chrysalisd_wal_appended_bytes_total",
 		"Bytes appended to the WAL, framing included.",
 		func() int64 { return jn.log.Stats().BytesAppended })
-	reg.CounterFunc("chrysalisd_wal_compactions_total",
-		"Snapshot compactions the WAL has performed.",
-		func() int64 { return jn.log.Stats().Compactions })
-	reg.CounterFloatFunc("chrysalisd_wal_compaction_seconds_total",
-		"Wall-clock time spent in WAL snapshot compactions.",
-		func() float64 { return float64(jn.log.Stats().CompactionNanos) / 1e9 })
-	reg.GaugeFunc("chrysalisd_wal_snapshot_bytes",
-		"Size of the most recent WAL snapshot.",
-		func() int64 { return jn.log.Stats().SnapshotBytes })
 	reg.GaugeFunc("chrysalisd_wal_recovery_truncated_bytes",
 		"Bytes dropped from a torn WAL tail at the last startup.",
 		func() int64 { return jn.recTruncated })

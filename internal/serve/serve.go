@@ -23,14 +23,12 @@
 //     front size and spacing for Pareto runs) — live while the job
 //     runs, from the cached result afterwards
 //   - GET  /v1/fleet              aggregated cluster telemetry (every
-//     peer's queue depth, cache hit ratio, breaker states, SLO burn)
+//     peer's queue depth, cache hit ratio, breaker states, warm tier)
 //   - POST /v1/simulate           synchronous step-simulation
 //   - GET  /v1/workloads          workload catalog
 //   - GET  /v1/presets            deployment-scenario presets
 //   - GET  /healthz               liveness
 //   - GET  /metrics               Prometheus-style text metrics
-//   - GET  /debug/dashboard       live HTML flight deck (inline SVG
-//     waveforms, refreshed over the jobs' SSE streams, zero assets)
 //   - GET  /debug/pprof/*         Go runtime profiles
 //
 // Internally a bounded worker pool (sized from GOMAXPROCS by default)
@@ -122,17 +120,6 @@ type Options struct {
 	// shed with 429 + Retry-After. 0 disables quotas.
 	QuotaRPS   float64
 	QuotaBurst int
-
-	// SLOLatency is the job-latency service-level objective target: a
-	// job finishing within this wall-clock bound counts as good
-	// (<= 0 selects 30s). Multi-window burn rates over the objective are
-	// exported as chrysalisd_slo_burn_rate on /metrics and ride the
-	// fleet snapshot.
-	SLOLatency time.Duration
-	// SLOObjective is the target good-fraction of jobs (outside (0,1)
-	// selects 0.99). A burn rate of 1.0 means the error budget is being
-	// consumed exactly at the sustainable pace.
-	SLOObjective float64
 }
 
 func (o Options) withDefaults() Options {
@@ -153,12 +140,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if o.SLOLatency <= 0 {
-		o.SLOLatency = 30 * time.Second
-	}
-	if o.SLOObjective <= 0 || o.SLOObjective >= 1 {
-		o.SLOObjective = 0.99
 	}
 	return o
 }
@@ -196,7 +177,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/designs/{id}/timeline", s.handleTimeline)
 	s.mux.HandleFunc("GET /v1/designs/{id}/convergence", s.handleConvergence)
 	s.mux.HandleFunc("GET /v1/fleet", s.handleFleet)
-	s.mux.HandleFunc("GET /debug/dashboard", s.handleDashboard)
 	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
 	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
 	s.mux.HandleFunc("GET /v1/presets", s.handlePresets)

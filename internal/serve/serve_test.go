@@ -390,7 +390,7 @@ func TestJobTimeout(t *testing.T) {
 }
 
 func TestCancelRunningJob(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
+	s, ts := newTestServer(t, Options{Workers: 1})
 	req := DesignRequest{Workload: "resnet18", Platform: "accel", Budget: 100000, Seed: 5}
 	resp, body := postJSON(t, ts.URL+"/v1/designs", req)
 	if resp.StatusCode != http.StatusAccepted {
@@ -416,6 +416,12 @@ func TestCancelRunningJob(t *testing.T) {
 	final := pollJob(t, ts.URL, st.ID)
 	if final.State != JobCancelled {
 		t.Fatalf("state %s, want cancelled", final.State)
+	}
+	// finish counts the cancellation before it closes done.
+	j, _ := s.mgr.get(st.ID)
+	<-j.done
+	if v := metricValue(t, ts.URL, "chrysalisd_jobs_cancelled_total"); v != 1 {
+		t.Errorf("jobs cancelled = %g, want 1", v)
 	}
 	// A cancelled key is not cached; resubmitting starts a fresh search.
 	if v := metricValue(t, ts.URL, "chrysalisd_cache_entries"); v != 0 {

@@ -293,9 +293,6 @@ func TestFleetEndpoint(t *testing.T) {
 	seen := map[string]bool{}
 	for _, ns := range fl.Nodes {
 		seen[ns.Node] = true
-		if len(ns.SLOBurn) == 0 {
-			t.Errorf("node %s snapshot has no SLO burn rates", ns.Node)
-		}
 	}
 	for _, u := range tc.urls {
 		if !seen[u] {
@@ -346,8 +343,5 @@ func TestWALMetricsExported(t *testing.T) {
 	}
 	if v := metricValue(t, ts.URL, "obs_trace_dropped_total"); v < 0 {
 		t.Errorf("obs_trace_dropped_total = %g", v)
-	}
-	if v := metricValue(t, ts.URL, "chrysalisd_job_slo_events_total"); v < 1 {
-		t.Errorf("slo events = %g, want >= 1", v)
 	}
 }

@@ -260,7 +260,7 @@ func diurnalSeriesSetup(t *testing.T, points int) (Config, *Recorder, *atomic.In
 
 // TestRecorderConcurrentSnapshots reads waveforms and ledgers from
 // other goroutines while a diurnal series is running — the
-// live-dashboard access pattern — and relies on -race to catch
+// live waveform-endpoint access pattern — and relies on -race to catch
 // unsynchronized access. It also pins the staging contract: a live
 // reader is never more than one stage of steps behind the simulator,
 // and once RunSeries returns every executed step has been folded.

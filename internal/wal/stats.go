@@ -18,12 +18,6 @@ type Stats struct {
 	// wall time.
 	Syncs     int64
 	SyncNanos int64
-	// Compactions and CompactionNanos count WriteSnapshot calls and
-	// their cumulative wall time (staging + fsync + rename + log reset).
-	Compactions     int64
-	CompactionNanos int64
-	// SnapshotBytes is the payload size of the most recent snapshot.
-	SnapshotBytes int64
 }
 
 // Stats returns the log's current counters.

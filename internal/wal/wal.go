@@ -222,7 +222,6 @@ func (l *Log) WriteSnapshot(state []byte) error {
 	if l.closed {
 		return errors.New("wal: closed")
 	}
-	compactStart := time.Now()
 	tmp := filepath.Join(l.dir, snapTempName)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -249,9 +248,6 @@ func (l *Log) WriteSnapshot(state []byte) error {
 		return fmt.Errorf("wal: seek: %w", err)
 	}
 	l.records = 0
-	l.stats.Compactions++
-	l.stats.CompactionNanos += int64(time.Since(compactStart))
-	l.stats.SnapshotBytes = int64(len(state))
 	return nil
 }
 

@@ -11,8 +11,8 @@ type ServerOptions = serve.Options
 
 // Server is the embeddable form of the chrysalisd daemon: the full
 // design-as-a-service HTTP surface (async design jobs with SSE
-// telemetry, the content-addressed result cache, metrics, the live
-// dashboard) behind a single http.Handler. Programs that want the
+// telemetry, the content-addressed result cache, job timelines and
+// waveforms, metrics) behind a single http.Handler. Programs that want the
 // service inside their own process — custom listeners, extra routes,
 // shared shutdown — mount Handler() and call Shutdown to drain:
 //
