@@ -179,21 +179,27 @@ func BenchmarkGASearch(b *testing.B) {
 }
 
 // BenchmarkAccelSearch measures the accelerator-platform search on the
-// heaviest Table V workload (VGG16). With this small a GA budget some
+// heaviest Table V workload (VGG16) and reports the rungs its ladder
+// scans built per search (rungs/op). With this small a GA budget some
 // seeds legitimately end with no feasible design; the search still runs
-// full-length, so those iterations are kept.
+// full-length, so those iterations are kept, though their rungs go
+// uncounted.
 func BenchmarkAccelSearch(b *testing.B) {
 	sc := explore.Scenario{Workload: dnn.VGG16(), Platform: explore.Accel, Objective: explore.LatSP}
 	cfg := search.DefaultGA(1)
 	cfg.Population = 10
 	cfg.Generations = 6
+	var rungs int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		if _, err := explore.Explore(context.Background(), sc, explore.Full, cfg); err != nil && !errors.Is(err, explore.ErrNoFeasibleDesign) {
+		out, err := explore.Explore(context.Background(), sc, explore.Full, cfg)
+		if err != nil && !errors.Is(err, explore.ErrNoFeasibleDesign) {
 			b.Fatal(err)
 		}
+		rungs += out.RungsBuilt
 	}
+	b.ReportMetric(float64(rungs)/float64(b.N), "rungs/op")
 }
 
 // --- Warm-start benchmarks (the PR10 cross-job reuse tier) ---

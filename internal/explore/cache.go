@@ -70,18 +70,22 @@ type dfCtx struct {
 // a budget scan needs, so a set scanned twice pays for a few rungs per
 // ladder while a set scanned thousands of times (the MSP fingerprint,
 // a warm-tier entry) soon holds every rung its scans reach and serves
-// them as a memo.
+// them as a memo. Each ladder carries an energy floor
+// (intermittent.FloorRates.Floor), so a scan that already holds a cheaper
+// rung of the same layer stops a ladder where its floor passes that
+// rung's energy instead of building on.
 //
 // A set is safe to share across goroutines and searches. Every rung is
 // computed by the same kernel in the same order whoever extends the
 // ladder, so the rungs a set publishes do not depend on which scans ran
 // first, and a published rung never changes. Scans read published rungs
-// without a lock; extensions serialize on mu.
+// and decide to stop without a lock; extensions serialize on mu.
 //
 // The set owns one HW per dataflow context and reads the workload's
 // layers and candidate tile counts from the evaluator that built it.
 // Each ladder's (layer, context, partition) follows from its index, so
-// a ladder stores only its rungs.
+// a ladder stores only its rungs, its floor and one entry of its layer's
+// visit order.
 type ladderSet struct {
 	ctxs []dfCtx
 	// layers and ntiles[layer][partition], the candidate tile counts,
@@ -101,9 +105,22 @@ type ladderSet struct {
 	chunk []intermittent.Rung
 }
 
-// ladderDone is the state bit a ladder sets once every candidate has
-// been evaluated; the bits above it hold the published rung count.
-const ladderDone = 1
+// A ladder's state word packs what scans read without the set's lock:
+// bit 0 is ladderDone, set once every candidate has been evaluated; bits
+// 1–31 hold the published rung count; bits 32–63 the index of the next
+// candidate to evaluate. One word makes the three consistent: a scan that
+// loaded it knows both which rungs it may read and where the ladder's
+// unbuilt rungs begin, so it can stop on the floor there without locking.
+const (
+	ladderDone = 1
+	nextShift  = 32
+)
+
+// rungCount returns the published rung count of state s.
+func rungCount(s uint64) int { return int(uint32(s) >> 1) }
+
+// nextCandidate returns the index of the next candidate to evaluate.
+func nextCandidate(s uint64) int { return int(s >> nextShift) }
 
 // nearRungs is how many rungs after the head a ladder holds in its
 // small fixed chunk. Most scans stop within the first few rungs, so most
@@ -116,10 +133,15 @@ const nearRungs = 3
 // tail, taken sized for every remaining candidate when a ladder passes
 // near (ladderSet.newRungs). Each pointer is written once, under the
 // set's mu, before state publishes a rung stored behind it. Rungs below
-// the published count are immutable.
+// the published count are immutable. floor and visit are written when
+// the set is built and only read afterwards.
 type lazyLadder struct {
-	state atomic.Uint32 // rung count << 1 | ladderDone
-	next  uint32        // next candidate to evaluate; guarded by the set's mu
+	state atomic.Uint64 // next candidate << nextShift | rung count << 1 | ladderDone
+	floor intermittent.Floor
+	// visit belongs to the ladder's slot in its layer, not to the ladder:
+	// slot j of a layer holds the offset, within the layer, of the j-th
+	// ladder its scans visit.
+	visit uint8
 	head  intermittent.Rung
 	near  *[nearRungs]intermittent.Rung
 	tail  []intermittent.Rung
@@ -187,12 +209,12 @@ func (ls *ladderSet) ladderIndex(layer, ctx int, part dataflow.Partition) int {
 
 // header assembles ladder k's rung-less intermittent.Ladder: the inputs
 // the rung kernel and plan materialization read.
-func (ls *ladderSet) header(k int) (intermittent.Ladder, *dfCtx) {
+func (ls *ladderSet) header(k int) intermittent.Ladder {
 	part := dataflow.Partition(k & 1)
 	ctx := &ls.ctxs[(k>>1)%len(ls.ctxs)]
 	layer := &ls.layers[(k>>1)/len(ls.ctxs)]
 	return intermittent.Ladder{Layer: layer, ElemBytes: ls.elemBytes, Dataflow: ctx.df,
-		Partition: part, Rexc: ls.rexc, HW: &ctx.hw}, ctx
+		Partition: part, Rexc: ls.rexc, HW: &ctx.hw}
 }
 
 // candidates returns ladder k's candidate tile counts.
@@ -200,24 +222,64 @@ func (ls *ladderSet) candidates(k int) []int {
 	return ls.ntiles[(k>>1)/len(ls.ctxs)][k&1]
 }
 
+// perLayer returns how many ladders each layer has.
+func (ls *ladderSet) perLayer() int { return 2 * len(ls.ctxs) }
+
+// scan returns ladder k's first (smallest-NTile) rung whose tile energy
+// fits the budget at its own power draw, extending the ladder only as
+// far as that rung. It gives up, with ok false, where the ladder's floor
+// rises above bound: every rung from there on costs more than bound, so
+// whichever of them fits first cannot beat a rung of that energy. ok is
+// also false when no candidate fits. The rung-kernel calls the scan
+// makes are added to *built, a caller-owned count that may be nil.
+//
+// The published rungs and the decision to stop before the next
+// candidate are read from one load of the ladder's state, without the
+// set's mu.
+func (ls *ladderSet) scan(k int, budget intermittent.BudgetFunc, bound units.Energy, built *int64) (intermittent.Rung, bool) {
+	ld := &ls.ladders[k]
+	s := ld.state.Load()
+	n := rungCount(s)
+	for i := 0; i < n; i++ {
+		r := ld.rung(i)
+		if ld.floor.At(r.NTile) > bound {
+			return intermittent.Rung{}, false
+		}
+		if fits(r, budget) {
+			return *r, true
+		}
+	}
+	if s&ladderDone != 0 || ld.floor.At(ls.candidates(k)[nextCandidate(s)]) > bound {
+		return intermittent.Rung{}, false
+	}
+	return ls.extend(k, n, budget, bound, built)
+}
+
 // extend is the only way rungs are built. Under one hold of the set's
-// mu it finishes a budget scan of ladder k whose first have rungs did
-// not fit: it checks any rungs another scan published since, then
-// evaluates the ladder's next candidates, publishing every rung it
-// builds, until one fits the budget, and returns that rung. ok is false
-// when the ladder ran out of candidates first. A nil budget fits no
-// rung, so extend(k, have, nil) builds the ladder through its last
-// candidate. The budget is called with mu held, so it must not read
-// the set.
-func (ls *ladderSet) extend(k, have int, budget intermittent.BudgetFunc) (intermittent.Rung, bool) {
+// mu it finishes a scan of ladder k whose first have rungs did not fit:
+// it checks any rungs another scan published since, then evaluates the
+// ladder's next candidates, publishing every rung it builds, until one
+// fits the budget, and returns that rung. ok is false when the ladder
+// ran out of candidates first, or when its floor rose above bound before
+// one fit; a ladder stopped on its floor is not done, and a later scan
+// with a higher bound resumes it at its next candidate. A nil budget
+// fits no rung, so extend(k, have, nil, +Inf, …) builds the ladder
+// through its last candidate. The budget is called with mu held, so it
+// must not read the set. The rung-kernel calls are added to *built,
+// which may be nil.
+func (ls *ladderSet) extend(k, have int, budget intermittent.BudgetFunc, bound units.Energy, built *int64) (intermittent.Rung, bool) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	ld := &ls.ladders[k]
 	s := ld.state.Load()
-	n := int(s >> 1)
+	n := rungCount(s)
 	if budget != nil {
 		for i := have; i < n; i++ {
-			if r := ld.rung(i); fits(r, budget) {
+			r := ld.rung(i)
+			if ld.floor.At(r.NTile) > bound {
+				return intermittent.Rung{}, false
+			}
+			if fits(r, budget) {
 				return *r, true
 			}
 		}
@@ -225,30 +287,29 @@ func (ls *ladderSet) extend(k, have int, budget intermittent.BudgetFunc) (interm
 	if s&ladderDone != 0 {
 		return intermittent.Rung{}, false
 	}
-	hdr, ctx := ls.header(k)
+	hdr := ls.header(k)
 	cands := ls.candidates(k)
-	next := int(ld.next)
+	start := nextCandidate(s)
+	next := start
 	var hit intermittent.Rung
 	found := false
-	if ctx.evaluable[hdr.Partition] {
-		var c dataflow.Cost
-		for !found && next < len(cands) {
-			r, ok := hdr.RungFor(cands[next], &c)
-			next++
-			if !ok {
-				continue // tile does not fit VM at this count
-			}
-			ls.store(ld, n, len(cands), r)
-			n++
-			if budget != nil && fits(&r, budget) {
-				hit, found = r, true
-			}
+	var c dataflow.Cost
+	for !found && next < len(cands) && !(ld.floor.At(cands[next]) > bound) {
+		r, ok := hdr.RungFor(cands[next], &c)
+		next++
+		if !ok {
+			continue // tile does not fit VM at this count
 		}
-	} else {
-		next = len(cands) // every count would fail the input checks
+		ls.store(ld, n, len(cands), r)
+		n++
+		if budget != nil && fits(&r, budget) {
+			hit, found = r, true
+		}
 	}
-	ld.next = uint32(next)
-	s = uint32(n) << 1
+	if built != nil {
+		*built += int64(next - start)
+	}
+	s = uint64(next)<<nextShift | uint64(n)<<1
 	if next == len(cands) {
 		s |= ladderDone
 	}
@@ -256,42 +317,51 @@ func (ls *ladderSet) extend(k, have int, budget intermittent.BudgetFunc) (interm
 	return hit, found
 }
 
-// minFeasible returns ladder k's first (smallest-NTile) rung whose tile
-// energy fits the budget at its own power draw, extending the ladder
-// only as far as that rung. ok is false when no candidate fits.
-func (ls *ladderSet) minFeasible(k int, budget intermittent.BudgetFunc) (intermittent.Rung, bool) {
-	ld := &ls.ladders[k]
-	s := ld.state.Load()
-	n := int(s >> 1)
-	for i := 0; i < n; i++ {
-		if r := ld.rung(i); fits(r, budget) {
-			return *r, true
+// best returns layer li's winner: of each ladder's first rung that fits
+// the budget, the one with the least Energy, and of equal energies the
+// one of the lowest ladder index. ok is false when no ladder of the
+// layer has a rung that fits. The rung-kernel calls its scans make are
+// added to *built, which may be nil.
+//
+// Layers are independent, so this is a branch and bound per layer: it
+// visits the layer's ladders in their floor order and bounds each scan
+// by the best energy so far, so no scan builds a rung that cannot win.
+// The winner does not depend on the visit order.
+func (ls *ladderSet) best(li int, budget intermittent.BudgetFunc, built *int64) (int, intermittent.Rung, bool) {
+	bestK := -1
+	var best intermittent.Rung
+	bound := units.Energy(math.Inf(1))
+	per := ls.perLayer()
+	base := li * per
+	for j := base; j < base+per; j++ {
+		k := base + int(ls.ladders[j].visit)
+		r, ok := ls.scan(k, budget, bound, built)
+		if ok && (bestK < 0 || r.Energy < bound || (r.Energy == bound && k < bestK)) {
+			bestK, best, bound = k, r, r.Energy
 		}
 	}
-	if s&ladderDone != 0 {
-		return intermittent.Rung{}, false
-	}
-	return ls.extend(k, n, budget)
+	return bestK, best, bestK >= 0
 }
 
 // complete extends ladder k through its last candidate and returns its
-// rung count.
-func (ls *ladderSet) complete(k int) int {
+// rung count, adding the rung-kernel calls it makes to *built, which may
+// be nil.
+func (ls *ladderSet) complete(k int, built *int64) int {
 	ld := &ls.ladders[k]
 	s := ld.state.Load()
 	if s&ladderDone == 0 {
-		ls.extend(k, int(s>>1), nil)
+		ls.extend(k, rungCount(s), nil, units.Energy(math.Inf(1)), built)
 		s = ld.state.Load()
 	}
-	return int(s >> 1)
+	return rungCount(s)
 }
 
 // byNTile completes ladder k and returns the rung whose requested tile
 // count is n, by binary search over the ascending rungs. ok is false
 // when that count was VM-infeasible (and therefore has no rung).
-func (ls *ladderSet) byNTile(k, n int) (intermittent.Rung, bool) {
+func (ls *ladderSet) byNTile(k, n int, built *int64) (intermittent.Rung, bool) {
 	ld := &ls.ladders[k]
-	cnt := ls.complete(k)
+	cnt := ls.complete(k, built)
 	i := sort.Search(cnt, func(i int) bool { return ld.rung(i).NTile >= n })
 	if i < cnt && ld.rung(i).NTile == n {
 		return *ld.rung(i), true
@@ -302,7 +372,7 @@ func (ls *ladderSet) byNTile(k, n int) (intermittent.Rung, bool) {
 // planInto materializes the full Plan of ladder k at tile count n, a
 // count one of its rungs carries.
 func (ls *ladderSet) planInto(k, n int, dst *intermittent.Plan) {
-	hdr, _ := ls.header(k)
+	hdr := ls.header(k)
 	hdr.PlanNTileInto(n, dst)
 }
 
@@ -332,9 +402,9 @@ func candidateLists(layers []dnn.Layer) [][2][]int {
 
 // buildLadderSet sets up the mapping space for one hardware
 // fingerprint: the dataflow contexts, in the order the per-call search
-// explored them (dataflows outer, partitions inner) so scans reproduce
-// the old trajectory bit for bit, and one empty ladder per (layer,
-// dataflow, partition). No rung is evaluated here; scans build them. The
+// explored them (dataflows outer, partitions inner), and one empty
+// ladder per (layer, dataflow, partition) with its energy floor and its
+// layer's visit order. No rung is evaluated here; scans build them. The
 // ladder array and rungs come from the evaluator's slab when it has
 // one, and from the heap otherwise. A traced build records one
 // "build-ladder" span per ladder carrying its identity and candidate
@@ -348,6 +418,10 @@ func (e *Evaluator) buildLadderSet(cand Candidate) (*ladderSet, error) {
 	e.inputsOnce.Do(func() {
 		e.layers = append([]dnn.Layer(nil), sc.Workload.Layers...)
 		e.ntiles = candidateLists(e.layers)
+		e.sizes = make([]intermittent.LayerSizes, len(e.layers))
+		for i := range e.layers {
+			e.sizes[i] = intermittent.SizesOf(&e.layers[i], sc.Workload.ElemBytes)
+		}
 	})
 	dfs := dataflowChoices(sc)
 	ls := &ladderSet{
@@ -373,15 +447,58 @@ func (e *Evaluator) buildLadderSet(cand Candidate) (*ladderSet, error) {
 	} else {
 		ls.ladders = make([]lazyLadder, n)
 	}
+	ls.setFloors(e.sizes)
 	if tr := e.trace; tr != nil {
 		for k := range ls.ladders {
-			hdr, _ := ls.header(k)
+			hdr := ls.header(k)
 			tr.Start("explore", "build-ladder", obs.A("layer", hdr.Layer.Name),
 				obs.A("dataflow", hdr.Dataflow.String()), obs.A("partition", hdr.Partition.String())).
 				End(obs.A("candidates", len(ls.candidates(k))))
 		}
 	}
 	return ls, nil
+}
+
+// setFloors gives every ladder its energy floor, from the floor rates
+// of its dataflow context and the sizes of its layer, and every layer
+// its visit order: its ladders by ascending floor at their first
+// candidate, which is always 1, ties in ladder order. Scans that visit
+// the likely cheapest ladder first hold a low bound early and stop the
+// others sooner. A ladder whose inputs fail the cost model's checks has
+// no rungs: it is done from the start, and its infinite floor puts it
+// last.
+func (ls *ladderSet) setFloors(sizes []intermittent.LayerSizes) {
+	per := ls.perLayer()
+	for ci := range ls.ctxs {
+		ctx := &ls.ctxs[ci]
+		var rates intermittent.FloorRates
+		if ctx.evaluable[0] || ctx.evaluable[1] {
+			rates = intermittent.NewFloorRates(ctx.df, &ctx.hw, ls.elemBytes, ls.rexc)
+		}
+		for li, cands := range ls.ntiles {
+			for part, c := range cands {
+				ld := &ls.ladders[li*per+2*ci+part]
+				if len(c) > 0 && ctx.evaluable[part] {
+					ld.floor = rates.Floor(&sizes[li], dataflow.Partition(part), c[len(c)-1])
+				} else {
+					ld.floor = intermittent.Floor{A: math.Inf(1)}
+					ld.state.Store(uint64(len(c))<<nextShift | ladderDone)
+				}
+			}
+		}
+	}
+	for li := range ls.ntiles {
+		lads := ls.ladders[li*per : (li+1)*per]
+		for j := range lads {
+			// Insert j into the visit order of lads[:j].
+			first := lads[j].floor.At(1)
+			i := j
+			for ; i > 0 && lads[lads[i-1].visit].floor.At(1) > first; i-- {
+				lads[i].visit = lads[i-1].visit
+			}
+			lads[i].visit = uint8(j)
+		}
+	}
 }
 
 // cacheShards stripes the energy-gene map: 16 locks keep up to 16

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -173,6 +174,34 @@ func TestCachedMatchesUncached(t *testing.T) {
 				t.Errorf("distinct accel configs should miss separately: misses = %d", misses)
 			}
 		})
+	}
+}
+
+// TestInfeasibleLayerError pins the two forms of a layer no rung fits:
+// the score path, which every search loop discards, returns the bare
+// intermittent.ErrNoFeasibleTile and allocates nothing for it, while
+// Evaluate names the layer and the candidate in the message the uncached
+// scan reports, still matching the sentinel with errors.Is.
+func TestInfeasibleLayerError(t *testing.T) {
+	sc := Scenario{Workload: dnn.VGG16(), Platform: MSP, Objective: LatSP}
+	cand := Candidate{PanelArea: 1, Cap: 1e-6}
+	e, err := NewEvaluator(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.score(cand); err != intermittent.ErrNoFeasibleTile {
+		t.Fatalf("score error %v, want the bare sentinel", err)
+	}
+	_, want := directPlans(sc, cand)
+	_, got := e.Evaluate(cand)
+	if want == nil || got == nil || got.Error() != want.Error() || !errors.Is(got, intermittent.ErrNoFeasibleTile) {
+		t.Fatalf("Evaluate error %q, want %q wrapping the sentinel", got, want)
+	}
+	if raceEnabled {
+		return // the race detector makes sync.Pool drop arenas at random
+	}
+	if n := testing.AllocsPerRun(100, func() { e.score(cand) }); n != 0 {
+		t.Errorf("an infeasible score allocates %v times, want 0", n)
 	}
 }
 
@@ -396,7 +425,7 @@ func TestTracedColdSearchBuildLadderSpans(t *testing.T) {
 		if k >= len(ls.ladders) {
 			t.Fatalf("more build-ladder spans than the %d ladders built", len(ls.ladders))
 		}
-		hdr, _ := ls.header(k)
+		hdr := ls.header(k)
 		want := map[string]any{"layer": hdr.Layer.Name, "dataflow": hdr.Dataflow.String(),
 			"partition": hdr.Partition.String(), "candidates": len(ls.candidates(k))}
 		for key, v := range want {
@@ -439,7 +468,7 @@ func BenchmarkBuildLadderSet(b *testing.B) {
 					b.Fatal(err)
 				}
 				for k := range ls.ladders {
-					ls.complete(k)
+					ls.complete(k, nil)
 				}
 			}
 		})

@@ -368,17 +368,21 @@ type Evaluator struct {
 	pins map[fingerprint]*pin
 	// lookups counts ladder-set requests, misses the distinct
 	// fingerprints pinned, and builds the sets this search built itself
-	// rather than taking from sc.Warm.
-	lookups, misses, builds atomic.Int64
+	// rather than taking from sc.Warm. rungs counts the rung-kernel
+	// calls this evaluator's scans made; each inner search sums its own
+	// and adds them once, so workers do not contend on it per rung build.
+	lookups, misses, builds, rungs atomic.Int64
 	// subs memoizes energy subsystems per (panel, cap) gene pair.
 	subs *subsystemCache
-	// layers is the evaluator's copy of the workload's layers and ntiles
+	// layers is the evaluator's copy of the workload's layers, sizes
+	// their mapping-independent sizes for the ladder floors, and ntiles
 	// lists each layer's candidate tile counts per partition. They depend
 	// only on the workload, so this evaluator's first ladder-set build
 	// makes them (inputsOnce) and every set it builds reads them in
 	// place; a search served only by the warm tier never pays for them.
 	inputsOnce sync.Once
 	layers     []dnn.Layer
+	sizes      []intermittent.LayerSizes
 	ntiles     [][2][]int
 	// slab, set only by the search that owns the evaluator and attaches
 	// no warm tier, supplies its ladder sets' storage until release.
@@ -449,6 +453,12 @@ func (e *Evaluator) CacheStats() (hits, misses int64) {
 func (e *Evaluator) WarmHits() int64 {
 	return e.misses.Load() - e.builds.Load()
 }
+
+// RungsBuilt returns how many candidate tile counts this evaluator's
+// scans ran through the rung kernel. For a search without a warm tier
+// it is the sum over ladders of the furthest candidate any scan reached,
+// so it is the same for any worker count.
+func (e *Evaluator) RungsBuilt() int64 { return e.rungs.Load() }
 
 // ladderSetFor returns the candidate's ladder set, resolving its
 // fingerprint on the first request and serving the pinned set after.
@@ -525,37 +535,33 @@ func takeArena(n int) *evalArena {
 // innerSearch is the SW-level optimizer: for a fixed candidate it
 // chooses, per layer, the (dataflow, partition, N_tile) minimizing the
 // layer's total energy, subject to every tile fitting the tightest
-// per-cycle budget across environments (Eq. 8). The per-layer plan
-// ladders come from the pinned ladder set; only the budget scan runs
-// per candidate, over slim rungs built on demand, and only each layer's
-// winner is materialized as a full Plan — by tile count, into the
-// caller's arena, which the returned pointers alias.
+// per-cycle budget across environments (Eq. 8) — ladderSet.best. The
+// per-layer plan ladders come from the pinned ladder set; only the
+// budget scan runs per candidate, over slim rungs built on demand, and
+// only each layer's winner is materialized as a full Plan — by tile
+// count, into the caller's arena, which the returned pointers alias.
+//
+// When a layer has no feasible rung, innerSearch returns the bare
+// intermittent.ErrNoFeasibleTile together with the plans of the layers
+// before it, so the score path never formats an error; evaluateInner
+// names the layer.
 func (e *Evaluator) innerSearch(cand Candidate, budget intermittent.BudgetFunc, a *evalArena) ([]*intermittent.Plan, error) {
 	ls, err := e.ladderSetFor(cand)
 	if err != nil {
 		return nil, err
 	}
-	w := e.sc.Workload
-	for li := range w.Layers {
-		bestK, bestN := -1, 0
-		bestE := units.Energy(math.Inf(1))
-		for ci := range ls.ctxs {
-			for _, part := range []dataflow.Partition{dataflow.ByChannel, dataflow.BySpatial} {
-				k := ls.ladderIndex(li, ci, part)
-				r, ok := ls.minFeasible(k, budget)
-				if !ok {
-					continue
-				}
-				if bestK < 0 || r.Energy < bestE {
-					bestK, bestN, bestE = k, r.NTile, r.Energy
-				}
-			}
+	var built int64
+	defer func() {
+		if built > 0 {
+			e.rungs.Add(built)
 		}
-		if bestK < 0 {
-			return nil, fmt.Errorf("explore: layer %s infeasible on %s: %w",
-				w.Layers[li].Name, cand, intermittent.ErrNoFeasibleTile)
+	}()
+	for li := range e.sc.Workload.Layers {
+		k, r, ok := ls.best(li, budget, &built)
+		if !ok {
+			return a.plans[:li], intermittent.ErrNoFeasibleTile
 		}
-		ls.planInto(bestK, bestN, &a.backing[li])
+		ls.planInto(k, r.NTile, &a.backing[li])
 	}
 	return a.plans, nil
 }
@@ -685,6 +691,10 @@ func (e *Evaluator) evaluateInner(cand Candidate) (Evaluation, error) {
 	a := takeArena(len(sc.Workload.Layers))
 	defer arenaPool.Put(a)
 	plans, err := e.searchPlans(cand, budget, a)
+	if errors.Is(err, intermittent.ErrNoFeasibleTile) {
+		return ev, fmt.Errorf("explore: layer %s infeasible on %s: %w",
+			sc.Workload.Layers[len(plans)].Name, cand, err)
+	}
 	if err != nil {
 		return ev, err
 	}
@@ -900,6 +910,10 @@ type Outcome struct {
 	CacheHits   int64
 	CacheMisses int64
 	WarmHits    int64
+	// RungsBuilt counts the candidate tile counts the run's ladder scans
+	// evaluated with the rung kernel (Evaluator.RungsBuilt): the work
+	// behind its cold ladder builds, the same for any worker count.
+	RungsBuilt int64
 	// History is the outer GA's per-generation best-objective series
 	// (search.Result.History), and Quality the matching per-generation
 	// population statistics — the search observatory's raw material.
@@ -1002,7 +1016,8 @@ func Explore(ctx context.Context, sc Scenario, b Baseline, cfg search.GAConfig) 
 			obs.A("objective", sc.Objective.String()))
 		defer func() {
 			hits, misses := e.CacheStats()
-			runSpan.End(obs.A("cache_hits", hits), obs.A("cache_misses", misses))
+			runSpan.End(obs.A("cache_hits", hits), obs.A("cache_misses", misses),
+				obs.A("rungs_built", e.RungsBuilt()))
 		}()
 	}
 
@@ -1037,7 +1052,7 @@ func Explore(ctx context.Context, sc Scenario, b Baseline, cfg search.GAConfig) 
 	hits, misses := e.CacheStats()
 	return Outcome{Scenario: sc, Baseline: b, Best: best, Value: bt.value, Evals: res.Evals,
 		Workers: cfg.Workers, CacheHits: hits, CacheMisses: misses, WarmHits: e.WarmHits(),
-		History: res.History, Quality: res.Quality, StoppedEarly: res.StoppedEarly}, nil
+		RungsBuilt: e.RungsBuilt(), History: res.History, Quality: res.Quality, StoppedEarly: res.StoppedEarly}, nil
 }
 
 // ParetoPoint pairs a candidate with its (panel, latency) coordinates.

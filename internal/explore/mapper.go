@@ -66,6 +66,8 @@ func (e *Evaluator) innerSearchGA(cand Candidate, budget intermittent.BudgetFunc
 	if err != nil {
 		return nil, err
 	}
+	var built int64
+	defer func() { e.rungs.Add(built) }()
 
 	// resolve maps one layer's genes to its ladder and rung; ok is false
 	// when the tile count is VM-infeasible or the budget check (Eq. 8)
@@ -77,7 +79,7 @@ func (e *Evaluator) innerSearchGA(cand Candidate, budget intermittent.BudgetFunc
 		part := dataflow.Partition(search.MapChoice(genome[3*i+1], 2))
 		nt := ls.ntiles[i][part]
 		k := ls.ladderIndex(i, dfi, part)
-		r, ok := ls.byNTile(k, nt[search.MapChoice(genome[3*i+2], len(nt))])
+		r, ok := ls.byNTile(k, nt[search.MapChoice(genome[3*i+2], len(nt))], &built)
 		if !ok {
 			return 0, r, false // tile does not fit VM
 		}

@@ -36,7 +36,7 @@ func exploreWorkers(t *testing.T, sc Scenario, b Baseline, workers int) Outcome 
 // same seed must produce a bit-identical Outcome whether candidates are
 // evaluated serially or across 8 workers, on every platform (MSP430,
 // TPU-pinned and Eyeriss-pinned accelerators) and every Table VI
-// baseline.
+// baseline — the rungs built included.
 func TestExploreWorkersBitIdentical(t *testing.T) {
 	tpu, eyeriss := accel.TPU, accel.Eyeriss
 	platforms := []struct {
@@ -52,6 +52,11 @@ func TestExploreWorkersBitIdentical(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", tc.name, b), func(t *testing.T) {
 				serial := exploreWorkers(t, tc.sc, b, 1)
 				parallel := exploreWorkers(t, tc.sc, b, 8)
+				// A cold search builds each ladder as far as its furthest
+				// scan reached, whichever worker ran that scan.
+				if serial.RungsBuilt <= 0 || serial.RungsBuilt != parallel.RungsBuilt {
+					t.Errorf("rungs built: %d with Workers=1, %d with Workers=8", serial.RungsBuilt, parallel.RungsBuilt)
+				}
 				if !reflect.DeepEqual(serial, parallel) {
 					t.Errorf("Outcome differs between Workers=1 and Workers=8\nserial:   value=%v cand=%v\nparallel: value=%v cand=%v",
 						serial.Value, serial.Best.Candidate, parallel.Value, parallel.Best.Candidate)

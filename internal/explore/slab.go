@@ -22,7 +22,7 @@ import (
 
 const (
 	// ladderBlockLen is the ladder count of a recycled ladder block
-	// (72 KiB), room for the ladder arrays of several sets of the
+	// (96 KiB), room for the ladder arrays of several sets of the
 	// deepest catalog workload.
 	ladderBlockLen = 1024
 	// rungBlockLen is the rung count of a recycled rung block (128 KiB).

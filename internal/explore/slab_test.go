@@ -17,9 +17,11 @@ import (
 
 // poisonedSlab returns an empty slab whose current blocks are recycled
 // ones filled with garbage: every ladder claims to be done with a huge
-// rung count and points at NaN rungs, and every rung is NaN. A set
-// carved from it matches the eager ladders only if carving clears the
-// ladder array and no scan reads a rung before its ladder publishes it.
+// rung count, has a NaN floor and an out-of-range visit slot and points
+// at NaN rungs, and every rung is NaN. A set carved from it matches the
+// eager ladders only if carving clears the ladder array, the set build
+// writes every floor and visit slot, and no scan reads a rung before its
+// ladder publishes it.
 func poisonedSlab() *slab {
 	nan := math.NaN()
 	bad := intermittent.Rung{NTile: -1, Power: units.Power(nan), TileEnergy: units.Energy(nan), Energy: units.Energy(nan)}
@@ -30,8 +32,8 @@ func poisonedSlab() *slab {
 	}
 	near := &[nearRungs]intermittent.Rung{bad, bad, bad}
 	for i := range lb {
-		lb[i] = lazyLadder{next: 7, head: bad, near: near, tail: rb[:16]}
-		lb[i].state.Store(^uint32(0))
+		lb[i] = lazyLadder{floor: intermittent.Floor{A: nan, B: nan}, visit: 0xff, head: bad, near: near, tail: rb[:16]}
+		lb[i].state.Store(^uint64(0))
 	}
 	return &slab{ladders: lb[:], rungs: rb[:], lblocks: []*ladderBlock{lb}, rblocks: []*rungBlock{rb}}
 }
@@ -55,7 +57,7 @@ func TestEvaluatorReleaseContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls.complete(0)
+	ls.complete(0, nil)
 	if s == nil || ls.slab != s || len(s.lblocks) == 0 || len(s.rblocks) == 0 {
 		t.Fatalf("search evaluator without a tier: slab %v, set carved from it: %v", s != nil, ls.slab == s)
 	}

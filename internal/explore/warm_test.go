@@ -16,13 +16,15 @@ import (
 )
 
 // normalizeWarm strips the fields that legitimately differ between
-// warm and cold runs — the tier pointer, the worker count and the
-// warm-hit count — so the rest of the Outcome, hits and misses
+// warm and cold runs — the tier pointer, the worker count, the warm-hit
+// count and the rungs built, since a warm run reuses rungs earlier
+// searches built — so the rest of the Outcome, hits and misses
 // included, can be compared bit for bit.
 func normalizeWarm(out Outcome) Outcome {
 	out.Scenario.Warm = nil
 	out.Workers = 0
 	out.WarmHits = 0
+	out.RungsBuilt = 0
 	return out
 }
 
@@ -162,7 +164,7 @@ func TestWarmCacheByteBoundAdversarial(t *testing.T) {
 	// name). It is taken before the set fills, as the tier takes it.
 	var held int64
 	for k := range ls.ladders {
-		held += int64(ls.complete(k)) * int64(unsafe.Sizeof(intermittent.Rung{}))
+		held += int64(ls.complete(k, nil)) * int64(unsafe.Sizeof(intermittent.Rung{}))
 	}
 	for _, l := range sc.Workload.Layers {
 		held += int64(unsafe.Sizeof(l)) + int64(len(l.Name))

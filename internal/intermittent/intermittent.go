@@ -158,6 +158,125 @@ func (tc *tileCost) energy() units.Energy { return units.Energy(float64(tc.tileE
 // power is the average draw during one tile (Plan.TilePower).
 func (tc *tileCost) power() units.Power { return units.DivET(tc.tileE, tc.tileT) }
 
+// LayerSizes are the mapping-independent sizes of one layer that an
+// energy floor reads: its input, weight and output bytes and its MACs,
+// each as the cost model computes it.
+type LayerSizes struct {
+	InB, WB, OutB float64
+	MACs          float64
+}
+
+// SizesOf returns l's sizes at elemBytes per element.
+func SizesOf(l *dnn.Layer, elemBytes int) LayerSizes {
+	eb := float64(elemBytes)
+	return LayerSizes{
+		InB:  float64(l.InputElems()) * eb,
+		WB:   float64(l.WeightElems()) * eb,
+		OutB: float64(l.OutputElems()) * eb,
+		MACs: float64(l.MACs()),
+	}
+}
+
+// Floor is a lower bound on the rung energies of one ladder that is
+// linear in the tile count: the rung of count n has Energy ≥ A + B·n.
+// B is never negative, so the floor never falls as n grows, and once it
+// passes a bound every later rung of the ladder lies above it too.
+type Floor struct{ A, B float64 }
+
+// At returns the floor at tile count n.
+func (f Floor) At(n int) units.Energy { return units.Energy(f.A + f.B*float64(n)) }
+
+// floorMargin is the relative shading that keeps a floor below the
+// rounded rung energies it bounds. The floor is a few dozen rounded
+// operations away from exact, so 1e-9 of the magnitude of its terms
+// leaves a margin of about a million rounding errors.
+const floorMargin = 1e-9
+
+// FloorRates are the energies a floor charges per MAC and per byte.
+// They depend on the dataflow, the hardware, the element width and
+// r_exc but not on the layer, so one value serves every layer of a
+// dataflow context.
+type FloorRates struct {
+	df dataflow.Dataflow
+	// perMAC is a MAC's own energy, its streamed VM bytes and its share
+	// of the array's static energy; perCkptB is one checkpointed byte's
+	// save, resume and static energy while it streams, times (1+r_exc).
+	perMAC, perCkptB float64
+	evm, er, ew      float64
+}
+
+// NewFloorRates prepares the floor rates of dataflow df on hw. rexc
+// must be normalized and hw must pass the cost model's checks.
+func NewFloorRates(df dataflow.Dataflow, hw *dataflow.HW, elemBytes int, rexc float64) FloorRates {
+	fr := FloorRates{df: df, evm: float64(hw.EVMPerByte),
+		er: float64(hw.ENVMReadPerByte), ew: float64(hw.ENVMWritePerByte)}
+	k := 3.0 // streamed operand plus partial-sum read and write
+	if df == dataflow.OS {
+		k = 2
+	}
+	reuse := hw.StreamReuse
+	if reuse < 1 {
+		reuse = 1
+	}
+	staticW := float64(hw.PMemPerByte)*float64(hw.VMBytes) + float64(hw.PIdle)
+	fr.perMAC = float64(hw.EMAC) + fr.evm*k*float64(elemBytes)/reuse + staticW*float64(hw.TMAC)/float64(hw.NPE)
+	fr.perCkptB = fr.er + fr.ew
+	if hw.NVMBytesPerSec > 0 {
+		fr.perCkptB += staticW / hw.NVMBytesPerSec
+	}
+	fr.perCkptB *= 1 + rexc
+	return fr
+}
+
+// Floor bounds from below the Energy of every rung, up to tile count
+// maxN (the last candidate), of the ladder of s's layer under partition
+// part and the rates' dataflow, hardware and r_exc. Energy is
+// n·tileE(n), and the floor sums terms that hold for any tiling (see
+// tileCostOf and dataflow.EvaluateInto):
+//
+//   - MAC energy, since n·⌊macs/n⌋ ≥ macs − n;
+//   - VM traffic of at least outB + k·(macs − n)·eb/reuse, with k = 3
+//     streamed bytes per MAC for WS and IS and 2 for OS, plus the
+//     stationary operand fetched at least once per tile;
+//   - NVM reads and writes;
+//   - static energy over the compute time TMAC·(macs − n)/NPE and over
+//     the checkpoint streaming time;
+//   - checkpoints of the tiles' working sets.
+//
+// The terms linear in n are the per-tile re-reads: a ByChannel tile
+// reads and checkpoints the whole input, a BySpatial tile reads every
+// weight. Where those do not outweigh the −n slack of the MAC terms, the
+// floor is flattened to its value at maxN.
+func (fr *FloorRates) Floor(s *LayerSizes, part dataflow.Partition, maxN int) Floor {
+	a := fr.perMAC*s.MACs + (fr.evm+fr.ew+fr.perCkptB)*s.OutB
+	var b float64
+	if part == dataflow.ByChannel {
+		a += fr.er * s.WB
+		b += (fr.er + fr.perCkptB) * s.InB
+		switch fr.df {
+		case dataflow.WS:
+			a += fr.evm * s.WB
+		case dataflow.IS:
+			b += fr.evm * s.InB
+		}
+	} else {
+		a += (fr.er + fr.perCkptB) * s.InB
+		b += fr.er * s.WB
+		switch fr.df {
+		case dataflow.WS:
+			b += fr.evm * s.WB
+		case dataflow.IS:
+			a += fr.evm * s.InB
+		}
+	}
+	n := float64(maxN)
+	shade := floorMargin * (a + (b+fr.perMAC)*n)
+	if b -= fr.perMAC; b < 0 {
+		a, b = a+b*n, 0
+	}
+	return Floor{A: a - shade, B: b}
+}
+
 // planFromCost writes the plan of an already-evaluated dataflow cost —
 // the cost plus its checkpoint accounting — into dst. rexc must be
 // normalized.

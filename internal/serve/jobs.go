@@ -747,18 +747,32 @@ func (m *manager) finish(j *job, state JobState, err error) {
 		j.mu.Unlock()
 		return
 	}
-	j.state = state
-	j.finished = time.Now()
-	if err != nil {
-		j.err = err.Error()
-	}
+	finished := time.Now()
 	var latency float64
 	if !j.started.IsZero() {
-		latency = j.finished.Sub(j.started).Seconds()
+		latency = finished.Sub(j.started).Seconds()
 	}
-	var entry *cacheEntry
-	if state == JobDone && j.result != nil {
-		entry = &cacheEntry{result: *j.result, verify: j.verify, rec: j.rec, audit: j.audit}
+	// The result cache and the lifecycle totals learn of the job before
+	// its terminal state becomes visible, so a client that has seen the
+	// state finds the job counted and its result cached. Both take only
+	// their own leaf locks.
+	switch state {
+	case JobDone:
+		if j.result != nil {
+			m.cache.add(j.js.key, cacheEntry{result: *j.result, verify: j.verify, rec: j.rec, audit: j.audit})
+		}
+		m.met.jobsDone.Inc()
+		m.met.observeLatency(latency)
+	case JobFailed:
+		m.met.jobsFailed.Inc()
+		m.met.observeLatency(latency)
+	case JobCancelled:
+		m.met.jobsCancelled.Inc()
+	}
+	j.state = state
+	j.finished = finished
+	if err != nil {
+		j.err = err.Error()
 	}
 	rec := j.walRecordLocked()
 	j.mu.Unlock()
@@ -775,20 +789,6 @@ func (m *manager) finish(j *job, state JobState, err error) {
 		// Terminal records fsync, so the journal write is a real phase of
 		// the job's life worth seeing on its timeline.
 		m.addPhase(j, "wal-journal", journalStart, journalEnd)
-	}
-
-	switch state {
-	case JobDone:
-		if entry != nil {
-			m.cache.add(j.js.key, *entry)
-		}
-		m.met.jobsDone.Inc()
-		m.met.observeLatency(latency)
-	case JobFailed:
-		m.met.jobsFailed.Inc()
-		m.met.observeLatency(latency)
-	case JobCancelled:
-		m.met.jobsCancelled.Inc()
 	}
 	attrs := []slog.Attr{
 		slog.String("job", j.id),

@@ -183,3 +183,41 @@ func TestWALSnapshotCompaction(t *testing.T) {
 		}
 	}
 }
+
+// TestLifecycleTotalsNeverLagState pins the order in which a job
+// finishes: its result is cached and chrysalisd_jobs_done_total counts
+// it before its done state is visible, while the WAL journal (and its
+// fsync) still follows the state change. A client that polls each job
+// to done and reads the total right away must find every job it has
+// seen finish counted and its result cached. The poll spins on the
+// job's status, so it sees the state change as soon as any client could.
+func TestLifecycleTotalsNeverLagState(t *testing.T) {
+	m, err := newManager(walTestOpts(t, t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := m.close(context.Background()); err != nil {
+			t.Error(err)
+		}
+	})
+	const jobs = 30
+	for i := 0; i < jobs; i++ {
+		j := mustSubmit(t, m, DesignRequest{Workload: "har", Budget: 40, Seed: int64(100 + i)})
+		go m.run(<-m.queue) // the manager has no workers of its own
+		st := j.status()
+		for !st.State.terminal() {
+			st = j.status()
+		}
+		if st.State != JobDone {
+			t.Fatalf("job %s ended %s: %s", st.ID, st.State, st.Error)
+		}
+		if got := m.met.jobsDone.Value(); got < int64(i+1) {
+			t.Fatalf("after %d jobs seen done, chrysalisd_jobs_done_total = %d", i+1, got)
+		}
+		if _, ok := m.cache.get(j.js.key); !ok {
+			t.Fatalf("job %s is done but its result is not cached", st.ID)
+		}
+		<-j.done
+	}
+}
