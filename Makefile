@@ -77,11 +77,13 @@ serve-smoke:
 
 # End-to-end warm-start check: on a warm-enabled daemon a cold job fills
 # the tier and a near-duplicate job reports warm hits, with a design
-# bit-identical to a tier-less daemon's; plus the explore-level
-# warm-vs-cold determinism contract under -race.
+# bit-identical to a tier-less daemon's; plus, under -race, the warm
+# rows of the explore determinism matrix and the concurrent-search
+# hammer on one shared tier (the hammer has no subtests, so the
+# second-level `warm` filter selects only the matrix's warm rows).
 warm-smoke:
 	$(GO) test ./internal/serve/ -run TestWarmSmoke -v
-	$(GO) test -race ./internal/explore/ -run 'TestWarmColdWorkersBitIdentical|TestWarmTierConcurrentSearches'
+	$(GO) test -race ./internal/explore/ -run '^(TestExploreWorkersBitIdentical|TestWarmTierConcurrentSearches)$$/^warm$$' -v
 
 # End-to-end durable-cluster check: three daemons on loopback resolve a
 # design submitted to all of them exactly once (consistent-hash ring +

@@ -21,9 +21,9 @@ import (
 	"chrysalis/internal/explore"
 	"chrysalis/internal/intermittent"
 	"chrysalis/internal/msp430"
+	"chrysalis/internal/report"
 	"chrysalis/internal/sim"
 	"chrysalis/internal/solar"
-	"chrysalis/internal/trace"
 	"chrysalis/internal/units"
 )
 
@@ -97,7 +97,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		t := trace.NewTable(fmt.Sprintf("per-layer profile: %s (%s dataflow)", wl.Name, df),
+		t := report.NewTable(fmt.Sprintf("per-layer profile: %s (%s dataflow)", wl.Name, df),
 			"Layer", "Kind", "MACs", "AI (MACs/B)", "Mapping", "Energy", "Time", "E share", "T share")
 		for _, r := range rows {
 			t.AddRow(r.Layer, r.Kind,
@@ -144,8 +144,10 @@ func main() {
 	if *traceN > 0 {
 		simCfg.Trace = rec.Trace
 	}
+	var wave *sim.Recorder
 	if *waveform {
-		simCfg.SampleEvery = units.Seconds(*step) * 5
+		wave = sim.NewRecorder(0)
+		simCfg.Record = wave
 	}
 	run, err := sim.Run(simCfg)
 	if err != nil {
@@ -169,15 +171,15 @@ func main() {
 		run.Checkpoints, run.Resumes, run.TileRetries)
 	fmt.Printf("system eff.:    %.1f%%\n\n", run.SystemEfficiency*100)
 
-	if *waveform && len(run.VoltageTrace) > 1 {
-		times := make([]float64, len(run.VoltageTrace))
-		volts := make([]float64, len(run.VoltageTrace))
-		for i, smp := range run.VoltageTrace {
-			times[i] = float64(smp.Time)
-			volts[i] = float64(smp.Voltage)
+	if wave != nil {
+		vcap := wave.Waveform().Channels[sim.ChVCap].Points
+		times := make([]float64, len(vcap))
+		volts := make([]float64, len(vcap))
+		for i, p := range vcap {
+			times[i], volts[i] = p.T, p.Last
 		}
 		fmt.Println("capacitor voltage waveform:")
-		fmt.Println(trace.Waveform(times, volts, 70, 10))
+		fmt.Println(report.Waveform(times, volts, 70, 10))
 		fmt.Println()
 	}
 
@@ -185,18 +187,18 @@ func main() {
 	total := float64(b.Delivered())
 	if total > 0 {
 		fmt.Println("load-side energy breakdown:")
-		fmt.Println(trace.Bar("infer", float64(b.Infer)/total, 40))
-		fmt.Println(trace.Bar("nvm i/o", float64(b.NVMIO)/total, 40))
-		fmt.Println(trace.Bar("static", float64(b.Static)/total, 40))
-		fmt.Println(trace.Bar("checkpoint", float64(b.Ckpt)/total, 40))
-		fmt.Println(trace.Bar("wasted", float64(b.Wasted)/total, 40))
+		fmt.Println(report.Bar("infer", float64(b.Infer)/total, 40))
+		fmt.Println(report.Bar("nvm i/o", float64(b.NVMIO)/total, 40))
+		fmt.Println(report.Bar("static", float64(b.Static)/total, 40))
+		fmt.Println(report.Bar("checkpoint", float64(b.Ckpt)/total, 40))
+		fmt.Println(report.Bar("wasted", float64(b.Wasted)/total, 40))
 	}
 	if h := float64(b.Harvested); h > 0 {
 		fmt.Println("\nharvest-side energy:")
-		fmt.Println(trace.Bar("to load", total/h, 40))
-		fmt.Println(trace.Bar("conversion", float64(b.ConversionLoss)/h, 40))
-		fmt.Println(trace.Bar("cap leakage", float64(b.CapLeakage)/h, 40))
-		fmt.Println(trace.Bar("spilled", float64(b.SpilledHarvest)/h, 40))
+		fmt.Println(report.Bar("to load", total/h, 40))
+		fmt.Println(report.Bar("conversion", float64(b.ConversionLoss)/h, 40))
+		fmt.Println(report.Bar("cap leakage", float64(b.CapLeakage)/h, 40))
+		fmt.Println(report.Bar("spilled", float64(b.SpilledHarvest)/h, 40))
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"chrysalis/internal/trace"
+	"chrysalis/internal/report"
 	"chrysalis/internal/units"
 )
 
@@ -27,7 +27,7 @@ func Report(spec Spec, res Result) (string, error) {
 	fmt.Fprintf(&b, "objective:  %s (search space: %s, %d evaluations)\n\n",
 		res.Objective, res.Baseline, res.Evals)
 
-	hw := trace.NewTable("Hardware configuration", "Subsystem", "Component", "Value")
+	hw := report.NewTable("Hardware configuration", "Subsystem", "Component", "Value")
 	hw.AddRow("energy", "solar panel", res.PanelArea.String())
 	hw.AddRow("energy", "capacitor", res.Cap.String())
 	hw.AddRow("energy", "PMIC", "BQ25570-class, U_on=3.0V, U_off=1.8V")
@@ -44,7 +44,7 @@ func Report(spec Spec, res Result) (string, error) {
 	}
 	b.WriteString("\n")
 
-	df := trace.NewTable("Per-layer intermittent mapping",
+	df := report.NewTable("Per-layer intermittent mapping",
 		"Layer", "Dataflow", "Partition", "N_tile", "Checkpoint")
 	var totalTiles int
 	var totalCkpt units.Bytes
@@ -59,7 +59,7 @@ func Report(spec Spec, res Result) (string, error) {
 	}
 	fmt.Fprintf(&b, "total: %d tiles; peak checkpoint %s\n\n", totalTiles, maxCkpt(res).String())
 
-	env := trace.NewTable("Predicted metrics per environment",
+	env := report.NewTable("Predicted metrics per environment",
 		"Environment", "E2E latency", "Energy/inference", "System efficiency")
 	for _, e := range res.PerEnv {
 		env.AddRow(e.Env, e.Latency.String(), e.Energy.String(),

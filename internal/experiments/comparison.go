@@ -10,7 +10,7 @@ import (
 	"chrysalis/internal/accel"
 	"chrysalis/internal/dnn"
 	"chrysalis/internal/explore"
-	"chrysalis/internal/trace"
+	"chrysalis/internal/report"
 )
 
 // fig10Cell is one (network, arch, objective, method) search outcome.
@@ -126,7 +126,7 @@ func renderFig10(w io.Writer, cells []fig10Cell) error {
 		for _, m := range methods {
 			headers = append(headers, m.String())
 		}
-		t := trace.NewTable(
+		t := report.NewTable(
 			fmt.Sprintf("Figure 10 — objective %q (lower is better; %s)", obj, objectiveUnits(obj)),
 			headers...)
 		wins, rows := 0, 0
@@ -229,7 +229,7 @@ func Fig11(w io.Writer, o Options) error {
 	for _, m := range explore.Baselines() {
 		headers = append(headers, m.String())
 	}
-	t := trace.NewTable("Figure 11 — energy efficiency E_infer/E_eh of lat*sp winners (bright)", headers...)
+	t := report.NewTable("Figure 11 — energy efficiency E_infer/E_eh of lat*sp winners (bright)", headers...)
 
 	seed := int64(100)
 	chrysalisSum, chrysalisN := 0.0, 0
@@ -290,7 +290,7 @@ func Headline(w io.Writer, o Options) error {
 	if err != nil {
 		return err
 	}
-	t := trace.NewTable("Headline — average improvement of CHRYSALIS vs each ablation",
+	t := report.NewTable("Headline — average improvement of CHRYSALIS vs each ablation",
 		"Baseline", "Avg improvement (lat objective)", "Avg improvement (lat*sp objective)")
 	var total float64
 	var n int

@@ -17,12 +17,12 @@ import (
 	"chrysalis/internal/explore"
 	"chrysalis/internal/intermittent"
 	"chrysalis/internal/msp430"
+	"chrysalis/internal/report"
 	"chrysalis/internal/search"
 	"chrysalis/internal/sim"
 	"chrysalis/internal/solar"
 	"chrysalis/internal/storage"
 	"chrysalis/internal/thermal"
-	"chrysalis/internal/trace"
 	"chrysalis/internal/units"
 )
 
@@ -48,7 +48,7 @@ func simConfigFor(wl dnn.Workload, panel units.AreaCM2, capC units.Capacitance, 
 // under stable and intermittent power — the design axis separating the
 // Table I platform families.
 func ExtPolicy(w io.Writer, o Options) error {
-	t := trace.NewTable("Extension — checkpoint policies (HAR on MSP430, 8cm², 100uF)",
+	t := report.NewTable("Extension — checkpoint policies (HAR on MSP430, 8cm², 100uF)",
 		"Environment", "Policy", "E2E lat", "Saves", "Retries", "Ckpt E", "Wasted E")
 	envs := []solar.Environment{solar.Bright(), solar.Dark()}
 	for _, env := range envs {
@@ -97,7 +97,7 @@ func ExtDayRun(w io.Writer, o Options) error {
 		return err
 	}
 
-	t := trace.NewTable("Extension — day-scale deployment (HAR, 12cm², 470uF, compressed diurnal day)",
+	t := report.NewTable("Extension — day-scale deployment (HAR, 12cm², 470uF, compressed diurnal day)",
 		"Scenario", "Inferences done", "Throughput (inf/h)", "Harvested", "Leaked", "Wasted retries")
 	for _, sc := range []struct {
 		name string
@@ -137,7 +137,7 @@ func ExtDayRun(w io.Writer, o Options) error {
 // latency through the two couplings (PV derating and capacitor
 // leakage inflation).
 func ExtThermal(w io.Writer, o Options) error {
-	t := trace.NewTable("Extension — temperature coupling (HAR, 8cm², 1mF, bright)",
+	t := report.NewTable("Extension — temperature coupling (HAR, 8cm², 1mF, bright)",
 		"Ambient", "PV factor", "k_cap factor", "E2E lat")
 	base := math.Inf(1)
 	for _, temp := range []float64{0, 15, 25, 40, 55, 70} {
@@ -190,7 +190,7 @@ func ExtRobustness(w io.Writer, o Options) error {
 	o = o.withDefaults()
 	sc := explore.Scenario{Workload: dnn.HAR(), Platform: explore.MSP, Objective: explore.LatSP}
 
-	t := trace.NewTable("Extension — search robustness across 8 seeds (HAR, lat*sp)",
+	t := report.NewTable("Extension — search robustness across 8 seeds (HAR, lat*sp)",
 		"Sampler", "Mean", "Std", "Min", "Max", "Feasible")
 	const reps = 8
 	for _, alg := range []string{"ga", "random"} {
@@ -227,7 +227,7 @@ func ExtRobustness(w io.Writer, o Options) error {
 // rescues the mid-size regime with an order of magnitude less leakage,
 // while supercaps extend storage at the cost of self-discharge.
 func ExtStorage(w io.Writer, o Options) error {
-	t := trace.NewTable("Extension — storage technologies (HAR, 8cm², bright)",
+	t := report.NewTable("Extension — storage technologies (HAR, 8cm², bright)",
 		"Technology", "Size", "k_cap", "E2E lat", "Leak E", "Sys eff")
 	cases := []struct {
 		tech storage.Tech
@@ -277,7 +277,7 @@ func ExtStorage(w io.Writer, o Options) error {
 // 10^(4+2n) space; this table also counts the exact discrete mapping
 // space our describers expose.
 func ExtSpace(w io.Writer, o Options) error {
-	t := trace.NewTable("Extension — design-space cardinality",
+	t := report.NewTable("Extension — design-space cardinality",
 		"Workload", "Layers n", "Paper-style 10^(4+2n)", "Exact mapping combos (log10)", "Per-layer choices (min..max)")
 	all := append(dnn.ExistingAuT(), dnn.FutureAuT()...)
 	for _, wl := range all {
@@ -319,7 +319,7 @@ func ExtSpace(w io.Writer, o Options) error {
 // on the bare CPU (the Table III "Infer Controller" without its
 // vector unit).
 func ExtLEA(w io.Writer, o Options) error {
-	t := trace.NewTable("Extension — LEA ablation (8cm², 100uF, bright)",
+	t := report.NewTable("Extension — LEA ablation (8cm², 100uF, bright)",
 		"Workload", "With LEA", "CPU only", "Slowdown")
 	for _, wl := range o.withDefaults().existingApps() {
 		row := []string{wl.Name}

@@ -10,9 +10,9 @@ import (
 	"chrysalis/internal/energy"
 	"chrysalis/internal/explore"
 	"chrysalis/internal/msp430"
+	"chrysalis/internal/report"
 	"chrysalis/internal/sim"
 	"chrysalis/internal/solar"
-	"chrysalis/internal/trace"
 	"chrysalis/internal/units"
 )
 
@@ -20,7 +20,7 @@ import (
 // published investigation; the CHRYSALIS row is what this repository
 // implements.
 func Table1(w io.Writer, o Options) error {
-	t := trace.NewTable("Table I — Investigation into existing AuT platforms",
+	t := report.NewTable("Table I — Investigation into existing AuT platforms",
 		"AuT design methodology", "Energy design", "Inference design", "Scalability", "Sustainability")
 	t.AddRow("WISPCam, Botoks", "yes", "no", "no", "no")
 	t.AddRow("SONIC, RAD", "no", "yes", "no", "no")
@@ -59,7 +59,7 @@ func modelWorkloadOn(wl dnn.Workload, hw dataflow.HW, convOnly bool) (units.Seco
 // AlexNet (conv layers, matching the published MOPs), model vs
 // published.
 func Fig2a(w io.Writer, o Options) error {
-	t := trace.NewTable("Figure 2(a) — intermittent platform vs edge accelerator (non-intermittent)",
+	t := report.NewTable("Figure 2(a) — intermittent platform vs edge accelerator (non-intermittent)",
 		"Inference HW", "Test model", "Metric", "Model", "Published")
 
 	// MSP430 row.
@@ -105,7 +105,7 @@ func Fig2a(w io.Writer, o Options) error {
 // with unavailability when leakage exceeds harvest.
 func Fig2b(w io.Writer, o Options) error {
 	o = o.withDefaults()
-	t := trace.NewTable("Figure 2(b) — throughput vs capacitor size (MSP430, 2cm² panel, dark ambient)",
+	t := report.NewTable("Figure 2(b) — throughput vs capacitor size (MSP430, 2cm² panel, dark ambient)",
 		"App", "Capacitor", "E2E latency", "Throughput (inf/h)")
 	apps := []dnn.Workload{dnn.CNNb(), dnn.CNNs(), dnn.FCNet()}
 	caps := []units.Capacitance{10e-6, 100e-6, 1e-3, 10e-3}
@@ -139,7 +139,7 @@ func Fig2b(w io.Writer, o Options) error {
 
 // Table3 prints the supported component inventory.
 func Table3(w io.Writer, o Options) error {
-	t := trace.NewTable("Table III — supported AuT component setups",
+	t := report.NewTable("Table III — supported AuT component setups",
 		"Subsystem", "Component", "Realization", "Base model")
 	for _, c := range coreComponents() {
 		t.AddRow(c[0], c[1], c[2], c[3])
@@ -149,7 +149,7 @@ func Table3(w io.Writer, o Options) error {
 
 // Table4 prints the existing-AuT design space and application stats.
 func Table4(w io.Writer, o Options) error {
-	ds := trace.NewTable("Table IV — design space (existing AuT)",
+	ds := report.NewTable("Table IV — design space (existing AuT)",
 		"Parameter", "Type", "Potential values")
 	ds.AddRow("Solar panel size", "float", "1cm² to 30cm²")
 	ds.AddRow("Capacitor size", "float", "1uF to 10mF")
@@ -163,7 +163,7 @@ func Table4(w io.Writer, o Options) error {
 
 // Table5 prints the future-AuT design space and application stats.
 func Table5(w io.Writer, o Options) error {
-	ds := trace.NewTable("Table V — design space (future AuT with accelerators)",
+	ds := report.NewTable("Table V — design space (future AuT with accelerators)",
 		"Parameter", "Type", "Potential values")
 	ds.AddRow("Solar panel size", "float", "1cm² to 30cm²")
 	ds.AddRow("Capacitor size", "float", "1uF to 10mF")
@@ -178,7 +178,7 @@ func Table5(w io.Writer, o Options) error {
 }
 
 func workloadTable(w io.Writer, title string, wls []dnn.Workload, flopScale float64, flopUnit string) error {
-	t := trace.NewTable(title, "Application", "Input", "Layers", "Params", flopUnit)
+	t := report.NewTable(title, "Application", "Input", "Layers", "Params", flopUnit)
 	for _, wl := range wls {
 		t.AddRow(wl.Name,
 			fmt.Sprintf("(%d,%d,%d)", wl.Input[0], wl.Input[1], wl.Input[2]),

@@ -9,9 +9,9 @@ import (
 	"chrysalis/internal/dnn"
 	"chrysalis/internal/energy"
 	"chrysalis/internal/explore"
+	"chrysalis/internal/report"
 	"chrysalis/internal/sim"
 	"chrysalis/internal/solar"
-	"chrysalis/internal/trace"
 	"chrysalis/internal/units"
 )
 
@@ -24,11 +24,11 @@ func Fig6(w io.Writer, o Options) error {
 	o = o.withDefaults()
 	for _, app := range o.existingApps() {
 		sc := explore.Scenario{Workload: app, Platform: explore.MSP, Objective: explore.LatSP}
-		points, front, err := explore.ParetoScan(sc, o.ParetoSamples, o.Seed+int64(len(app.Name)))
+		points, front, err := explore.ParetoScan(sc, o.ParetoSamples, o.Seed+int64(len(app.Name)), 0)
 		if err != nil {
 			return err
 		}
-		t := trace.NewTable(fmt.Sprintf("Figure 6 — Pareto front for %s (%d feasible of %d sampled)",
+		t := report.NewTable(fmt.Sprintf("Figure 6 — Pareto front for %s (%d feasible of %d sampled)",
 			app.Name, len(points), o.ParetoSamples),
 			"Panel", "Capacitor", "Avg latency", "lat*sp (cm²·s)")
 		bestLatSP := math.Inf(1)
@@ -97,7 +97,7 @@ func Fig7(w io.Writer, o Options) error {
 		Envs:      brightOnly(),
 	}
 
-	t := trace.NewTable("Figure 7 — model vs platform latency for a single conv layer (bright)",
+	t := report.NewTable("Figure 7 — model vs platform latency for a single conv layer (bright)",
 		"Panel", "Capacitor", "Model latency", "Platform latency", "Deviation")
 	panels := []units.AreaCM2{2, 4, 6, 8, 10, 15, 20, 30}
 	caps := []units.Capacitance{47e-6, 100e-6, 470e-6, 1e-3}

@@ -6,8 +6,8 @@ import (
 	"math"
 
 	"chrysalis/internal/explore"
+	"chrysalis/internal/report"
 	"chrysalis/internal/solar"
-	"chrysalis/internal/trace"
 	"chrysalis/internal/units"
 )
 
@@ -22,7 +22,7 @@ func Fig8(w io.Writer, o Options) error {
 	panels := []units.AreaCM2{2, 4, 8, 16, 24, 30}
 
 	for _, app := range o.existingApps() {
-		t := trace.NewTable(
+		t := report.NewTable(
 			fmt.Sprintf("Figure 8 — %s, capacitor fixed at 100uF (bright)", app.Name),
 			"Panel", "E2E lat", "Infer E", "Ckpt E", "Static E", "Leak E", "Sys eff", "lat*sp")
 		sc := explore.Scenario{
@@ -83,7 +83,7 @@ func Fig9(w io.Writer, o Options) error {
 	caps := []units.Capacitance{10e-6, 47e-6, 100e-6, 470e-6, 1e-3, 4.7e-3, 10e-3}
 
 	for _, app := range o.existingApps() {
-		t := trace.NewTable(
+		t := report.NewTable(
 			fmt.Sprintf("Figure 9 — %s, solar panel fixed at 8cm² (bright)", app.Name),
 			"Capacitor", "E2E lat", "Ckpt E", "Cap leakage", "Cycles", "Sys eff")
 		sc := explore.Scenario{

@@ -19,7 +19,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"chrysalis/internal/accel"
 	"chrysalis/internal/dataflow"
@@ -897,9 +896,11 @@ type Outcome struct {
 	Value float64
 	// Evals is the number of candidate evaluations spent.
 	Evals int
-	// Workers is the resolved candidate-evaluation concurrency the run
-	// used (1 = serial). It never affects the other fields: Outcomes are
-	// bit-identical for any worker count at the same seed.
+	// Workers is the resolved candidate-evaluation concurrency: every
+	// batch of the run fanned out across this many goroutines (fewer
+	// only for a smaller batch; 1 = serial). It never affects the other
+	// fields: Outcomes are bit-identical for any worker count at the
+	// same seed.
 	Workers int
 	// CacheHits / CacheMisses count the evaluator's ladder-set lookups
 	// across the run: misses are the distinct hardware fingerprints,
@@ -924,19 +925,6 @@ type Outcome struct {
 	// generation is len(History).
 	StoppedEarly bool
 }
-
-// DefaultSerialCostFloor is the per-candidate cost below which the
-// outer GA's parallel dispatch costs more than it saves, measured on
-// this repo's own score paths: the ladder-cached MSP score runs in a
-// few microseconds — channel handoff and scheduler wakeups dominate and
-// parallel dispatch is a slowdown — while a cold accelerator search,
-// whose ladders build rungs on demand, spends about 10–80 µs per
-// candidate (10th to 90th percentile of its generations on a 2-vCPU
-// host) and still gains from fan-out at the low end. 10 µs sits
-// between the two. Explore installs it when the caller leaves
-// GAConfig.SerialCostFloor at zero; pass a negative floor to force
-// parallel dispatch regardless of measured cost.
-const DefaultSerialCostFloor = 10 * time.Microsecond
 
 // resolveWorkers maps the Workers convention shared by Explore,
 // ParetoScan and ParetoSearch onto an explicit worker count: 0 (the
@@ -986,12 +974,11 @@ func (b *bestTracker) observe(idx int, v float64, genome []float64) {
 // Explore runs the bi-level search for a scenario under a baseline's
 // search space. cfg seeds and sizes the outer GA; cfg.Workers follows
 // the resolveWorkers convention (0 = GOMAXPROCS, negative = serial),
-// and a zero cfg.SerialCostFloor installs DefaultSerialCostFloor so
-// cheap score paths stay on the serial fast path (negative disables
-// the fallback). All candidate evaluations share one Evaluator, so the
-// inner mapping search is memoized across the whole run. Candidate
-// generation stays sequential and seeded, so the Outcome is
-// bit-identical for any worker count (Outcome.Workers aside).
+// and every batch of the outer GA runs at that width. All candidate
+// evaluations share one Evaluator, so the inner mapping search is
+// memoized across the whole run. Candidate generation stays sequential
+// and seeded, so the Outcome is bit-identical for any worker count
+// (Outcome.Workers aside).
 //
 // ctx ends the search early when cancelled (search.RunGA); a tracer
 // attached with obs.WithTrace records the run, its generations and its
@@ -1005,9 +992,6 @@ func Explore(ctx context.Context, sc Scenario, b Baseline, cfg search.GAConfig) 
 	sc = e.Scenario()
 	g := spec(sc, b)
 	cfg.Workers = resolveWorkers(cfg.Workers)
-	if cfg.SerialCostFloor == 0 {
-		cfg.SerialCostFloor = DefaultSerialCostFloor
-	}
 
 	var runSpan *obs.Span
 	if e.trace != nil {
@@ -1065,18 +1049,11 @@ type ParetoPoint struct {
 
 // ParetoScan samples the design space at random and returns all
 // feasible points plus the Pareto front over (panel area, latency) —
-// the Figure 6 analysis. It evaluates across all cores; use
-// ParetoScanWorkers to pick the worker count explicitly.
-func ParetoScan(sc Scenario, n int, seed int64) (points, front []ParetoPoint, err error) {
-	return ParetoScanWorkers(sc, n, seed, 0)
-}
-
-// ParetoScanWorkers is ParetoScan with an explicit evaluation
-// concurrency (resolveWorkers convention: 0 = GOMAXPROCS, negative =
-// serial). Sampling stays sequential and seeded and the collected
-// points are ordered by sample index, so the result is bit-identical
-// for any worker count.
-func ParetoScanWorkers(sc Scenario, n int, seed int64, workers int) (points, front []ParetoPoint, err error) {
+// the Figure 6 analysis. workers follows the resolveWorkers convention
+// (0 = GOMAXPROCS, negative = serial). Sampling stays sequential and
+// seeded and the collected points are ordered by sample index, so the
+// result is bit-identical for any worker count.
+func ParetoScan(sc Scenario, n int, seed int64, workers int) (points, front []ParetoPoint, err error) {
 	e, err := newSearchEvaluator(context.TODO(), sc)
 	if err != nil {
 		return nil, nil, err
@@ -1114,7 +1091,7 @@ func ParetoScanWorkers(sc Scenario, n int, seed int64, workers int) (points, fro
 			return s.latSP
 		},
 	}
-	if _, err := search.RunRandomWorkers(problem, n, seed, false, workers); err != nil {
+	if _, err := search.RunRandom(problem, n, seed, false, workers); err != nil {
 		return nil, nil, err
 	}
 	// Restore sample order: parallel workers append in completion order,

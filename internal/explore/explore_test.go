@@ -232,7 +232,7 @@ func TestWoIAPinsInferenceSubsystem(t *testing.T) {
 
 func TestParetoScan(t *testing.T) {
 	sc := Scenario{Workload: dnn.SimpleConv(), Platform: MSP, Objective: LatSP}
-	points, front, err := ParetoScan(sc, 120, 7)
+	points, front, err := ParetoScan(sc, 120, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestParetoSearchNSGA(t *testing.T) {
 	}
 	// NSGA-II at ~equal budget should reach a front at least as wide as
 	// the random scan's.
-	_, scanFront, err := ParetoScan(sc, evals, 13)
+	_, scanFront, err := ParetoScan(sc, evals, 13, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,6 @@ func TestSlabConcurrentSearchHammer(t *testing.T) {
 		cfg := smallGA(5)
 		cfg.Generations = gens
 		cfg.Workers = workers
-		cfg.SerialCostFloor = -1
 		cfg.OnQuality = onQuality
 		return Explore(context.Background(), sc, Full, cfg)
 	}

@@ -3,7 +3,6 @@ package explore
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -15,72 +14,6 @@ import (
 	"chrysalis/internal/units"
 )
 
-// normalizeWarm strips the fields that legitimately differ between
-// warm and cold runs — the tier pointer, the worker count, the warm-hit
-// count and the rungs built, since a warm run reuses rungs earlier
-// searches built — so the rest of the Outcome, hits and misses
-// included, can be compared bit for bit.
-func normalizeWarm(out Outcome) Outcome {
-	out.Scenario.Warm = nil
-	out.Workers = 0
-	out.WarmHits = 0
-	out.RungsBuilt = 0
-	return out
-}
-
-// TestWarmColdWorkersBitIdentical is the warm tier's determinism
-// contract: a search that reuses ladder sets a previous search built
-// must return an Outcome bit-identical to a cold run, at any worker
-// count, on every platform preset (MSP430, TPU-pinned and
-// Eyeriss-pinned accelerators). It also compares the two kinds of
-// ladder storage: the warm runs' sets are heap-backed, the cold run's
-// are carved from its search's slab.
-func TestWarmColdWorkersBitIdentical(t *testing.T) {
-	tpu, eyeriss := accel.TPU, accel.Eyeriss
-	presets := []struct {
-		name string
-		sc   Scenario
-	}{
-		{"msp430", Scenario{Workload: dnn.HAR(), Platform: MSP, Objective: LatSP}},
-		{"accel-tpu", Scenario{Workload: dnn.HAR(), Platform: Accel, Objective: LatSP, Arch: &tpu}},
-		{"accel-eyeriss", Scenario{Workload: dnn.HAR(), Platform: Accel, Objective: LatSP, Arch: &eyeriss}},
-	}
-	run := func(t *testing.T, sc Scenario, warm *WarmCache, workers int) Outcome {
-		t.Helper()
-		sc.Warm = warm
-		cfg := smallGA(11)
-		cfg.Workers = workers
-		cfg.SerialCostFloor = -1
-		out, err := Explore(context.Background(), sc, Full, cfg)
-		if err != nil {
-			t.Fatalf("Explore(context.Background(), workers=%d, warm=%v): %v", workers, warm != nil, err)
-		}
-		return out
-	}
-	for _, tc := range presets {
-		t.Run(tc.name, func(t *testing.T) {
-			cold := run(t, tc.sc, nil, 1)
-			warm := NewWarmCache(64 << 20)
-			// Prime the tier with one full search, then re-run: every
-			// fingerprint the second search touches is warm-servable.
-			run(t, tc.sc, warm, 1)
-			primed := run(t, tc.sc, warm, 1)
-			if primed.WarmHits == 0 {
-				t.Fatalf("primed run reports WarmHits=0; warm tier never engaged (stats %+v)", warm.Stats())
-			}
-			if !reflect.DeepEqual(normalizeWarm(cold), normalizeWarm(primed)) {
-				t.Errorf("warm run differs from cold\ncold: value=%v cand=%v\nwarm: value=%v cand=%v",
-					cold.Value, cold.Best.Candidate, primed.Value, primed.Best.Candidate)
-			}
-			parallelWarm := run(t, tc.sc, warm, 8)
-			if !reflect.DeepEqual(normalizeWarm(cold), normalizeWarm(parallelWarm)) {
-				t.Errorf("warm 8-worker run differs from cold serial\ncold: value=%v\nwarm: value=%v",
-					cold.Value, parallelWarm.Value)
-			}
-		})
-	}
-}
-
 // TestWarmTierConcurrentSearches hammers one shared tier with many
 // concurrent full searches (the chrysalisd shape: N worker goroutines,
 // each running its own Explore against the process tier) and checks
@@ -90,12 +23,10 @@ func TestWarmTierConcurrentSearches(t *testing.T) {
 	tpu := accel.TPU
 	sc := Scenario{Workload: dnn.HAR(), Platform: Accel, Objective: LatSP, Arch: &tpu}
 	cfg := smallGA(11)
-	cfg.SerialCostFloor = -1
 	cold, err := Explore(context.Background(), sc, Full, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := normalizeWarm(cold)
 
 	warm := NewWarmCache(64 << 20)
 	const searches = 8
@@ -118,7 +49,7 @@ func TestWarmTierConcurrentSearches(t *testing.T) {
 			t.Fatalf("search %d: %v", i, errs[i])
 		}
 		warmHits += outs[i].WarmHits
-		if !reflect.DeepEqual(want, normalizeWarm(outs[i])) {
+		if !sameOutput(cold, outs[i], true) {
 			t.Errorf("concurrent warm search %d differs from cold reference (value %v vs %v)",
 				i, outs[i].Value, cold.Value)
 		}

@@ -1,8 +1,8 @@
-// Package trace renders experiment output: aligned text tables, CSV,
+// Package report renders experiment output: aligned text tables, CSV,
 // and ASCII bar charts. The experiment harness (cmd/experiments) uses
 // it to print the rows and series behind every figure and table of the
 // paper's evaluation.
-package trace
+package report
 
 import (
 	"encoding/csv"

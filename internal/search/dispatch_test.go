@@ -103,71 +103,64 @@ func TestEvalContextIndexDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunGAWorkersBitIdentical checks the whole GA Result — best, value,
-// history, visited set — is identical for serial and parallel runs.
-func TestRunGAWorkersBitIdentical(t *testing.T) {
-	sphere := Problem{Dim: 3, Eval: func(g []float64) float64 {
-		s := 0.0
-		for _, v := range g {
-			s += (v - 0.5) * (v - 0.5)
-		}
-		return s
-	}}
-	run := func(workers int) Result {
-		cfg := DefaultGA(42)
-		cfg.Population = 16
-		cfg.Generations = 8
-		cfg.Workers = workers
-		res, err := RunGA(context.Background(), sphere, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+// TestWorkersBitIdentical is the search package's determinism matrix:
+// every optimizer returns a bit-identical result for any worker count
+// at the same seed — best, value, history, quality series and visited
+// set for RunGA (on a tuned and on the default configuration) and
+// RunRandom, front and statistics for RunNSGA2.
+func TestWorkersBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	rows := []struct {
+		name string
+		run  func(workers int) (any, error)
+	}{
+		{"RunGA", func(workers int) (any, error) {
+			cfg := DefaultGA(42)
+			cfg.Population = 16
+			cfg.Generations = 8
+			cfg.KeepVisited = true
+			cfg.Workers = workers
+			return RunGA(ctx, Problem{Dim: 3, Eval: sphere}, cfg)
+		}},
+		// DefaultGA's own population and generation count, as a caller
+		// that tunes nothing but Workers runs it.
+		{"RunGA-default-config", func(workers int) (any, error) {
+			cfg := DefaultGA(11)
+			cfg.Workers = workers
+			return RunGA(ctx, Problem{Dim: 4, Eval: sphere}, cfg)
+		}},
+		{"RunRandom", func(workers int) (any, error) {
+			p := Problem{Dim: 2, Eval: func(g []float64) float64 { return math.Abs(g[0]-0.3) + math.Abs(g[1]-0.7) }}
+			return RunRandom(p, 200, 5, true, workers)
+		}},
+		{"RunNSGA2", func(workers int) (any, error) {
+			p := BiProblem{Dim: 2, Eval: func(g []float64) (float64, float64) {
+				return g[0], 1 - math.Sqrt(g[0])*g[1]
+			}}
+			cfg := DefaultGA(3)
+			cfg.Population = 20
+			cfg.Generations = 6
+			cfg.Workers = workers
+			front, stats, err := RunNSGA2(ctx, p, cfg)
+			return []any{front, stats}, err
+		}},
 	}
-	serial := run(1)
-	for _, w := range []int{2, 8} {
-		if got := run(w); !reflect.DeepEqual(serial, got) {
-			t.Errorf("Workers=%d Result differs from serial", w)
-		}
-	}
-}
-
-// TestRunRandomWorkersBitIdentical checks the parallel random sampler
-// reproduces the serial trajectory (History order included).
-func TestRunRandomWorkersBitIdentical(t *testing.T) {
-	p := Problem{Dim: 2, Eval: func(g []float64) float64 { return math.Abs(g[0]-0.3) + math.Abs(g[1]-0.7) }}
-	serial, err := RunRandomWorkers(p, 200, 5, true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunRandomWorkers(p, 200, 5, true, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Error("RunRandomWorkers results differ between 1 and 8 workers")
-	}
-}
-
-// TestRunNSGA2WorkersBitIdentical checks the bi-objective front is
-// identical for serial and parallel evaluation.
-func TestRunNSGA2WorkersBitIdentical(t *testing.T) {
-	p := BiProblem{Dim: 2, Eval: func(g []float64) (float64, float64) {
-		return g[0], 1 - math.Sqrt(g[0])*g[1]
-	}}
-	run := func(workers int) []FrontPoint {
-		cfg := DefaultGA(3)
-		cfg.Population = 20
-		cfg.Generations = 6
-		cfg.Workers = workers
-		front, _, err := RunNSGA2(context.Background(), p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return front
-	}
-	if serial, parallel := run(1), run(8); !reflect.DeepEqual(serial, parallel) {
-		t.Error("NSGA-II fronts differ between 1 and 8 workers")
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			serial, err := row.run(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 4, 8} {
+				got, err := row.run(workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(serial, got) {
+					t.Errorf("Workers=%d result differs from serial", workers)
+				}
+			}
+		})
 	}
 }
 

@@ -137,7 +137,7 @@ func TestNSGA2BeatsRandomScanHypervolume(t *testing.T) {
 		rngPts = append(rngPts, Point2{X: f1, Y: f2})
 		return f1 + f2
 	}}
-	if _, err := RunRandom(probe, evals, 9, false); err != nil {
+	if _, err := RunRandom(probe, evals, 9, false, 1); err != nil {
 		t.Fatal(err)
 	}
 	rndFront := ParetoFront(rngPts)

@@ -1,8 +1,8 @@
 // Package search provides the black-box optimizers behind the
 // CHRYSALIS Explorer: a genetic algorithm (the paper implements its
 // explorer "based on the open-source library Optuna and a genetic
-// algorithm"), plus random and grid samplers used as ablation baselines,
-// and Pareto-front utilities for the Figure 6 analyses.
+// algorithm"), plus NSGA-II, a random sampler used as an ablation
+// baseline, and Pareto-front utilities for the Figure 6 analyses.
 //
 // Optimizers work on genomes: vectors in [0,1]^dim that problem
 // definitions decode into typed parameters with the Map* helpers.
@@ -17,7 +17,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"chrysalis/internal/obs"
 )
@@ -105,22 +104,12 @@ type GAConfig struct {
 	Seed  int64
 	// KeepVisited retains all evaluated samples in Result.Visited.
 	KeepVisited bool
-	// Workers evaluates candidates concurrently when > 1. The search
-	// trajectory is unchanged (candidate generation stays sequential and
-	// seeded); only objective evaluations run in parallel, so Eval must
-	// be safe for concurrent use.
+	// Workers evaluates candidates concurrently when > 1: every batch
+	// fans out across this many goroutines (fewer only for a smaller
+	// batch), whatever the objective costs. The search trajectory is unchanged (candidate generation
+	// stays sequential and seeded); only objective evaluations run in
+	// parallel, so Eval must be safe for concurrent use.
 	Workers int
-	// SerialCostFloor makes parallel dispatch cost-aware: when > 0 and
-	// the estimated serial cost of one evaluation falls below it, the
-	// batch runs serially even if Workers > 1 — goroutine fan-out costs
-	// more than it saves on microsecond-cheap objectives (the memoized
-	// MSP430 fast path). The first estimate comes from a two-evaluation
-	// serial probe at the head of the first batch (the cheaper of the
-	// two, since the first evaluation often carries one-time cache
-	// builds) and is refreshed from every batch thereafter.
-	// <= 0 disables the floor. Never changes results, only wall-clock:
-	// worker count is invisible to the search trajectory by design.
-	SerialCostFloor time.Duration
 	// Patience, when > 0, enables the plateau early-stop policy: the run
 	// ends after Patience consecutive generations whose relative
 	// improvement of the best objective (dominated hypervolume for
@@ -211,7 +200,14 @@ func RunGA(ctx context.Context, p Problem, cfg GAConfig) (Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	var res Result
-	record := func(batch []individual) {
+	eval := p.evalFn()
+	// batch[i] evaluates as EvalContext{Index: base+i}, base being the
+	// run's evaluation count before the batch, whatever the worker count.
+	evalBatch := func(batch []individual) {
+		base := res.Evals
+		forEachIndex(len(batch), cfg.Workers, func(i int) {
+			batch[i].value = eval(EvalContext{Index: base + i}, batch[i].genome)
+		})
 		res.Evals += len(batch)
 		if cfg.KeepVisited {
 			for _, ind := range batch {
@@ -219,48 +215,6 @@ func RunGA(ctx context.Context, p Problem, cfg GAConfig) (Result, error) {
 				res.Visited = append(res.Visited, Sample{Genome: cp, Value: ind.value})
 			}
 		}
-	}
-	// costEst is the estimated serial cost of one evaluation, refreshed
-	// from each batch. A batch measured at width w took roughly
-	// elapsed·w worker-time for n evaluations; the estimate deliberately
-	// leans high for parallel batches (idle-worker time counts), which
-	// only makes the serial fallback trigger sooner — the cheap-objective
-	// case is exactly where the estimate is inflated by dispatch
-	// overhead.
-	costEst := time.Duration(-1) // unknown until the first probe
-	evalBatch := func(batch []individual) {
-		base, rest := res.Evals, batch
-		if cfg.SerialCostFloor > 0 && costEst < 0 && cfg.Workers > 1 && len(batch) > 2 {
-			// No estimate yet: price the objective on a two-evaluation
-			// serial probe before paying for any goroutine fan-out — on
-			// microsecond-cheap objectives even one parallel batch costs
-			// more than its serial run. Each probe evaluation is timed
-			// alone and the cheaper one becomes the estimate: the first
-			// evaluation often carries one-time cache builds that would
-			// overstate the steady-state cost.
-			for i := 0; i < 2; i++ {
-				start := time.Now()
-				evaluateBatch(p, base, rest[:1], 1)
-				if d := time.Since(start); costEst < 0 || d < costEst {
-					costEst = d
-				}
-				base, rest = base+1, rest[1:]
-			}
-		}
-		workers := cfg.Workers
-		if cfg.SerialCostFloor > 0 && costEst >= 0 && costEst < cfg.SerialCostFloor {
-			workers = 1
-		}
-		start := time.Now()
-		evaluateBatch(p, base, rest, workers)
-		if n := len(rest); n > 0 && cfg.SerialCostFloor > 0 {
-			per := time.Since(start) / time.Duration(n)
-			if workers > 1 {
-				per *= time.Duration(workers)
-			}
-			costEst = per
-		}
-		record(batch)
 	}
 
 	tr := obs.TraceFrom(ctx)
@@ -338,17 +292,6 @@ func RunGA(ctx context.Context, p Problem, cfg GAConfig) (Result, error) {
 	return res, nil
 }
 
-// evaluateBatch fills in the values of a batch, optionally across
-// workers. base is the global ordinal of batch[0] (the run's cumulative
-// evaluation count before this batch), so batch[i] evaluates as
-// EvalContext{Index: base+i} regardless of worker count.
-func evaluateBatch(p Problem, base int, batch []individual, workers int) {
-	eval := p.evalFn()
-	forEachIndex(len(batch), workers, func(i int) {
-		batch[i].value = eval(EvalContext{Index: base + i}, batch[i].genome)
-	})
-}
-
 // dispatchChunk sizes the per-grab work chunk for forEachIndex: small
 // enough that workers stay balanced on skewed objective costs, large
 // enough that the shared counter isn't contended per index.
@@ -406,17 +349,12 @@ func forEachIndex(n, workers int, fn func(i int)) {
 }
 
 // RunRandom minimizes by uniform random sampling (the wo/search
-// ablation baseline).
-func RunRandom(p Problem, n int, seed int64, keepVisited bool) (Result, error) {
-	return RunRandomWorkers(p, n, seed, keepVisited, 1)
-}
-
-// RunRandomWorkers is RunRandom with concurrent objective evaluation.
-// Genome generation stays sequential and seeded and the best-so-far
-// fold runs in sample order, so the result is bit-identical for any
-// worker count; only the objective calls run in parallel (Eval/EvalCtx
-// must be safe for concurrent use when workers > 1).
-func RunRandomWorkers(p Problem, n int, seed int64, keepVisited bool, workers int) (Result, error) {
+// ablation baseline), evaluating across workers goroutines when
+// workers > 1. Genome generation stays sequential and seeded and the
+// best-so-far fold runs in sample order, so the result is bit-identical
+// for any worker count; only the objective calls run in parallel
+// (Eval/EvalCtx must be safe for concurrent use when workers > 1).
+func RunRandom(p Problem, n int, seed int64, keepVisited bool, workers int) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -448,55 +386,6 @@ func RunRandomWorkers(p Problem, n int, seed int64, keepVisited bool, workers in
 		}
 		res.History = append(res.History, res.BestValue)
 	}
-	return res, nil
-}
-
-// RunGrid minimizes by exhaustive grid sampling with k points per
-// dimension. Practical only for low-dimensional spaces; used for
-// sampler-quality ablations.
-func RunGrid(p Problem, k int) (Result, error) {
-	if err := p.Validate(); err != nil {
-		return Result{}, err
-	}
-	if k < 2 {
-		return Result{}, fmt.Errorf("search: grid needs >= 2 points per dim, got %d", k)
-	}
-	total := 1
-	for i := 0; i < p.Dim; i++ {
-		total *= k
-		if total > 1_000_000 {
-			return Result{}, fmt.Errorf("search: grid of %d^%d points is too large", k, p.Dim)
-		}
-	}
-	var res Result
-	res.BestValue = math.Inf(1)
-	eval := p.evalFn()
-	g := make([]float64, p.Dim)
-	idx := make([]int, p.Dim)
-	for {
-		for d, i := range idx {
-			g[d] = float64(i) / float64(k-1)
-		}
-		v := eval(EvalContext{Index: res.Evals}, g)
-		res.Evals++
-		if v < res.BestValue {
-			res.BestValue = v
-			res.Best = append([]float64(nil), g...)
-		}
-		// Odometer increment.
-		d := 0
-		for ; d < p.Dim; d++ {
-			idx[d]++
-			if idx[d] < k {
-				break
-			}
-			idx[d] = 0
-		}
-		if d == p.Dim {
-			break
-		}
-	}
-	res.History = []float64{res.BestValue}
 	return res, nil
 }
 

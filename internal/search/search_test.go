@@ -165,7 +165,7 @@ func TestGABeatsRandomOnBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := RunRandom(p, ga.Evals, 21, false)
+	rnd, err := RunRandom(p, ga.Evals, 21, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestGAStopEndsSearchEarly(t *testing.T) {
 }
 
 func TestRunRandom(t *testing.T) {
-	res, err := RunRandom(Problem{Dim: 3, Eval: sphere}, 500, 9, true)
+	res, err := RunRandom(Problem{Dim: 3, Eval: sphere}, 500, 9, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,28 +323,8 @@ func TestRunRandom(t *testing.T) {
 	if res.BestValue > 0.1 {
 		t.Fatalf("random best %v too poor", res.BestValue)
 	}
-	if _, err := RunRandom(Problem{Dim: 3, Eval: sphere}, 0, 1, false); err == nil {
+	if _, err := RunRandom(Problem{Dim: 3, Eval: sphere}, 0, 1, false, 1); err == nil {
 		t.Fatal("zero samples should fail")
-	}
-}
-
-func TestRunGrid(t *testing.T) {
-	res, err := RunGrid(Problem{Dim: 2, Eval: sphere}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Evals != 121 {
-		t.Fatalf("evals = %d, want 121", res.Evals)
-	}
-	// Grid point (0.5, 0.5) exists for k=11, so the exact minimum is hit.
-	if res.BestValue > 1e-12 {
-		t.Fatalf("grid should hit exact center, got %v", res.BestValue)
-	}
-	if _, err := RunGrid(Problem{Dim: 2, Eval: sphere}, 1); err == nil {
-		t.Fatal("k=1 should fail")
-	}
-	if _, err := RunGrid(Problem{Dim: 8, Eval: sphere}, 100); err == nil {
-		t.Fatal("oversized grid should fail")
 	}
 }
 

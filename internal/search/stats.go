@@ -1,7 +1,6 @@
 package search
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -72,29 +71,4 @@ func (s Stats) String() string {
 	}
 	return fmt.Sprintf("mean %.4g ± %.2g (min %.4g, median %.4g, max %.4g, %d/%d feasible)",
 		s.Mean, s.Std, s.Min, s.Median, s.Max, s.Feasible, s.Runs)
-}
-
-// RunRepeatedGA runs the GA across n seeds and summarizes the best
-// values; it also returns the overall best result.
-func RunRepeatedGA(ctx context.Context, p Problem, cfg GAConfig, n int) (Stats, Result, error) {
-	if n < 1 {
-		return Stats{}, Result{}, fmt.Errorf("search: need at least 1 repetition, got %d", n)
-	}
-	values := make([]float64, 0, n)
-	var best Result
-	bestV := math.Inf(1)
-	for i := 0; i < n; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)*7919
-		res, err := RunGA(ctx, p, c)
-		if err != nil {
-			return Stats{}, Result{}, err
-		}
-		values = append(values, res.BestValue)
-		if res.BestValue < bestV {
-			bestV = res.BestValue
-			best = res
-		}
-	}
-	return Summarize(values), best, nil
 }

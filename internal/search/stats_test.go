@@ -1,7 +1,6 @@
 package search
 
 import (
-	"context"
 	"math"
 	"strings"
 	"testing"
@@ -48,49 +47,5 @@ func TestSummarizeOddMedian(t *testing.T) {
 	s := Summarize([]float64{5, 1, 3})
 	if s.Median != 3 {
 		t.Fatalf("median = %v", s.Median)
-	}
-}
-
-func TestRunRepeatedGA(t *testing.T) {
-	p := Problem{Dim: 3, Eval: sphere}
-	cfg := DefaultGA(1)
-	cfg.Population = 10
-	cfg.Generations = 8
-	stats, best, err := RunRepeatedGA(context.Background(), p, cfg, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Runs != 5 || stats.Feasible != 5 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if best.BestValue != stats.Min {
-		t.Fatalf("best %v should equal stats min %v", best.BestValue, stats.Min)
-	}
-	if stats.Std < 0 {
-		t.Fatal("negative std")
-	}
-	if _, _, err := RunRepeatedGA(context.Background(), p, cfg, 0); err == nil {
-		t.Fatal("zero repetitions should fail")
-	}
-}
-
-func TestParallelGADeterministic(t *testing.T) {
-	p := Problem{Dim: 4, Eval: sphere}
-	serial := DefaultGA(11)
-	parallel := DefaultGA(11)
-	parallel.Workers = 4
-	a, err := RunGA(context.Background(), p, serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunGA(context.Background(), p, parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.BestValue != b.BestValue {
-		t.Fatalf("parallel evaluation changed the trajectory: %v vs %v", a.BestValue, b.BestValue)
-	}
-	if a.Evals != b.Evals {
-		t.Fatalf("eval counts differ: %d vs %d", a.Evals, b.Evals)
 	}
 }

@@ -41,12 +41,11 @@ func bitIdentRecorded(t *testing.T, result any, rec *Recorder) bitIdentCase {
 
 // TestBitIdentityGolden pins every observable output of the simulator
 // and its flight recorder — results, waveforms and ledgers, bit for bit
-// — on the four paths the recorder is fed through: a recorded diurnal
+// — on the three paths the recorder is fed through: a recorded diurnal
 // series (literal inference steps plus coarse idle steps), an
 // event-mode diurnal run (time-varying harvest, so the literal
-// fallback), a constant-light event-mode run (analytic jumps through
-// the recorder's segment path) and the deprecated SampleEvery voltage
-// trace. Refactors of the step kernel or the recorder must leave the
+// fallback) and a constant-light event-mode run (analytic jumps
+// through the recorder's segment path). Refactors of the step kernel or the recorder must leave the
 // golden unchanged. Regenerate with:
 // go test ./internal/sim/ -run TestBitIdentityGolden -update
 func TestBitIdentityGolden(t *testing.T) {
@@ -87,17 +86,6 @@ func TestBitIdentityGolden(t *testing.T) {
 		}
 		got[c.name] = bitIdentRecorded(t, res, rec)
 	}
-
-	cfg = harSetup(t, 8, 100e-6, solar.Bright())
-	cfg.SampleEvery = 10 * DefaultStep
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.VoltageTrace) == 0 {
-		t.Fatal("legacy run should produce a voltage trace")
-	}
-	got["legacy-voltage-trace"] = bitIdentCase{Result: bitIdentHash(t, res)}
 
 	raw, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {

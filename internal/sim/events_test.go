@@ -142,33 +142,3 @@ func TestTracerNilIsFree(t *testing.T) {
 		t.Fatal("tracing must not perturb the simulation")
 	}
 }
-
-func TestVoltageTraceSampling(t *testing.T) {
-	cfg := harSetup(t, 8, 100e-6, solar.Bright())
-	cfg.SampleEvery = 10e-3
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.VoltageTrace) < 5 {
-		t.Fatalf("only %d samples", len(res.VoltageTrace))
-	}
-	spec := cfg.Energy.Spec()
-	for i, sm := range res.VoltageTrace {
-		if sm.Voltage < 0 || sm.Voltage > spec.Rated {
-			t.Fatalf("sample %d voltage %v out of range", i, sm.Voltage)
-		}
-		if i > 0 && sm.Time <= res.VoltageTrace[i-1].Time {
-			t.Fatalf("samples out of order at %d", i)
-		}
-	}
-	// Disabled by default.
-	cfg2 := harSetup(t, 8, 100e-6, solar.Bright())
-	res2, err := Run(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.VoltageTrace) != 0 {
-		t.Fatal("sampling should be off by default")
-	}
-}

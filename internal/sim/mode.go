@@ -76,7 +76,6 @@ func RunDifferential(cfg Config) (Result, error) {
 	oracle := cfg
 	oracle.Trace = nil
 	oracle.Record = nil
-	oracle.SampleEvery = 0
 	stepRes, err := Run(oracle)
 	if err != nil {
 		return Result{}, err

@@ -32,10 +32,6 @@ import (
 // passes no capacity to NewRecorder.
 const DefaultWavePoints = 4096
 
-// legacyVoltagePoints bounds the recorder backing the deprecated
-// Config.SampleEvery / Result.VoltageTrace path.
-const legacyVoltagePoints = 8192
-
 // maxCycleLedgers bounds the per-cycle ledger table; beyond it adjacent
 // ledgers merge pairwise (conservation-preserving), so pathological
 // scenarios with millions of power cycles stay bounded too.
@@ -956,24 +952,4 @@ func (r *Recorder) WalkLast(name string, visit func(t0, last float64) bool) bool
 		}
 	}
 	return true
-}
-
-// voltageTraceSince materializes the deprecated Result.VoltageTrace
-// view for one inference: one sample per bin ending after start,
-// carrying the bin's last observed voltage at the bin's end time.
-func (r *Recorder) voltageTraceSince(start float64) []VoltageSample {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.flushLocked()
-	var out []VoltageSample
-	for i := range r.bins {
-		if r.bins[i].t1 <= start {
-			continue
-		}
-		out = append(out, VoltageSample{
-			Time:    units.Seconds(r.bins[i].t1),
-			Voltage: units.Voltage(r.bins[i].ch[ChVCap].last),
-		})
-	}
-	return out
 }

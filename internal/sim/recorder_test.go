@@ -469,28 +469,3 @@ func TestWaveformCSV(t *testing.T) {
 		t.Errorf("unexpected header: %s", lines[0])
 	}
 }
-
-// TestVoltageTraceDerivedFromRecorder checks the deprecated SampleEvery
-// path still produces a bounded, strictly increasing trace even for
-// horizons that would have overflowed the old hard cap.
-func TestVoltageTraceDerivedFromRecorder(t *testing.T) {
-	cfg := harSetup(t, 8, 100e-6, solar.Bright())
-	cfg.SampleEvery = DefaultStep // one sample per step: old code capped at 100k
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.VoltageTrace) == 0 {
-		t.Fatal("expected a voltage trace")
-	}
-	if len(res.VoltageTrace) > legacyVoltagePoints {
-		t.Errorf("trace has %d samples, want <= %d", len(res.VoltageTrace), legacyVoltagePoints)
-	}
-	prev := units.Seconds(-1)
-	for i, s := range res.VoltageTrace {
-		if s.Time <= prev {
-			t.Fatalf("sample %d: time %v not after %v", i, s.Time, prev)
-		}
-		prev = s.Time
-	}
-}

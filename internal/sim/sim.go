@@ -65,14 +65,6 @@ type Config struct {
 	// plus per-power-cycle ledgers. One recorder may span a whole
 	// RunSeries; see Recorder.
 	Record *Recorder
-	// SampleEvery records the capacitor voltage at this interval into
-	// Result.VoltageTrace. Long runs are downsampled into
-	// min/max-preserving bins instead of being truncated, so the trace
-	// stays bounded while covering the whole run.
-	//
-	// Deprecated: attach a Recorder via Record for the full waveform;
-	// VoltageTrace is derived from the same machinery.
-	SampleEvery units.Seconds
 	// Policy selects the checkpoint strategy (default PolicyEveryTile).
 	Policy Policy
 	// AdaptiveHeadroom tunes PolicyAdaptive: a checkpoint is skipped
@@ -162,12 +154,13 @@ type Result struct {
 	// useful inference energy over harvested energy.
 	SystemEfficiency float64
 
-	// VoltageTrace holds the sampled capacitor waveform when
-	// Config.SampleEvery is set: one point per downsampling bin,
-	// carrying the bin's last observed voltage.
+	// VoltageTrace is always nil: the simulator no longer samples a
+	// voltage trace. The field stays only because it is part of
+	// Result's JSON encoding (as null), which recorded result digests
+	// pin.
 	//
-	// Deprecated: use Config.Record and Recorder.Waveform for the full
-	// multi-channel waveform.
+	// Deprecated: use Config.Record and Recorder.Waveform (channel
+	// ChVCap) for the capacitor waveform.
 	VoltageTrace []VoltageSample
 }
 
@@ -322,14 +315,8 @@ func newStepper(cfg Config, start units.Seconds) *stepper {
 		s.headroom = 2.0
 	}
 
-	// The flight recorder: either the caller's (possibly spanning a
-	// whole series) or, for the deprecated SampleEvery voltage trace, a
-	// local one scoped to this inference.
+	// The caller's flight recorder, possibly spanning a whole series.
 	s.rec = cfg.Record
-	if s.rec == nil && cfg.SampleEvery > 0 {
-		s.rec = NewRecorder(legacyVoltagePoints)
-		s.rec.BinSeconds = cfg.SampleEvery
-	}
 	if s.rec != nil {
 		s.rec.begin(s.es, start, cfg.Policy)
 	}
@@ -539,9 +526,6 @@ func (s *stepper) finish() (Result, units.Seconds) {
 		s.rec.release()
 	}
 	res := s.res
-	if s.cfg.SampleEvery > 0 && s.rec != nil {
-		res.VoltageTrace = s.rec.voltageTraceSince(float64(s.start))
-	}
 	res.E2ELatency = s.tm - s.start
 	if !res.Completed {
 		res.E2ELatency = units.Seconds(math.Inf(1))
