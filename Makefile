@@ -68,7 +68,8 @@ examples:
 fuzz:
 	$(GO) test ./internal/dnn/ -run '^$$' -fuzz FuzzParseJSON -fuzztime 30s
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 30s
-	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzOpen -fuzztime 30s
+	$(GO) test ./internal/wal/ -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 30s
+	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzOpenSnapshot -fuzztime 30s
 
 # End-to-end chrysalisd check: boot on a random port, run a design job
 # to completion, assert the resubmission is a cache hit.

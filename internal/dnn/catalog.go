@@ -387,13 +387,32 @@ func FutureAuT() []Workload {
 	return []Workload{BERT(), AlexNet(), VGG16(), ResNet18()}
 }
 
+// catalog lists every workload constructor in catalog order under the
+// name it builds, so a lookup builds only the network it returns.
+var catalog = []struct {
+	name  string
+	build func() Workload
+}{
+	{"simpleconv", SimpleConv},
+	{"cifar10", CIFAR10},
+	{"har", HAR},
+	{"kws", KWS},
+	{"bert", BERT},
+	{"alexnet", AlexNet},
+	{"vgg16", VGG16},
+	{"resnet18", ResNet18},
+	{"mnist-cnn", MNISTCNN},
+	{"cnn_b", CNNb},
+	{"cnn_s", CNNs},
+	{"fc", FCNet},
+	{"mobilenet-vww", MobileNetVWW},
+}
+
 // ByName looks up any catalog workload by its Name field.
 func ByName(name string) (Workload, error) {
-	all := append(ExistingAuT(), FutureAuT()...)
-	all = append(all, MNISTCNN(), CNNb(), CNNs(), FCNet(), MobileNetVWW())
-	for _, w := range all {
-		if w.Name == name {
-			return w, nil
+	for _, c := range catalog {
+		if c.name == name {
+			return c.build(), nil
 		}
 	}
 	return Workload{}, fmt.Errorf("dnn: unknown workload %q", name)
@@ -401,11 +420,9 @@ func ByName(name string) (Workload, error) {
 
 // Names lists every catalog workload name.
 func Names() []string {
-	all := append(ExistingAuT(), FutureAuT()...)
-	all = append(all, MNISTCNN(), CNNb(), CNNs(), FCNet(), MobileNetVWW())
-	names := make([]string, len(all))
-	for i, w := range all {
-		names[i] = w.Name
+	names := make([]string, len(catalog))
+	for i, c := range catalog {
+		names[i] = c.name
 	}
 	return names
 }

@@ -1,6 +1,7 @@
 package dnn
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -347,5 +348,47 @@ func TestMobileNetVWW(t *testing.T) {
 	}
 	if dwMACs >= pwMACs {
 		t.Fatalf("depthwise (%d) should be far cheaper than pointwise (%d)", dwMACs, pwMACs)
+	}
+}
+
+// TestByNameMatchesCatalogScan: the name table builds, for every name,
+// exactly the workload a scan of every catalog constructor finds first
+// under that name, and lists the names in that scan's order.
+func TestByNameMatchesCatalogScan(t *testing.T) {
+	all := append(ExistingAuT(), FutureAuT()...)
+	all = append(all, MNISTCNN(), CNNb(), CNNs(), FCNet(), MobileNetVWW())
+	names := Names()
+	if len(names) != len(all) {
+		t.Fatalf("%d names, %d catalog workloads", len(names), len(all))
+	}
+	for i, name := range names {
+		if name != all[i].Name {
+			t.Errorf("name %d = %q, catalog scan has %q", i, name, all[i].Name)
+		}
+		got, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range all {
+			if w.Name == name {
+				if !reflect.DeepEqual(got, w) {
+					t.Errorf("ByName(%q) differs from the first catalog match", name)
+				}
+				break
+			}
+		}
+	}
+}
+
+// TestByNameAllocs gates one lookup's allocations exactly: ByName
+// allocates what building the one workload asked for does, and nothing
+// for the rest of the catalog.
+func TestByNameAllocs(t *testing.T) {
+	const kwsAllocs = 1 // the layer slice
+	if n := testing.AllocsPerRun(100, func() { _ = KWS() }); n != kwsAllocs {
+		t.Fatalf("KWS() allocates %v times, want %d", n, kwsAllocs)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = ByName("kws") }); n != kwsAllocs {
+		t.Errorf("ByName(\"kws\") allocates %v times, want %d", n, kwsAllocs)
 	}
 }

@@ -16,6 +16,7 @@ package explore
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"chrysalis/internal/intermittent"
 )
@@ -55,8 +56,11 @@ type slab struct {
 	rblocks []*rungBlock
 }
 
-// ladderArray returns n zeroed ladders. A request larger than a block
-// gets its own allocation.
+// ladderArray returns n ladders that carry neither state nor rung
+// storage over from an earlier search. Their floor and visit slot are
+// left for setFloors to write, and a ladder writes its head before its
+// state publishes it, so nothing else needs resetting. A request larger
+// than a block gets its own allocation.
 func (s *slab) ladderArray(n int) []lazyLadder {
 	if n > ladderBlockLen {
 		return make([]lazyLadder, n)
@@ -71,7 +75,9 @@ func (s *slab) ladderArray(n int) []lazyLadder {
 	s.ladders = s.ladders[n:]
 	s.mu.Unlock()
 	// A recycled block holds an earlier search's ladders.
-	clear(l)
+	for i := range l {
+		l[i].state, l[i].near, l[i].tail = atomic.Uint64{}, nil, nil
+	}
 	return l
 }
 

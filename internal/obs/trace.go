@@ -63,19 +63,24 @@ type Trace struct {
 
 	mu      sync.Mutex
 	tc      TraceContext
-	ring    []event
-	n       int // total events recorded; write position is n % cap(ring)
+	ring    []event // grows on demand, up to bound events
+	bound   int
+	n       int // total events recorded; a full ring's write position is n % bound
 	dropped int64
 }
 
+// ringStart is how many events a tracer's ring first makes room for.
+const ringStart = 16
+
 // NewTrace returns a tracer whose ring buffer holds up to capacity
-// events (<= 0 selects DefaultTraceEvents). Once full, new events
-// overwrite the oldest and the dropped count grows.
+// events (<= 0 selects DefaultTraceEvents). The ring grows as events
+// arrive, so a short-lived trace pays only for what it records. Once
+// full, new events overwrite the oldest and the dropped count grows.
 func NewTrace(capacity int) *Trace {
 	if capacity <= 0 {
 		capacity = DefaultTraceEvents
 	}
-	return &Trace{anchor: time.Now(), ring: make([]event, 0, capacity)}
+	return &Trace{anchor: time.Now(), bound: capacity}
 }
 
 // traceKey is the context key WithTrace stores a tracer under.
@@ -137,10 +142,15 @@ func (t *Trace) Context() TraceContext {
 func (t *Trace) record(ev event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.ring) < cap(t.ring) {
+	if len(t.ring) < t.bound {
+		if len(t.ring) == cap(t.ring) {
+			grown := make([]event, len(t.ring), min(max(2*cap(t.ring), ringStart), t.bound))
+			copy(grown, t.ring)
+			t.ring = grown
+		}
 		t.ring = append(t.ring, ev)
 	} else {
-		t.ring[t.n%cap(t.ring)] = ev
+		t.ring[t.n%t.bound] = ev
 		t.dropped++
 		droppedTotal.Add(1)
 	}
@@ -299,8 +309,8 @@ func (t *Trace) snapshot() ([]event, int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	evs := make([]event, 0, len(t.ring))
-	if t.n > cap(t.ring) { // ring wrapped: oldest is at n % cap
-		head := t.n % cap(t.ring)
+	if t.n > t.bound { // ring wrapped: oldest is at n % bound
+		head := t.n % t.bound
 		evs = append(evs, t.ring[head:]...)
 		evs = append(evs, t.ring[:head]...)
 	} else {

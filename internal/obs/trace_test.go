@@ -165,6 +165,38 @@ func TestRingBounds(t *testing.T) {
 	}
 }
 
+// TestRingGrowsLazily: the ring grows only as events arrive and never
+// past its bound, and below, at and past the bound it keeps the newest
+// events in recording order and counts every overwritten one, in Dropped
+// and in the process-wide total alike.
+func TestRingGrowsLazily(t *testing.T) {
+	const bound = 40 // not a power of two: the last growth is clamped
+	for _, recorded := range []int{0, 1, ringStart, ringStart + 1, bound - 1, bound, bound + 1, 3*bound + 7} {
+		tr := NewTrace(bound)
+		before := TraceDroppedTotal()
+		for i := 0; i < recorded; i++ {
+			tr.InstantAt("t", "e", float64(i))
+		}
+		kept := min(recorded, bound)
+		if c := cap(tr.ring); c > bound || (recorded < ringStart && c > ringStart) {
+			t.Errorf("%d events: ring capacity %d, bound %d", recorded, c, bound)
+		}
+		if tr.Len() != kept {
+			t.Errorf("%d events: Len %d, want %d", recorded, tr.Len(), kept)
+		}
+		dropped := int64(recorded - kept)
+		if tr.Dropped() != dropped || TraceDroppedTotal()-before != dropped {
+			t.Errorf("%d events: dropped %d (total +%d), want %d", recorded, tr.Dropped(), TraceDroppedTotal()-before, dropped)
+		}
+		evs := tr.Events()
+		for i, ev := range evs {
+			if want := float64(recorded-kept+i) * 1e6; ev.TS != want {
+				t.Fatalf("%d events: event %d at ts %g µs, want %g", recorded, i, ev.TS, want)
+			}
+		}
+	}
+}
+
 // TestTraceConcurrency spawns concurrent span writers (run under -race).
 func TestTraceConcurrency(t *testing.T) {
 	tr := NewTrace(1024)

@@ -441,26 +441,20 @@ func (m *manager) submit(js jobSpec) (j *job, reused bool, err error) {
 	return j, false, nil
 }
 
-// journalLocked appends one WAL record and, past the compaction
-// threshold, snapshots the whole job table. m.mu must be held — that is
-// what makes the collected snapshot consistent with the log position.
+// journalLocked appends one WAL record and, once the records since the
+// last snapshot reach max(snapshotEvery, len(m.jobs)), snapshots the
+// whole job table. The log then never holds more records than the
+// table it compacts to, so re-encoding the table costs amortized O(1)
+// per record. m.mu must be held — that is what makes the collected
+// snapshot consistent with the log position.
 func (m *manager) journalLocked(rec walRecord) {
 	if m.journal == nil {
 		return
 	}
-	m.journal.append(rec)
-	if m.journal.records() < snapshotEvery {
+	if m.journal.append(rec) < max(snapshotEvery, len(m.jobs)) {
 		return
 	}
-	snap := walSnapshot{NextID: m.nextID}
-	for _, id := range m.order {
-		j, ok := m.jobs[id]
-		if !ok {
-			continue
-		}
-		snap.Jobs = append(snap.Jobs, j.walRecord())
-	}
-	m.journal.snapshot(snap)
+	m.journal.snapshot(m.nextID, m.order, m.jobs)
 }
 
 // newJobLocked allocates and registers a job record; m.mu must be held.

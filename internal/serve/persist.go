@@ -2,9 +2,10 @@ package serve
 
 // WAL-backed job durability. Every accepted submission and every
 // terminal transition appends one JSON record to an append-only,
-// checksummed log (internal/wal); past snapshotEvery records the whole
-// job table is snapshotted and the log reset. On startup the snapshot
-// plus the log replay rebuild the job table: finished jobs come back as
+// checksummed log (internal/wal). Once the log holds as many records as
+// the job table (and at least snapshotEvery), the table is snapshotted,
+// one frame per job, and the log reset. On startup the snapshot plus
+// the log replay rebuild the job table: finished jobs come back as
 // servable history (done ones re-seed the result cache), jobs that were
 // queued or running at the crash are re-enqueued and evaluated again.
 //
@@ -14,6 +15,7 @@ package serve
 // recovered verify job replays and re-records.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -26,7 +28,8 @@ import (
 	"chrysalis/internal/wal"
 )
 
-// snapshotEvery is the log-compaction threshold in records.
+// snapshotEvery is the floor of the log-compaction threshold, in
+// records; the threshold is the larger of it and the job table's size.
 const snapshotEvery = 64
 
 // walRecord journal ops.
@@ -48,10 +51,12 @@ type walRecord struct {
 	Error  string         `json:"error,omitempty"`
 }
 
-// walSnapshot is the compacted whole-table state.
+// walSnapshot is a snapshot's first frame; one walRecord frame per job
+// follows it. Jobs is set only in a legacy snapshot, which held the
+// whole table in this one frame.
 type walSnapshot struct {
 	NextID int64       `json:"next_id"`
-	Jobs   []walRecord `json:"jobs"`
+	Jobs   []walRecord `json:"jobs,omitempty"`
 }
 
 // recoveredJob is one job rebuilt from the journal, ready for adopt().
@@ -74,6 +79,14 @@ type journal struct {
 	log      *wal.Log
 	logger   *slog.Logger
 	detached bool
+	// since counts the records appended since the last snapshot
+	// attempt, successful or not, so a failing snapshot is retried
+	// only a whole threshold later.
+	since int
+	// buf and enc encode every record and snapshot frame into one
+	// reused buffer.
+	buf bytes.Buffer
+	enc *json.Encoder
 
 	// Recovery outcome of the open that produced this journal, frozen
 	// for the metrics page: bytes dropped from a torn tail and whether
@@ -130,25 +143,29 @@ func openJournal(dir string, logger *slog.Logger) (jn *journal, jobs []*recovere
 		}
 	}
 
-	if rec.Snapshot != nil {
+	replay := func(what string, raws [][]byte) {
+		for i, raw := range raws {
+			var r walRecord
+			if err := json.Unmarshal(raw, &r); err != nil {
+				logger.Warn("wal: undecodable "+what+" skipped", "index", i, "error", err)
+				continue
+			}
+			apply(r)
+		}
+	}
+	if len(rec.Snapshot) > 0 {
 		var snap walSnapshot
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
+		if err := json.Unmarshal(rec.Snapshot[0], &snap); err != nil {
 			logger.Warn("wal: undecodable snapshot ignored", "error", err)
 		} else {
 			nextID = snap.NextID
 			for _, r := range snap.Jobs {
 				apply(r)
 			}
+			replay("snapshot job", rec.Snapshot[1:])
 		}
 	}
-	for i, raw := range rec.Records {
-		var r walRecord
-		if err := json.Unmarshal(raw, &r); err != nil {
-			logger.Warn("wal: undecodable record skipped", "index", i, "error", err)
-			continue
-		}
-		apply(r)
-	}
+	replay("record", rec.Records)
 
 	out := make([]*recoveredJob, 0, len(order))
 	for _, id := range order {
@@ -159,9 +176,11 @@ func openJournal(dir string, logger *slog.Logger) (jn *journal, jobs []*recovere
 	}
 	jn = &journal{
 		log: lg, logger: logger,
+		since:          len(rec.Records),
 		recTruncated:   rec.TruncatedBytes,
 		recSnapCorrupt: rec.SnapshotCorrupt,
 	}
+	jn.enc = json.NewEncoder(&jn.buf)
 	return jn, out, nextID, nil
 }
 
@@ -193,30 +212,45 @@ func (m *manager) registerWALMetrics() {
 		})
 }
 
-// append writes one record. Terminal records are synced to disk — a
-// job's outcome is worth an fsync at job granularity; submit records
-// ride the OS page cache until the next sync or snapshot.
-func (jn *journal) append(rec walRecord) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		jn.logger.Warn("wal: marshal failed", "op", rec.Op, "job", rec.ID, "error", err)
-		return
+// encode encodes v as JSON into the journal's reused buffer; the bytes
+// are valid until the next encode. jn.mu must be held.
+func (jn *journal) encode(v any) ([]byte, error) {
+	jn.buf.Reset()
+	if err := jn.enc.Encode(v); err != nil {
+		return nil, err
 	}
+	b := jn.buf.Bytes()
+	return b[:len(b)-1], nil // drop Encode's newline: the bytes json.Marshal gives
+}
+
+// append writes one record and reports how many records the journal
+// has appended since its last snapshot attempt. Terminal records are
+// synced to disk — a job's outcome is worth an fsync at job
+// granularity; submit records ride the OS page cache until the next
+// sync or snapshot.
+func (jn *journal) append(rec walRecord) int {
 	jn.mu.Lock()
 	defer jn.mu.Unlock()
 	if jn.detached {
-		return
+		return 0
+	}
+	payload, err := jn.encode(rec)
+	if err != nil {
+		jn.logger.Warn("wal: marshal failed", "op", rec.Op, "job", rec.ID, "error", err)
+		return jn.since
 	}
 	if err := jn.log.Append(payload); err != nil {
 		jn.logger.Warn("wal: append failed; continuing without durability",
 			"op", rec.Op, "job", rec.ID, "error", err)
-		return
+		return jn.since
 	}
+	jn.since++
 	if rec.Op != opSubmit {
 		if err := jn.log.Sync(); err != nil {
 			jn.logger.Warn("wal: sync failed", "error", err)
 		}
 	}
+	return jn.since
 }
 
 // records reports log records since the last snapshot.
@@ -229,19 +263,40 @@ func (jn *journal) records() int {
 	return jn.log.Records()
 }
 
-// snapshot compacts the log down to one whole-table state.
-func (jn *journal) snapshot(s walSnapshot) {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		jn.logger.Warn("wal: snapshot marshal failed", "error", err)
-		return
-	}
+// snapshot compacts the log to the job table: frame 0 holds nextID,
+// then one frame per job of order, each encoded in turn into the
+// journal's one buffer. The snapshot so never holds more than one job's
+// encoding in memory, and wal.MaxRecord bounds a job, not the table.
+// The caller holds the manager lock, which keeps jobs and order
+// consistent with the log position.
+func (jn *journal) snapshot(nextID int64, order []string, jobs map[string]*job) {
 	jn.mu.Lock()
 	defer jn.mu.Unlock()
 	if jn.detached {
 		return
 	}
-	if err := jn.log.WriteSnapshot(payload); err != nil {
+	jn.since = 0
+	err := jn.log.WriteSnapshot(func(emit func([]byte) error) error {
+		frame := func(v any) error {
+			payload, err := jn.encode(v)
+			if err != nil {
+				return err
+			}
+			return emit(payload)
+		}
+		if err := frame(walSnapshot{NextID: nextID}); err != nil {
+			return err
+		}
+		for _, id := range order {
+			if j, ok := jobs[id]; ok {
+				if err := frame(j.walRecord()); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		jn.logger.Warn("wal: snapshot failed", "error", err)
 	}
 }

@@ -1,9 +1,21 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"io"
+	"log/slog"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"chrysalis/internal/wal"
 )
 
 // walTestOpts builds manager options with a WAL directory and NO
@@ -219,5 +231,185 @@ func TestLifecycleTotalsNeverLagState(t *testing.T) {
 			t.Fatalf("job %s is done but its result is not cached", st.ID)
 		}
 		<-j.done
+	}
+}
+
+// closeManager shuts m down at the end of the test.
+func closeManager(t *testing.T, m *manager) {
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = m.close(ctx)
+	})
+}
+
+// TestWALLegacySnapshotRecovers: a snapshot written in the one-frame
+// layout that held the whole table in a single payload still recovers
+// every job it lists, and its next_id still bounds fresh job IDs.
+func TestWALLegacySnapshotRecovers(t *testing.T) {
+	dir := t.TempDir()
+	payload := []byte(`{"next_id":9,"jobs":[` +
+		`{"op":"failed","id":"j-000001","req":{"workload":"har","budget":60,"seed":1},"error":"boom"},` +
+		`{"op":"cancelled","id":"j-000002","req":{"workload":"har","budget":60,"seed":2},"error":"cancelled by client"},` +
+		`{"op":"submit","id":"j-000003","req":{"workload":"har","budget":60,"seed":3}}]}`)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	frame = append(frame, payload...)
+	if err := os.WriteFile(filepath.Join(dir, "snapshot"), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := newManager(walTestOpts(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeManager(t, m)
+	for id, want := range map[string]struct {
+		state JobState
+		err   string
+	}{
+		"j-000001": {JobFailed, "boom"},
+		"j-000002": {JobCancelled, "cancelled by client"},
+		"j-000003": {JobQueued, ""},
+	} {
+		j, ok := m.get(id)
+		if !ok {
+			t.Fatalf("job %s not recovered from the legacy snapshot", id)
+		}
+		if st := j.status(); st.State != want.state || st.Error != want.err {
+			t.Errorf("job %s: state %s error %q, want %s %q", id, st.State, st.Error, want.state, want.err)
+		}
+	}
+	if m.journal.recSnapCorrupt {
+		t.Error("legacy snapshot flagged corrupt")
+	}
+	if fresh := mustSubmit(t, m, DesignRequest{Workload: "har", Budget: 60, Seed: 4}); fresh.id != "j-000010" {
+		t.Errorf("fresh job ID %s, want j-000010 after next_id 9", fresh.id)
+	}
+}
+
+// TestWALSnapshotBeyondMaxRecord: a job table whose encoding exceeds
+// wal.MaxRecord still compacts — one frame per job — and recovers.
+func TestWALSnapshotBeyondMaxRecord(t *testing.T) {
+	dir := t.TempDir()
+	opts := walTestOpts(t, dir)
+	opts.QueueDepth = 64
+	opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil)) // the errors are 768 KiB each
+	m1, err := newManager(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const submitted, failed = 40, snapshotEvery - 40
+	var jobs []*job
+	for i := 0; i < submitted; i++ {
+		jobs = append(jobs, mustSubmit(t, m1, DesignRequest{Workload: "har", Budget: 60, Seed: int64(100 + i)}))
+	}
+	// The 64th record crosses the threshold with 24 jobs carrying a
+	// 768 KiB error each: 18 MiB of table.
+	huge := errors.New(strings.Repeat("e", 768<<10))
+	for _, j := range jobs[:failed] {
+		m1.finish(j, JobFailed, huge)
+	}
+	if got := m1.journal.records(); got != 0 {
+		t.Fatalf("journal holds %d records after the threshold; the table did not compact", got)
+	}
+	fi, err := os.Stat(filepath.Join(dir, "snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() <= wal.MaxRecord {
+		t.Fatalf("snapshot is %d bytes, not beyond wal.MaxRecord", fi.Size())
+	}
+	m1.journal.detach()
+
+	m2, err := newManager(opts)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	closeManager(t, m2)
+	if m2.journal.recSnapCorrupt {
+		t.Fatal("snapshot beyond wal.MaxRecord flagged corrupt")
+	}
+	for i, orig := range jobs {
+		j, ok := m2.get(orig.id)
+		if !ok {
+			t.Fatalf("job %s lost across the snapshot", orig.id)
+		}
+		st := j.status()
+		if i < failed && (st.State != JobFailed || st.Error != huge.Error()) {
+			t.Errorf("job %s: state %s with a %d-byte error, want failed with the original", orig.id, st.State, len(st.Error))
+		}
+		if i >= failed && st.State != JobQueued {
+			t.Errorf("job %s: state %s, want queued", orig.id, st.State)
+		}
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe for a logger's concurrent writes.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) count(sub string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return strings.Count(s.b.String(), sub)
+}
+
+// TestWALFailedSnapshotWaitsAThreshold: a snapshot that fails is not
+// retried on the next record — which would re-encode the whole table
+// for every record from then on — but a whole threshold later.
+func TestWALFailedSnapshotWaitsAThreshold(t *testing.T) {
+	dir := t.TempDir()
+	opts := walTestOpts(t, dir)
+	opts.QueueDepth = 3 * snapshotEvery
+	opts.MaxJobs = 8 // finished jobs are pruned: the threshold stays at its floor
+	var logs syncBuffer
+	opts.Logger = slog.New(slog.NewTextHandler(&logs, nil))
+	m, err := newManager(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeManager(t, m)
+	// A directory where the snapshot is staged makes every attempt fail.
+	blocker := filepath.Join(dir, "snapshot.tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	seed := int64(0)
+	records := func(n int) { // n records: a submit and a cancel per job
+		for i := 0; i < n/2; i++ {
+			seed++
+			j := mustSubmit(t, m, DesignRequest{Workload: "har", Budget: 60, Seed: seed})
+			m.cancelJob(j.id)
+		}
+	}
+	records(snapshotEvery)
+	if got := logs.count("snapshot failed"); got != 1 {
+		t.Fatalf("%d failed snapshots after %d records, want 1", got, snapshotEvery)
+	}
+	records(snapshotEvery - 2)
+	if got := logs.count("snapshot failed"); got != 1 {
+		t.Fatalf("%d failed snapshots within a threshold of the first failure, want 1", got)
+	}
+	records(2)
+	if got := logs.count("snapshot failed"); got != 2 {
+		t.Fatalf("%d failed snapshots a threshold after the first failure, want 2", got)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	records(snapshotEvery)
+	if got := logs.count("snapshot failed"); got != 2 {
+		t.Errorf("%d failed snapshots, want 2", got)
+	}
+	if got := m.journal.records(); got != 0 {
+		t.Errorf("journal holds %d records after a successful snapshot", got)
 	}
 }

@@ -57,3 +57,55 @@ func FuzzOpen(f *testing.F) {
 		}
 	})
 }
+
+// FuzzOpenSnapshot hardens snapshot recovery against arbitrary snapshot
+// bytes: Open must not panic or fail, and the snapshot is either
+// flagged corrupt and dropped or accepted whole — its payloads then
+// re-encode to exactly the bytes on disk, legacy one-frame form or
+// framed form, so no byte of an accepted snapshot goes unchecked.
+func FuzzOpenSnapshot(f *testing.F) {
+	framed := append(encodeRecord(snapshotMagic), encodeRecord([]byte(`{"next_id":2}`))...)
+	framed = append(framed, encodeRecord([]byte(`{"op":"submit","id":"j-000002"}`))...)
+	framed = append(framed, encodeRecord(nil)...)
+	f.Add(framed)
+	f.Add(framed[:len(framed)-3])                                    // torn end frame
+	f.Add(framed[:len(framed)-headerSize])                           // cut at a frame boundary
+	f.Add(append(encodeRecord(snapshotMagic), encodeRecord(nil)...)) // no payloads
+	f.Add(encodeRecord([]byte(`{"next_id":7,"jobs":[]}`)))           // legacy
+	f.Add(encodeRecord(snapshotMagic))
+	f.Add(encodeRecord(nil))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, snapName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, rec, err := Open(dir)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		defer l.Close()
+		if rec.SnapshotCorrupt {
+			if rec.Snapshot != nil {
+				t.Fatalf("corrupt snapshot returned %d frames", len(rec.Snapshot))
+			}
+			return
+		}
+		if rec.Snapshot == nil {
+			t.Fatal("snapshot file neither accepted nor flagged corrupt")
+		}
+		var want []byte
+		if len(rec.Snapshot) == 1 && bytes.Equal(encodeRecord(rec.Snapshot[0]), data) {
+			want = data // legacy
+		} else {
+			want = encodeRecord(snapshotMagic)
+			for _, p := range rec.Snapshot {
+				want = appendFrame(want, p)
+			}
+			want = appendFrame(want, nil)
+		}
+		if !bytes.Equal(want, data) {
+			t.Fatalf("accepted snapshot re-encodes to %d bytes, file holds %d", len(want), len(data))
+		}
+	})
+}

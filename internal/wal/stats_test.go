@@ -26,7 +26,7 @@ func TestStatsCounting(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteSnapshot([]byte("snapshot-state")); err != nil {
+	if err := l.WriteSnapshot(frames("snapshot-state")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Sync(); err != nil {

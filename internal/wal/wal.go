@@ -4,28 +4,40 @@
 // so a daemon killed mid-write recovers every durable record and drops
 // only the torn tail — never silently corrupted state.
 //
-// On-disk layout inside the log directory:
+// On-disk layout inside the log directory. Every frame is
+// [uint32 length][uint32 CRC32(payload)][payload], little-endian:
 //
-//	wal.log   append-only records: [uint32 length][uint32 CRC32(payload)][payload]
-//	snapshot  one checksummed record holding the caller's compacted state
+//	wal.log   append-only record frames
+//	snapshot  the caller's compacted state as a sequence of frames: a
+//	          marker frame holding snapshotMagic, one frame per
+//	          caller-emitted payload, and an empty end frame
 //
-// Recovery semantics (Open): the snapshot, when present and intact, is
-// returned as the base state; the log is then scanned record by record.
-// The scan stops at the first frame that cannot be proven intact — a
-// header shorter than 8 bytes, a length that overruns the file or the
-// sanity bound, or a payload whose checksum mismatches — and the file
-// is truncated back to the last intact boundary so later appends never
-// land after garbage. Torn-tail truncation is reported, not fatal: it
+// A snapshot file that is one non-empty frame with no marker is the
+// legacy form (the whole state in one payload, bounded by MaxRecord);
+// it still reads, as a one-frame snapshot. The marker and the end frame
+// make a snapshot cut at a frame boundary detectable: each frame's
+// checksum covers only that frame.
+//
+// Recovery semantics (Open): the snapshot, when present and intact in
+// every frame, is returned as the base state; the log is then scanned
+// record by record. The scan stops at the first frame that cannot be
+// proven intact — a header shorter than 8 bytes, a length that overruns
+// the file or the sanity bound, or a payload whose checksum mismatches
+// — and the file is truncated back to the last intact boundary so later
+// appends never land after garbage. Torn-tail truncation is reported, not fatal: it
 // is the expected shape of a crash mid-append.
 //
 // Writers call Append for every state change and WriteSnapshot
-// periodically to compact: the snapshot is staged in a temp file,
-// fsynced and renamed into place before the log is reset, so a crash at
-// any instant leaves either the old (snapshot, log) pair or the new
-// one, never a mix that loses acknowledged records.
+// periodically to compact: the snapshot's frames are streamed through a
+// buffered writer into a temp file, which is fsynced and renamed into
+// place before the log is reset, so a crash at any instant leaves
+// either the old (snapshot, log) pair or the new one, never a mix that
+// loses acknowledged records.
 package wal
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,26 +58,38 @@ const (
 	// CRC32 (IEEE) of the payload, both little-endian.
 	headerSize = 8
 
-	// MaxRecord bounds a single record's payload. Anything larger in a
-	// header is treated as corruption, not an allocation request.
+	// MaxRecord bounds a single record's payload, a log record's or one
+	// snapshot frame's. Anything larger in a header is treated as
+	// corruption, not an allocation request.
 	MaxRecord = 16 << 20
+
+	// snapshotBuffer sizes the buffered writer a snapshot streams its
+	// frames through.
+	snapshotBuffer = 64 << 10
 )
+
+// snapshotMagic is the payload of a framed snapshot's first frame, what
+// tells it from a legacy one-frame snapshot.
+var snapshotMagic = []byte("chrysalis-wal-snapshot/2")
 
 // ErrRecordTooLarge rejects appends beyond MaxRecord.
 var ErrRecordTooLarge = errors.New("wal: record exceeds size bound")
 
 // Recovery is everything Open salvaged from the directory.
 type Recovery struct {
-	// Snapshot is the last intact snapshot payload (nil when none).
-	Snapshot []byte
+	// Snapshot holds the payloads of the last intact snapshot's frames,
+	// in the order they were emitted (nil when none). A legacy snapshot
+	// is one frame.
+	Snapshot [][]byte
 	// Records are the intact log records appended after the snapshot,
 	// in append order.
 	Records [][]byte
 	// TruncatedBytes is how many trailing bytes of the log were dropped
 	// as a torn or corrupt tail (0 on a clean open).
 	TruncatedBytes int64
-	// SnapshotCorrupt reports that a snapshot file existed but failed
-	// its checksum; it was ignored (the log records still replay).
+	// SnapshotCorrupt reports that a snapshot file existed but was not
+	// intact in every frame; it was ignored (the log records still
+	// replay).
 	SnapshotCorrupt bool
 }
 
@@ -76,7 +100,8 @@ type Log struct {
 
 	mu      sync.Mutex
 	f       *os.File
-	records int // appended (or replayed) since the last snapshot
+	frame   []byte // Append's framing buffer, reused across appends
+	records int    // appended (or replayed) since the last snapshot
 	closed  bool
 	stats   Stats
 	syncObs func(seconds float64)
@@ -91,12 +116,11 @@ func Open(dir string) (*Log, Recovery, error) {
 	}
 	var rec Recovery
 
-	// Snapshot: a single framed record; an invalid one is ignored (with
-	// the flag set) rather than fatal, so a crash during WriteSnapshot
-	// can never brick recovery.
+	// Snapshot: an invalid one is ignored (with the flag set) rather
+	// than fatal, so a damaged snapshot can never brick recovery.
 	if data, err := os.ReadFile(filepath.Join(dir, snapName)); err == nil {
-		if payload, _, ok := decodeRecord(data); ok {
-			rec.Snapshot = payload
+		if frames, ok := decodeSnapshot(data); ok {
+			rec.Snapshot = frames
 		} else {
 			rec.SnapshotCorrupt = true
 		}
@@ -156,13 +180,40 @@ func decodeRecord(b []byte) (payload []byte, frame int, ok bool) {
 	return payload, headerSize + int(n), true
 }
 
+// decodeSnapshot splits a snapshot file into its payloads. It accepts
+// a framed snapshot (marker frame, payload frames, empty end frame) and
+// a legacy one (a single non-empty frame), and nothing else: a file
+// with any frame that is not intact, bytes past the last frame, or a
+// missing marker or end frame is corrupt.
+func decodeSnapshot(data []byte) (payloads [][]byte, ok bool) {
+	var frames [][]byte
+	for off := 0; off < len(data); {
+		payload, n, ok := decodeRecord(data[off:])
+		if !ok {
+			return nil, false
+		}
+		frames = append(frames, payload)
+		off += n
+	}
+	switch last := len(frames) - 1; {
+	case last == 0 && len(frames[0]) > 0 && !bytes.Equal(frames[0], snapshotMagic):
+		return frames, true // legacy
+	case last >= 1 && bytes.Equal(frames[0], snapshotMagic) && len(frames[last]) == 0:
+		return frames[1:last:last], true
+	}
+	return nil, false
+}
+
+// appendFrame appends payload, framed, to dst.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
+}
+
 // encodeRecord frames a payload for the log.
 func encodeRecord(payload []byte) []byte {
-	buf := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[headerSize:], payload)
-	return buf
+	return appendFrame(make([]byte, 0, headerSize+len(payload)), payload)
 }
 
 // Append writes one record. The frame is written with a single write
@@ -177,13 +228,13 @@ func (l *Log) Append(payload []byte) error {
 	if l.closed {
 		return errors.New("wal: closed")
 	}
-	frame := encodeRecord(payload)
-	if _, err := l.f.Write(frame); err != nil {
+	l.frame = appendFrame(l.frame[:0], payload)
+	if _, err := l.f.Write(l.frame); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	l.records++
 	l.stats.Appends++
-	l.stats.BytesAppended += int64(len(frame))
+	l.stats.BytesAppended += int64(len(l.frame))
 	return nil
 }
 
@@ -209,14 +260,19 @@ func (l *Log) Sync() error {
 	return err
 }
 
-// WriteSnapshot atomically replaces the snapshot with state and resets
-// the log: the new snapshot is staged, fsynced and renamed before the
+// WriteSnapshot atomically replaces the snapshot with the payloads
+// fill passes to emit, one frame each in the order emitted, and resets
+// the log. The new snapshot is staged, fsynced and renamed before the
 // log is truncated, so every acknowledged record is always recoverable
 // from either the old log or the new snapshot.
-func (l *Log) WriteSnapshot(state []byte) error {
-	if len(state) > MaxRecord {
-		return ErrRecordTooLarge
-	}
+//
+// emit copies its payload into a buffered writer before it returns, so
+// fill may reuse one buffer for every payload. A payload must be
+// non-empty and at most MaxRecord bytes; emit rejects any other. An
+// error from emit or fill abandons the snapshot and leaves the log as
+// it was. The log's lock is held throughout, so fill must not call
+// back into the log.
+func (l *Log) WriteSnapshot(fill func(emit func(payload []byte) error) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -227,16 +283,18 @@ func (l *Log) WriteSnapshot(state []byte) error {
 	if err != nil {
 		return fmt.Errorf("wal: stage snapshot: %w", err)
 	}
-	if _, err := f.Write(encodeRecord(state)); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: write snapshot: %w", err)
+	err = writeSnapshot(f, fill)
+	if err == nil {
+		if err = f.Sync(); err != nil {
+			err = fmt.Errorf("wal: sync snapshot: %w", err)
+		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: sync snapshot: %w", err)
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("wal: close snapshot: %w", cerr)
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: close snapshot: %w", err)
+	if err != nil {
+		os.Remove(tmp)
+		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(l.dir, snapName)); err != nil {
 		return fmt.Errorf("wal: publish snapshot: %w", err)
@@ -248,6 +306,46 @@ func (l *Log) WriteSnapshot(state []byte) error {
 		return fmt.Errorf("wal: seek: %w", err)
 	}
 	l.records = 0
+	return nil
+}
+
+// writeSnapshot streams a framed snapshot into f: the marker frame,
+// fill's payloads and the end frame.
+func writeSnapshot(f *os.File, fill func(emit func(payload []byte) error) error) error {
+	w := bufio.NewWriterSize(f, snapshotBuffer)
+	var hdr [headerSize]byte
+	frame := func(payload []byte) error {
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+		if _, err := w.Write(hdr[:]); err != nil {
+			return fmt.Errorf("wal: write snapshot: %w", err)
+		}
+		if _, err := w.Write(payload); err != nil {
+			return fmt.Errorf("wal: write snapshot: %w", err)
+		}
+		return nil
+	}
+	if err := frame(snapshotMagic); err != nil {
+		return err
+	}
+	err := fill(func(payload []byte) error {
+		switch {
+		case len(payload) == 0:
+			return errors.New("wal: empty snapshot frame")
+		case len(payload) > MaxRecord:
+			return ErrRecordTooLarge
+		}
+		return frame(payload)
+	})
+	if err != nil {
+		return err
+	}
+	if err := frame(nil); err != nil {
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		return fmt.Errorf("wal: write snapshot: %w", err)
+	}
 	return nil
 }
 

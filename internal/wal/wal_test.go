@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,6 +21,18 @@ func reopen(t *testing.T, l *Log) (*Log, Recovery) {
 		t.Fatalf("reopen: %v", err)
 	}
 	return nl, rec
+}
+
+// frames returns a WriteSnapshot fill that emits each payload in turn.
+func frames(payloads ...string) func(emit func([]byte) error) error {
+	return func(emit func([]byte) error) error {
+		for _, p := range payloads {
+			if err := emit([]byte(p)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 func appendAll(t *testing.T, l *Log, recs ...string) {
@@ -191,64 +204,73 @@ func TestSnapshotCompactsAndSurvives(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendAll(t, l, "a", "b")
-	state := []byte(`{"next_id":7}`)
-	if err := l.WriteSnapshot(state); err != nil {
+	state := []string{`{"next_id":7}`, "job-1", "job-2"}
+	if err := l.WriteSnapshot(frames(state...)); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.Records(); got != 0 {
 		t.Errorf("Records() after snapshot = %d, want 0", got)
 	}
+	if _, err := os.Stat(filepath.Join(dir, snapTempName)); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("staged snapshot left behind: %v", err)
+	}
 	appendAll(t, l, "c")
 
 	l, rec := reopen(t, l)
 	defer l.Close()
-	if !bytes.Equal(rec.Snapshot, state) {
-		t.Errorf("snapshot = %q, want %q", rec.Snapshot, state)
+	if len(rec.Snapshot) != len(state) {
+		t.Fatalf("snapshot = %q, want %q", rec.Snapshot, state)
+	}
+	for i, want := range state {
+		if string(rec.Snapshot[i]) != want {
+			t.Errorf("snapshot frame %d = %q, want %q", i, rec.Snapshot[i], want)
+		}
 	}
 	if len(rec.Records) != 1 || string(rec.Records[0]) != "c" {
 		t.Fatalf("post-snapshot records = %q, want [c]", rec.Records)
 	}
 }
 
-// TestCorruptSnapshotIgnored: a snapshot that fails its checksum is
-// reported and skipped; the log still replays.
+// TestCorruptSnapshotIgnored: a snapshot that is not intact in every
+// frame — a flipped byte in its last or a middle frame, a torn last
+// frame, trailing garbage, a missing end frame, or a cut at any byte
+// offset, frame boundaries included — is reported and skipped; the log
+// still replays.
 func TestCorruptSnapshotIgnored(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	good := framedSnapshot(t, `{"next_id":3}`, "job-1", "job-2")
+	damaged := map[string][]byte{}
+	last := bytes.Clone(good)
+	last[len(last)-1] ^= 0xFF
+	damaged["flipped last byte"] = last
+	mid := bytes.Clone(good)
+	mid[bytes.Index(mid, []byte("job-1"))+2] ^= 0x01
+	damaged["flipped middle frame"] = mid
+	damaged["torn last frame"] = good[:len(good)-3]
+	damaged["trailing garbage"] = append(bytes.Clone(good), 0x01)
+	damaged["marker only"] = encodeRecord(snapshotMagic)
+	damaged["empty legacy frame"] = encodeRecord(nil)
+	for cut := 0; cut < len(good); cut++ {
+		damaged[fmt.Sprintf("cut at %d", cut)] = good[:cut]
 	}
-	if err := l.WriteSnapshot([]byte("state")); err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, l, "after")
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(dir, snapName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l, rec, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if !rec.SnapshotCorrupt {
-		t.Error("corrupt snapshot not flagged")
-	}
-	if rec.Snapshot != nil {
-		t.Errorf("corrupt snapshot returned: %q", rec.Snapshot)
-	}
-	if len(rec.Records) != 1 || string(rec.Records[0]) != "after" {
-		t.Fatalf("records = %q, want [after]", rec.Records)
+	for name, data := range damaged {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, snapName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, logName), encodeRecord([]byte("after")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, rec, err := Open(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		l.Close()
+		if !rec.SnapshotCorrupt || rec.Snapshot != nil {
+			t.Errorf("%s: snapshot %q accepted (corrupt flag %v)", name, rec.Snapshot, rec.SnapshotCorrupt)
+		}
+		if len(rec.Records) != 1 || string(rec.Records[0]) != "after" {
+			t.Errorf("%s: records = %q, want [after]", name, rec.Records)
+		}
 	}
 }
 
