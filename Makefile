@@ -70,6 +70,7 @@ fuzz:
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 30s
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 30s
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzOpenSnapshot -fuzztime 30s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDesignRequest -fuzztime 30s
 
 # End-to-end chrysalisd check: boot on a random port, run a design job
 # to completion, assert the resubmission is a cache hit.
@@ -106,9 +107,10 @@ trace-smoke:
 # continuous outputs within 1e-6 relative), plus an end-to-end CLI
 # replay through -sim-mode differential, which fails on any divergence.
 # The bit-identity golden pins simulator and flight-recorder outputs
-# bit for bit across refactors of the step kernel and the recorder.
+# bit for bit across refactors of the step kernel and the recorder, and
+# the recorder's bin store is checked against a flat-slice reference.
 sim-diff:
-	$(GO) test ./internal/sim/ -run 'TestDifferential|TestEvent|TestBitIdentityGolden' -count=1
+	$(GO) test ./internal/sim/ -run 'TestDifferential|TestEvent|TestBitIdentityGolden|TestRecorderStoreMatchesFlat' -count=1
 	$(GO) run ./cmd/chrysalis -workload har -budget 100 -verify -sim-mode differential >/dev/null
 
 # End-to-end distributed-tracing check: a delegated job across an

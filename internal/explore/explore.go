@@ -694,6 +694,9 @@ func (e *Evaluator) evaluateInner(cand Candidate) (Evaluation, error) {
 		return ev, fmt.Errorf("explore: layer %s infeasible on %s: %w",
 			sc.Workload.Layers[len(plans)].Name, cand, err)
 	}
+	if errors.Is(err, errNoGAMapping) {
+		return ev, fmt.Errorf("%w for %s on %s", err, sc.Workload.Name, cand)
+	}
 	if err != nil {
 		return ev, err
 	}

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -47,6 +48,11 @@ func gaMapperConfig(layers int, seed int64) search.GAConfig {
 	}
 	return cfg
 }
+
+// errNoGAMapping is innerSearchGA's bare result when no genome is
+// feasible: every search loop discards score errors, so the score path
+// formats nothing and evaluateInner names the workload and candidate.
+var errNoGAMapping = errors.New("explore: gamma mapper found no feasible mapping")
 
 // innerSearchGA is the CHRYSALIS-GAMMA mapping search: one genome
 // holds (dataflow, partition, tile-count index) for every layer and a
@@ -109,7 +115,7 @@ func (e *Evaluator) innerSearchGA(cand Candidate, budget intermittent.BudgetFunc
 		return nil, err
 	}
 	if math.IsInf(res.BestValue, 1) {
-		return nil, fmt.Errorf("explore: gamma mapper found no feasible mapping for %s on %s", w.Name, cand)
+		return nil, errNoGAMapping
 	}
 	for i := range w.Layers {
 		k, r, ok := resolve(res.Best, i)

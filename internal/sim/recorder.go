@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sync"
 
 	"chrysalis/internal/energy"
@@ -103,6 +104,32 @@ type wavebin struct {
 	t0, t1 float64
 	count  int64
 	ch     [numChannels]chanAgg
+}
+
+// emptyBin is a bin before its first sample: every channel's min/max
+// at the infinities any sample replaces.
+var emptyBin = func() (b wavebin) {
+	for i := range b.ch {
+		b.ch[i] = chanAgg{min: math.Inf(1), max: math.Inf(-1)}
+	}
+	return b
+}()
+
+// The bin store is a list of segments that never move: segment 0 holds
+// the first seg0Bins bins and each later segment as many bins as all
+// before it, so segment k ≥ 1 holds bins [2^(k+seg0Log-1), 2^(k+seg0Log)).
+// The last segment is clipped so the store holds exactly the point
+// budget plus the one bin that triggers compaction. Growing allocates
+// one segment and copies nothing, a full budget is allocated once, and
+// a store of n > seg0Bins bins has room for at most 2n.
+const (
+	seg0Log  = 3
+	seg0Bins = 1 << seg0Log
+)
+
+// segmentCount returns how many segments hold capacity bins.
+func segmentCount(capacity int) int {
+	return 1 + bits.Len(uint(capacity-1)>>seg0Log)
 }
 
 // WavePoint is one exported bin of one channel.
@@ -299,9 +326,13 @@ type Recorder struct {
 	mu        sync.Mutex
 	maxPoints int
 	binDur    float64
-	bins      []wavebin
-	binCounts []int64 // scratch for snapshots; rebuilt per Waveform call
-	raw       int64
+	// segs is the bin store (see seg0Log); its first nbins bins are in
+	// time order and cur points at the last of them, the open bin (nil
+	// before the first sample).
+	segs  [][]wavebin
+	nbins int
+	cur   *wavebin
+	raw   int64
 
 	es     *energy.Subsystem
 	espec  energy.Spec
@@ -704,103 +735,131 @@ func (r *Recorder) foldLocked(s *stagedStep) {
 	r.cumHarvest += s.harvested
 	r.prevBD = Breakdown{Infer: units.Energy(s.infer), NVMIO: units.Energy(s.nvmio), Ckpt: units.Energy(s.ckpt)}
 
-	var vals [numChannels]float64
-	vals[ChVCap] = s.v
-	vals[ChEStored] = s.stored
-	if s.span > 0 {
-		vals[ChPHarvest] = s.harvested / s.span
-		vals[ChPLoad] = s.delivered / s.span
-		vals[ChPLeak] = s.leaked / s.span
+	// Fold the sample into the open bin, opening a new one when the
+	// sample falls outside it. The one sample of a jump stands in for
+	// its n raw steps.
+	r.raw += s.n
+	b := r.cur
+	if b == nil || (r.binDur > 0 && s.t-b.t0 >= r.binDur) || (r.binDur == 0 && s.t > b.t1) {
+		b = r.openBinLocked(s.t)
 	}
-	vals[ChEHarvest] = r.cumHarvest
-	vals[ChECompute] = float64(r.base.Infer) + s.infer
-	vals[ChENVMIO] = float64(r.base.NVMIO) + s.nvmio
-	vals[ChECkpt] = float64(r.base.Ckpt) + s.ckpt
-	vals[ChCycle] = float64(r.cycleIndex)
-	r.sampleLocked(s.t, &vals)
-	// The one sample of a jump stands in for its n raw steps.
-	r.raw += s.n - 1
+	b.t1 = s.t
+	b.count++
+	var pHarvest, pLoad, pLeak float64
+	if s.span > 0 {
+		pHarvest = s.harvested / s.span
+		pLoad = s.delivered / s.span
+		pLeak = s.leaked / s.span
+	}
+	b.ch[ChVCap].add(s.v)
+	b.ch[ChEStored].add(s.stored)
+	b.ch[ChPHarvest].add(pHarvest)
+	b.ch[ChPLoad].add(pLoad)
+	b.ch[ChPLeak].add(pLeak)
+	b.ch[ChEHarvest].add(r.cumHarvest)
+	b.ch[ChECompute].add(float64(r.base.Infer) + s.infer)
+	b.ch[ChENVMIO].add(float64(r.base.NVMIO) + s.nvmio)
+	b.ch[ChECkpt].add(float64(r.base.Ckpt) + s.ckpt)
+	b.ch[ChCycle].add(float64(r.cycleIndex))
 
 	r.lastT = s.t
 	r.lastStored = s.stored
 }
 
-// sampleLocked folds one raw sample into the current bin, opening a new
-// bin (and compacting on budget overflow) as needed.
-func (r *Recorder) sampleLocked(t float64, vals *[numChannels]float64) {
-	r.raw++
-	n := len(r.bins)
-	if n == 0 || (r.binDur > 0 && t-r.bins[n-1].t0 >= r.binDur) || (r.binDur == 0 && t > r.bins[n-1].t1) {
-		b := wavebin{t0: t, t1: t, count: 0}
-		for i := range b.ch {
-			b.ch[i] = chanAgg{min: math.Inf(1), max: math.Inf(-1)}
-		}
-		if len(r.bins) == cap(r.bins) {
-			r.growBinsLocked()
-		}
-		r.bins = append(r.bins, b)
-		if len(r.bins) > r.maxPoints {
-			r.compactBinsLocked()
-		}
-		n = len(r.bins)
+// openBinLocked appends an empty bin starting at t, adding a segment
+// when the store is full and compacting on budget overflow, and
+// returns the open bin.
+func (r *Recorder) openBinLocked(t float64) *wavebin {
+	// Unclipped segments hold seg0Bins<<(len(r.segs)-1) bins in all; a
+	// clipped one is the last and never fills, as compaction runs first.
+	if len(r.segs) == 0 || r.nbins == seg0Bins<<(len(r.segs)-1) {
+		r.addSegmentLocked()
 	}
-	b := &r.bins[n-1]
-	b.t1 = t
-	b.count++
-	for i := range vals {
-		b.ch[i].add(vals[i])
+	b := r.binAt(r.nbins)
+	*b = emptyBin
+	b.t0, b.t1 = t, t
+	r.nbins++
+	if r.nbins > r.maxPoints {
+		r.compactBinsLocked()
+	}
+	r.cur = r.binAt(r.nbins - 1)
+	return r.cur
+}
+
+// addSegmentLocked appends the next segment to a full store, clipped so
+// the store holds at most maxPoints+1 bins.
+func (r *Recorder) addSegmentLocked() {
+	held := r.nbins
+	n := held
+	if len(r.segs) == 0 {
+		n = seg0Bins
+		r.segs = make([][]wavebin, 0, segmentCount(r.maxPoints+1))
+	}
+	if n > r.maxPoints+1-held {
+		n = r.maxPoints + 1 - held
+	}
+	r.segs = append(r.segs, make([]wavebin, n))
+}
+
+// binAt returns bin i of the store.
+func (r *Recorder) binAt(i int) *wavebin {
+	if i < seg0Bins {
+		return &r.segs[0][i]
+	}
+	k := bits.Len(uint(i)) - seg0Log
+	return &r.segs[k][i-1<<(k+seg0Log-1)]
+}
+
+// binsLocked calls visit with every bin in use, in time order, until
+// visit returns false.
+func (r *Recorder) binsLocked(visit func(b *wavebin) bool) {
+	left := r.nbins
+	for _, seg := range r.segs {
+		if left == 0 {
+			return
+		}
+		if len(seg) > left {
+			seg = seg[:left]
+		}
+		for i := range seg {
+			if !visit(&seg[i]) {
+				return
+			}
+		}
+		left -= len(seg)
 	}
 }
 
-// growBinsLocked doubles the bin table's capacity, jumping straight to
-// the point budget plus the one bin that triggers compaction once
-// doubling would reach the budget. Doubling, rather than append's 1.25×
-// growth past 256 elements, halves the bytes a recorder allocates on
-// the way to a full budget of ~350 B bins. The full budget is never
-// preallocated: finished jobs keep their recorders, and most of those
-// hold a few hundred bins.
-func (r *Recorder) growBinsLocked() {
-	c := 2 * cap(r.bins)
-	if c < 8 {
-		c = 8
-	}
-	if c >= r.maxPoints {
-		c = r.maxPoints + 1
-	}
-	bins := make([]wavebin, len(r.bins), c)
-	copy(bins, r.bins)
-	r.bins = bins
-}
-
-// compactBinsLocked merges adjacent bin pairs and doubles the bin
-// width, keeping the true min/max of every absorbed sample.
+// compactBinsLocked merges adjacent bin pairs in place and doubles the
+// bin width, keeping the true min/max of every absorbed sample.
 func (r *Recorder) compactBinsLocked() {
 	if r.binDur == 0 {
-		span := r.bins[len(r.bins)-1].t1 - r.bins[0].t0
-		r.binDur = 2 * span / float64(len(r.bins))
+		span := r.binAt(r.nbins-1).t1 - r.binAt(0).t0
+		r.binDur = 2 * span / float64(r.nbins)
 		if r.binDur <= 0 {
 			r.binDur = math.SmallestNonzeroFloat64
 		}
 	} else {
 		r.binDur *= 2
 	}
-	half := len(r.bins) / 2
+	half := r.nbins / 2
 	for i := 0; i < half; i++ {
+		b := r.binAt(i)
 		if i > 0 {
-			r.bins[i] = r.bins[2*i]
+			*b = *r.binAt(2 * i)
 		}
-		b, nb := &r.bins[i], &r.bins[2*i+1]
+		nb := r.binAt(2*i + 1)
 		b.t1 = nb.t1
 		b.count += nb.count
 		for c := range b.ch {
 			b.ch[c].merge(nb.ch[c])
 		}
 	}
-	if len(r.bins)%2 == 1 {
-		r.bins[half] = r.bins[len(r.bins)-1]
+	if r.nbins%2 == 1 {
+		*r.binAt(half) = *r.binAt(r.nbins - 1)
 		half++
 	}
-	r.bins = r.bins[:half]
+	r.nbins = half
 }
 
 // RawSamples returns the number of raw samples folded into the bins.
@@ -820,7 +879,7 @@ func (r *Recorder) Points() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.bins)
+	return r.nbins
 }
 
 // EnergySpec returns the (defaults-filled) spec of the subsystem the
@@ -897,33 +956,35 @@ func (r *Recorder) Waveform() Waveform {
 		RawSamples: r.raw,
 		Cycles:     r.cyclesLocked(),
 	}
-	if len(r.bins) > 0 {
-		w.StartS = r.bins[0].t0
-		w.EndS = r.bins[len(r.bins)-1].t1
+	if r.nbins > 0 {
+		w.StartS = r.binAt(0).t0
+		w.EndS = r.cur.t1
 	}
-	w.binCounts = make([]int64, len(r.bins))
-	for i := range r.bins {
-		w.binCounts[i] = r.bins[i].count
-	}
+	w.binCounts = make([]int64, r.nbins)
 	w.Channels = make([]WaveChannel, numChannels)
-	for c := 0; c < numChannels; c++ {
-		ch := WaveChannel{
+	for c := range w.Channels {
+		w.Channels[c] = WaveChannel{
 			Name:   channelMeta[c].Name,
 			Unit:   channelMeta[c].Unit,
-			Points: make([]WavePoint, len(r.bins)),
+			Points: make([]WavePoint, r.nbins),
 		}
-		for i := range r.bins {
-			a := r.bins[i].ch[c]
-			ch.Points[i] = WavePoint{
-				T:    r.bins[i].t0,
+	}
+	i := 0
+	r.binsLocked(func(b *wavebin) bool {
+		w.binCounts[i] = b.count
+		for c := range w.Channels {
+			a := &b.ch[c]
+			w.Channels[c].Points[i] = WavePoint{
+				T:    b.t0,
 				Min:  a.min,
 				Max:  a.max,
-				Mean: a.sum / float64(r.bins[i].count),
+				Mean: a.sum / float64(b.count),
 				Last: a.last,
 			}
 		}
-		w.Channels[c] = ch
-	}
+		i++
+		return true
+	})
 	return w
 }
 
@@ -946,10 +1007,6 @@ func (r *Recorder) WalkLast(name string, visit func(t0, last float64) bool) bool
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := range r.bins {
-		if !visit(r.bins[i].t0, r.bins[i].ch[c].last) {
-			break
-		}
-	}
+	r.binsLocked(func(b *wavebin) bool { return visit(b.t0, b.ch[c].last) })
 	return true
 }

@@ -417,14 +417,27 @@ func TestRecordedStepZeroAlloc(t *testing.T) {
 // BenchmarkRecordedDiurnalStep times one literal co-simulation step
 // with a flight recorder attached under a diurnal day — the per-step
 // cost of day-scale replays, which the event simulator cannot jump
-// because the harvest varies with time. Run with -benchmem.
+// because the harvest varies with time. Run with -benchmem. The
+// recorder's own cost per step is its ns/step minus that of
+// BenchmarkUnrecordedDiurnalStep; both are noisy, so compare them in
+// interleaved runs (-count with both selected).
 func BenchmarkRecordedDiurnalStep(b *testing.B) {
+	benchDiurnalStep(b, NewRecorder(0))
+}
+
+// BenchmarkUnrecordedDiurnalStep is BenchmarkRecordedDiurnalStep with
+// no recorder attached.
+func BenchmarkUnrecordedDiurnalStep(b *testing.B) {
+	benchDiurnalStep(b, nil)
+}
+
+func benchDiurnalStep(b *testing.B, rec *Recorder) {
 	day, err := solar.NewDiurnal(solar.KehBright, 0, 12*3600)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := harSetup(b, 8, 100e-6, day)
-	cfg.Record = NewRecorder(0)
+	cfg.Record = rec
 	cfg.Energy.Reset()
 	cfg.Energy.Cap.SetVoltage(cfg.Energy.Spec().PMIC.UOff)
 	s := newStepper(cfg, 0)

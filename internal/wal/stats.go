@@ -14,8 +14,8 @@ type Stats struct {
 	// on-disk bytes (header included).
 	Appends       int64
 	BytesAppended int64
-	// Syncs and SyncNanos count explicit Sync calls and their cumulative
-	// wall time.
+	// Syncs and SyncNanos count fsyncs and their cumulative wall time:
+	// every Sync call and the staged snapshot's fsync in WriteSnapshot.
 	Syncs     int64
 	SyncNanos int64
 }
@@ -27,9 +27,10 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
-// SetSyncObserver installs a callback invoked with each Sync's duration
-// in seconds — the hook a latency histogram hangs off. Pass nil to
-// remove. Not safe to call concurrently with Sync.
+// SetSyncObserver installs a callback invoked with each fsync's
+// duration in seconds (Sync and WriteSnapshot) — the hook a latency
+// histogram hangs off. Pass nil to remove. Not safe to call
+// concurrently with Sync.
 func (l *Log) SetSyncObserver(fn func(seconds float64)) {
 	l.mu.Lock()
 	l.syncObs = fn

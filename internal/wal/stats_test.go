@@ -40,8 +40,9 @@ func TestStatsCounting(t *testing.T) {
 	if want := int64(3 * (headerSize + len(payload))); s.BytesAppended != want {
 		t.Errorf("BytesAppended = %d, want %d", s.BytesAppended, want)
 	}
-	if s.Syncs != 2 || observed != 2 {
-		t.Errorf("Syncs = %d, observer calls = %d, want 2 each", s.Syncs, observed)
+	// Two Sync calls plus the snapshot's own fsync.
+	if s.Syncs != 3 || observed != 3 {
+		t.Errorf("Syncs = %d, observer calls = %d, want 3 each", s.Syncs, observed)
 	}
 	if s.SyncNanos < 0 {
 		t.Errorf("SyncNanos = %d", s.SyncNanos)

@@ -285,7 +285,10 @@ func (l *Log) WriteSnapshot(fill func(emit func(payload []byte) error) error) er
 	}
 	err = writeSnapshot(f, fill)
 	if err == nil {
-		if err = f.Sync(); err != nil {
+		start := time.Now()
+		err = f.Sync()
+		l.observeSyncLocked(time.Since(start))
+		if err != nil {
 			err = fmt.Errorf("wal: sync snapshot: %w", err)
 		}
 	}
