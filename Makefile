@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all ci fmt-check build vet test perfbench-test race race-cache race-explore bench bench-smoke experiments examples fuzz cover clean serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
+.PHONY: all ci fmt-check build vet test perfbench-test race race-cache race-explore bench bench-smoke experiments examples autsim-smoke fuzz cover clean serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
 
 all: build vet test
 
 # Everything the CI workflow runs.
-ci: fmt-check build vet test perfbench-test race bench-smoke serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
+ci: fmt-check build vet test perfbench-test race bench-smoke examples autsim-smoke serve-smoke cluster-smoke trace-smoke trace-cluster-smoke audit-smoke sim-diff converge-smoke warm-smoke
 
 # Fail on any file gofmt would rewrite.
 fmt-check:
@@ -63,6 +63,14 @@ examples:
 	$(GO) run ./examples/acceldesign
 	$(GO) run ./examples/customharvester
 	$(GO) run ./examples/jsonworkload
+
+# cmd/autsim has no tests: replay one MSP430 design point with an event
+# trace and the voltage waveform, the README's Eyeriss design point, and
+# the per-layer -analyze profile.
+autsim-smoke:
+	$(GO) run ./cmd/autsim -workload har -panel 8 -cap 100e-6 -trace 5 -waveform >/dev/null
+	$(GO) run ./cmd/autsim -workload resnet18 -arch eyeriss -pe 128 -cache 1024 -panel 20 -cap 1e-3 -env dark >/dev/null
+	$(GO) run ./cmd/autsim -workload har -analyze >/dev/null
 
 # Each target's seed corpus also runs in `go test ./...`.
 fuzz:

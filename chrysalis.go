@@ -122,7 +122,8 @@ type Workload = dnn.Workload
 // Environment supplies the ambient light coefficient k_eh over time.
 type Environment = solar.Environment
 
-// SimResult is a step-based simulation outcome.
+// SimResult is one simulated inference: the outcome of the event-driven
+// or the fixed-step co-simulator.
 type SimResult = sim.Result
 
 // SimMode selects the simulator core used by every co-simulation of a
@@ -175,13 +176,14 @@ func DesignWithBaseline(spec Spec, baseline string) (Result, error) {
 // metrics and Fig. 4 style loop nests.
 func Report(spec Spec, res Result) (string, error) { return core.Report(spec, res) }
 
-// ReportWithVerification is Report plus a step-simulator replay.
+// ReportWithVerification is Report plus a Verify replay.
 func ReportWithVerification(spec Spec, res Result) (string, error) {
 	return core.ReportWithVerification(spec, res)
 }
 
-// Verify replays a designed configuration on the step-based simulator
-// (the higher-fidelity evaluator) and reports the simulated run,
+// Verify replays a designed configuration on the co-simulator selected
+// by spec.SimMode (the event-driven simulator by default; the step
+// simulator is its fixed-step oracle) and reports the simulated run,
 // letting users cross-check the analytic search estimate the way the
 // paper validates its model against the physical platform (Fig. 7).
 func Verify(spec Spec, res Result) (SimResult, error) { return core.Verify(spec, res) }
@@ -195,7 +197,8 @@ func VerifyTraced(spec Spec, res Result, onEvent func(SimEvent)) (SimResult, err
 	if onEvent != nil {
 		tr = sim.Tracer(onEvent)
 	}
-	return core.VerifyWithTrace(spec, res, tr)
+	run, _, err := core.VerifyFlight(spec, res, tr, nil)
+	return run, err
 }
 
 // Workloads lists the names of all built-in benchmark networks

@@ -1,5 +1,5 @@
 // Command autsim runs a single AuT configuration through the
-// step-based co-simulator and prints the run summary with an energy
+// fixed-step co-simulator and prints the run summary with an energy
 // breakdown — useful for inspecting one design point in detail (the
 // CHRYSALIS Evaluator exposed directly).
 //
@@ -17,9 +17,7 @@ import (
 	"chrysalis/internal/accel"
 	"chrysalis/internal/dataflow"
 	"chrysalis/internal/dnn"
-	"chrysalis/internal/energy"
 	"chrysalis/internal/explore"
-	"chrysalis/internal/intermittent"
 	"chrysalis/internal/msp430"
 	"chrysalis/internal/report"
 	"chrysalis/internal/sim"
@@ -70,7 +68,6 @@ func main() {
 		PanelArea: units.AreaCM2(*panel),
 		Cap:       units.Capacitance(*capF),
 	}
-	hw := msp430.Config{}.HW()
 	if *arch != "" {
 		a, err := accel.ParseArch(*arch)
 		if err != nil {
@@ -82,16 +79,15 @@ func main() {
 		}
 		sc.Platform = explore.Accel
 		cand.Accel = &cfg
-		hw, err = cfg.HW(cfg.NativeDataflow())
-		if err != nil {
-			fatal(err)
-		}
 	}
 
 	if *analyze {
-		df := dataflow.OS
-		if cand.Accel != nil {
-			df = cand.Accel.NativeDataflow()
+		df, hw := dataflow.OS, msp430.Config{}.HW()
+		if ac := cand.Accel; ac != nil {
+			df = ac.NativeDataflow()
+			if hw, err = ac.HW(df); err != nil {
+				fatal(err)
+			}
 		}
 		rows, err := dataflow.Analyze(wl, df, hw)
 		if err != nil {
@@ -118,7 +114,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	es, err := energy.NewSolar(energy.Spec{PanelArea: cand.PanelArea, Cap: cand.Cap}, env)
+	simCfg, err := ev.SimConfig(env)
 	if err != nil {
 		fatal(err)
 	}
@@ -136,11 +132,8 @@ func main() {
 
 	var rec sim.EventRecorder
 	rec.Max = *traceN
-	simCfg := sim.Config{
-		Energy: es, HW: hw, Plans: evPlans(ev),
-		Step: units.Seconds(*step), Jitter: *jitter, Seed: *seed,
-		Policy: pol,
-	}
+	simCfg.Step, simCfg.Jitter, simCfg.Seed = units.Seconds(*step), *jitter, *seed
+	simCfg.Policy = pol
 	if *traceN > 0 {
 		simCfg.Trace = rec.Trace
 	}
@@ -200,15 +193,6 @@ func main() {
 		fmt.Println(report.Bar("cap leakage", float64(b.CapLeakage)/h, 40))
 		fmt.Println(report.Bar("spilled", float64(b.SpilledHarvest)/h, 40))
 	}
-}
-
-// evPlans extracts the plan slice from an evaluation.
-func evPlans(ev explore.Evaluation) []intermittent.Plan {
-	plans := make([]intermittent.Plan, len(ev.Mappings))
-	for i, m := range ev.Mappings {
-		plans[i] = m.Plan
-	}
-	return plans
 }
 
 func fatal(err error) {

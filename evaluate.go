@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"chrysalis/internal/accel"
-	"chrysalis/internal/dnn"
 	"chrysalis/internal/energy"
 	"chrysalis/internal/explore"
 	"chrysalis/internal/sim"
+	"chrysalis/internal/solar"
 )
 
 // AccelConfig describes one reconfigurable-accelerator design point
@@ -24,16 +24,10 @@ const (
 )
 
 // DesignPoint is one concrete AuT hardware configuration to evaluate
-// directly, bypassing the search.
-type DesignPoint struct {
-	// PanelArea is the solar panel size (1–30 cm²).
-	PanelArea AreaCM2
-	// Cap is the storage capacitor (1 µF – 10 mF).
-	Cap Capacitance
-	// Accel selects the accelerator configuration; nil means the
-	// MSP430 platform.
-	Accel *AccelConfig
-}
+// directly, bypassing the search: the solar panel size (1–30 cm²), the
+// storage capacitor (1 µF – 10 mF) and, for the accelerator platform,
+// its configuration (a nil Accel means the MSP430 platform).
+type DesignPoint = explore.Candidate
 
 // Evaluation is the assessment of one design point: per-environment
 // latency/energy/efficiency, the chosen per-layer mappings, and the
@@ -45,13 +39,30 @@ type Evaluation = explore.Evaluation
 // search still runs, so the design point is evaluated at its best
 // achievable dataflow and tiling.
 func Evaluate(spec Spec, dp DesignPoint) (Evaluation, error) {
-	sc, err := scenarioOf(spec)
+	sc, err := spec.Scenario()
 	if err != nil {
 		return Evaluation{}, err
 	}
-	return explore.EvaluateCandidate(sc, explore.Candidate{
-		PanelArea: dp.PanelArea, Cap: dp.Cap, Accel: dp.Accel,
-	})
+	return explore.EvaluateCandidate(sc, dp)
+}
+
+// replay plans a design point under env alone and returns the simulator
+// configuration that replays it there. A nil env selects the bright
+// environment.
+func replay(spec Spec, dp DesignPoint, env Environment) (sim.Config, error) {
+	if env == nil {
+		env = solar.Bright()
+	}
+	sc, err := spec.Scenario()
+	if err != nil {
+		return sim.Config{}, err
+	}
+	sc.Envs = []solar.Environment{env}
+	ev, err := explore.EvaluateCandidate(sc, dp)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	return ev.SimConfig(env)
 }
 
 // Harvester abstracts the energy transducer so non-solar sources
@@ -59,64 +70,32 @@ func Evaluate(spec Spec, dp DesignPoint) (Evaluation, error) {
 // paper's interface-oriented extensibility (Sec. III-D).
 type Harvester = energy.Harvester
 
-// Simulate runs a design point through the step-based co-simulator
-// under one environment and returns the detailed run (power cycles,
-// checkpoints, retries, energy breakdown). A nil env selects the
-// bright environment.
+// Simulate runs a design point through the co-simulator selected by
+// spec.SimMode (the event-driven simulator by default) under one
+// environment, with the mapping planned for that environment, and
+// returns the detailed run (power cycles, checkpoints, retries, energy
+// breakdown). A nil env selects the bright environment.
 func Simulate(spec Spec, dp DesignPoint, env Environment) (SimResult, error) {
-	return simulate(spec, dp, env, nil)
-}
-
-// SimulateWithHarvester is Simulate with a custom Harvester replacing
-// the solar panel entirely.
-func SimulateWithHarvester(spec Spec, dp DesignPoint, h Harvester) (SimResult, error) {
-	if h == nil {
-		return SimResult{}, fmt.Errorf("chrysalis: harvester must not be nil")
-	}
-	return simulate(spec, dp, nil, h)
-}
-
-func simulate(spec Spec, dp DesignPoint, env Environment, h Harvester) (SimResult, error) {
-	cfg, err := simConfig(spec, dp, env)
+	cfg, err := replay(spec, dp, env)
 	if err != nil {
 		return SimResult{}, err
-	}
-	if h != nil {
-		// Replace the solar subsystem with the custom harvester; the
-		// mapping was planned against the named environment, which acts
-		// as the sizing assumption.
-		es, err := energy.New(energy.Spec{PanelArea: dp.PanelArea, Cap: dp.Cap}, h)
-		if err != nil {
-			return SimResult{}, err
-		}
-		cfg.Energy = es
 	}
 	return sim.RunMode(cfg, spec.SimMode)
 }
 
-// scenarioOf converts a public spec to an explorer scenario.
-func scenarioOf(spec Spec) (explore.Scenario, error) {
-	w, err := workloadOf(spec)
+// SimulateWithHarvester is Simulate with a custom Harvester replacing
+// the solar panel entirely. The mapping is planned under the bright
+// environment, which acts as the sizing assumption.
+func SimulateWithHarvester(spec Spec, dp DesignPoint, h Harvester) (SimResult, error) {
+	if h == nil {
+		return SimResult{}, fmt.Errorf("chrysalis: harvester must not be nil")
+	}
+	cfg, err := replay(spec, dp, nil)
 	if err != nil {
-		return explore.Scenario{}, err
+		return SimResult{}, err
 	}
-	return explore.Scenario{
-		Workload:   w,
-		Platform:   spec.Platform,
-		Envs:       spec.Envs,
-		Objective:  spec.Objective,
-		MaxPanel:   spec.MaxPanel,
-		MaxLatency: spec.MaxLatency,
-		Rexc:       spec.Rexc,
-	}, nil
-}
-
-func workloadOf(spec Spec) (dnn.Workload, error) {
-	if spec.Workload != nil {
-		return *spec.Workload, spec.Workload.Validate()
+	if cfg.Energy, err = energy.New(energy.Spec{PanelArea: dp.PanelArea, Cap: dp.Cap}, h); err != nil {
+		return SimResult{}, err
 	}
-	if spec.WorkloadName == "" {
-		return dnn.Workload{}, fmt.Errorf("chrysalis: spec needs a Workload or WorkloadName")
-	}
-	return dnn.ByName(spec.WorkloadName)
+	return sim.RunMode(cfg, spec.SimMode)
 }

@@ -1,6 +1,6 @@
 // Quickstart: design an ideal AuT for a human-activity-recognition
 // workload in three calls — define the spec, run the search, verify the
-// winner on the step-based simulator.
+// winner on the co-simulator.
 package main
 
 import (

@@ -6,14 +6,7 @@ package chrysalis
 // unchanged evaluator.
 
 import (
-	"fmt"
-
-	"chrysalis/internal/energy"
-	"chrysalis/internal/explore"
-	"chrysalis/internal/intermittent"
-	"chrysalis/internal/msp430"
 	"chrysalis/internal/sim"
-	"chrysalis/internal/solar"
 	"chrysalis/internal/thermal"
 )
 
@@ -52,9 +45,10 @@ type SeriesResult = sim.SeriesResult
 // with an idle (sensing/sleep) gap between them, carrying capacitor
 // state and the clock across inferences so diurnal or cloudy
 // environments shape each one. A nil env selects the bright
-// environment.
+// environment. Series always run on the fixed-step simulator,
+// whatever spec.SimMode says.
 func SimulateSeries(spec Spec, dp DesignPoint, env Environment, n int, idle Seconds) (SeriesResult, error) {
-	cfg, err := simConfig(spec, dp, env)
+	cfg, err := replay(spec, dp, env)
 	if err != nil {
 		return SeriesResult{}, err
 	}
@@ -79,7 +73,7 @@ const (
 
 // SimulateWithPolicy is Simulate with an explicit checkpoint policy.
 func SimulateWithPolicy(spec Spec, dp DesignPoint, env Environment, policy CheckpointPolicy) (SimResult, error) {
-	cfg, err := simConfig(spec, dp, env)
+	cfg, err := replay(spec, dp, env)
 	if err != nil {
 		return SimResult{}, err
 	}
@@ -96,7 +90,7 @@ type SimEvent = sim.Event
 // SimulateTraced is Simulate with an event callback receiving the
 // run's transitions in time order.
 func SimulateTraced(spec Spec, dp DesignPoint, env Environment, onEvent func(SimEvent)) (SimResult, error) {
-	cfg, err := simConfig(spec, dp, env)
+	cfg, err := replay(spec, dp, env)
 	if err != nil {
 		return SimResult{}, err
 	}
@@ -104,47 +98,4 @@ func SimulateTraced(spec Spec, dp DesignPoint, env Environment, onEvent func(Sim
 		cfg.Trace = sim.Tracer(onEvent)
 	}
 	return sim.RunMode(cfg, spec.SimMode)
-}
-
-// simConfig builds a step-simulator configuration for a design point.
-func simConfig(spec Spec, dp DesignPoint, env Environment) (sim.Config, error) {
-	if env == nil {
-		env = solar.Bright()
-	}
-	sc, err := scenarioOf(spec)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	sc.Envs = []solar.Environment{env}
-	cand := explore.Candidate{PanelArea: dp.PanelArea, Cap: dp.Cap, Accel: dp.Accel}
-	ev, err := explore.EvaluateCandidate(sc, cand)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	es, err := energy.NewSolar(energy.Spec{PanelArea: dp.PanelArea, Cap: dp.Cap}, env)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	hw := msp430.Config{}.HW()
-	if dp.Accel != nil {
-		hw, err = dp.Accel.HW(dp.Accel.NativeDataflow())
-		if err != nil {
-			return sim.Config{}, err
-		}
-	}
-	plans := make([]intermittent.Plan, len(ev.Mappings))
-	for i, m := range ev.Mappings {
-		plans[i] = m.Plan
-	}
-	if len(plans) == 0 {
-		return sim.Config{}, fmt.Errorf("chrysalis: no feasible mapping for %s", dp.description())
-	}
-	return sim.Config{Energy: es, HW: hw, Plans: plans}, nil
-}
-
-func (dp DesignPoint) description() string {
-	if dp.Accel != nil {
-		return fmt.Sprintf("%v/%v/%s", dp.PanelArea, dp.Cap, dp.Accel.Arch)
-	}
-	return fmt.Sprintf("%v/%v/msp430", dp.PanelArea, dp.Cap)
 }

@@ -62,8 +62,9 @@ type AuditOptions = audit.Options
 // invariant checks. A nil recorder yields an empty passing report.
 func Audit(rec *FlightRecorder, opts AuditOptions) *AuditReport { return audit.Run(rec, opts) }
 
-// VerifyFlight replays a designed solution through the step simulator
-// with an optional event callback and an optional flight recorder, then
+// VerifyFlight replays a designed solution through the co-simulator
+// selected by spec.SimMode (the event-driven simulator by default) with
+// an optional event callback and an optional flight recorder, then
 // audits the recorded physics. The report is nil when rec is nil.
 func VerifyFlight(spec Spec, res Result, onEvent func(SimEvent), rec *FlightRecorder) (SimResult, *AuditReport, error) {
 	var tr sim.Tracer
@@ -78,7 +79,7 @@ func VerifyFlight(spec Spec, res Result, onEvent func(SimEvent), rec *FlightReco
 // waveform and ledgers cover the whole deployment horizon (a day-long
 // series still fits the recorder's point budget).
 func SimulateSeriesFlight(spec Spec, dp DesignPoint, env Environment, n int, idle Seconds, rec *FlightRecorder) (SeriesResult, *AuditReport, error) {
-	cfg, err := simConfig(spec, dp, env)
+	cfg, err := replay(spec, dp, env)
 	if err != nil {
 		return SeriesResult{}, nil, err
 	}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"chrysalis/internal/accel"
-	"chrysalis/internal/dataflow"
-	"chrysalis/internal/msp430"
-)
+import "chrysalis/internal/accel"
 
 // Component is one row of the supported-setup inventory (Table III).
 type Component struct {
@@ -27,9 +23,6 @@ func Components() []Component {
 		{"Infer", "Accelerator & Mapper", "Future AuT Setup", "CHRYSALIS-MAESTRO dataflow model (internal/dataflow) + GA explorer (internal/search)"},
 	}
 }
-
-// mspHW returns the MSP430 platform constants.
-func mspHW() dataflow.HW { return msp430.Config{}.HW() }
 
 // accelArch resolves an architecture name into a config skeleton.
 func accelArch(name string) (accel.Config, error) {

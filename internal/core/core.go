@@ -49,11 +49,14 @@ type Spec struct {
 	// selects the default).
 	Rexc float64
 
-	// SimMode selects the simulator core for every co-simulation of
-	// this spec (verification, facade Simulate*, serving): the
-	// event-driven analytic simulator (the zero value), the fixed-step
-	// oracle, or the differential mode that runs both and fails on
-	// divergence. Search scoring is analytic and unaffected.
+	// SimMode selects the simulator core for the single-inference
+	// co-simulations of this spec (verification, the facade's Simulate,
+	// SimulateWithPolicy, SimulateWithHarvester and SimulateTraced,
+	// serving): the event-driven analytic simulator (the zero value),
+	// the fixed-step oracle, or the differential mode that runs both and
+	// fails on divergence. The series replays (SimulateSeries,
+	// SimulateSeriesFlight) always run the fixed-step simulator. Search
+	// scoring is analytic and unaffected.
 	SimMode sim.Mode
 
 	// Search configures the outer optimizer.
@@ -137,8 +140,8 @@ func (s Spec) resolveWorkload() (dnn.Workload, error) {
 	return dnn.ByName(s.WorkloadName)
 }
 
-// scenario converts the spec to an explorer scenario.
-func (s Spec) scenario() (explore.Scenario, error) {
+// Scenario converts the spec to an explorer scenario.
+func (s Spec) Scenario() (explore.Scenario, error) {
 	w, err := s.resolveWorkload()
 	if err != nil {
 		return explore.Scenario{}, err
@@ -253,7 +256,7 @@ func Run(spec Spec) (Result, error) {
 // design found so far. spec.Search.Trace, when set, rides ctx down to
 // the explorer and the optimizer.
 func RunBaseline(ctx context.Context, spec Spec, b explore.Baseline) (Result, error) {
-	sc, err := spec.scenario()
+	sc, err := spec.Scenario()
 	if err != nil {
 		return Result{}, err
 	}
@@ -438,31 +441,26 @@ func sanitizeSeries(h []float64) []float64 {
 	return out
 }
 
-// Verify re-evaluates a result with the step-based simulator under the
-// first environment and returns the simulated run, cross-checking the
+// Verify re-evaluates a result with the co-simulator selected by
+// spec.SimMode (the event-driven simulator by default) under the first
+// environment and returns the simulated run, cross-checking the
 // analytic search estimate (the paper's model-vs-platform validation
 // flow, Fig. 7).
 func Verify(spec Spec, res Result) (sim.Result, error) {
-	return VerifyWithTrace(spec, res, nil)
-}
-
-// VerifyWithTrace is Verify with an optional simulator tracer that
-// receives the replay's events (power cycles, tile starts/completions,
-// checkpoints, resumes, retries) in time order — the hook the serving
-// layer uses to stream live telemetry.
-func VerifyWithTrace(spec Spec, res Result, tr sim.Tracer) (sim.Result, error) {
-	run, _, err := VerifyFlight(spec, res, tr, nil)
+	run, _, err := VerifyFlight(spec, res, nil, nil)
 	return run, err
 }
 
-// VerifyFlight is the full-introspection verification path: it replays
-// the design through the co-simulator selected by spec.SimMode (the
-// event-driven simulator by default) with an optional event tracer AND
-// an optional flight recorder, then — when a recorder was attached —
-// audits the recorded physics for energy-conservation violations. The
-// audit report is nil when rec is nil.
+// VerifyFlight is the full-introspection verification path: it plans
+// the design under every environment of the spec, replays it through
+// the co-simulator selected by spec.SimMode under the first one, with
+// an optional event tracer (the hook the serving layer streams live
+// telemetry from) AND an optional flight recorder, then — when a
+// recorder was attached — audits the recorded physics for
+// energy-conservation violations. The audit report is nil when rec is
+// nil.
 func VerifyFlight(spec Spec, res Result, tr sim.Tracer, rec *sim.Recorder) (sim.Result, *audit.Report, error) {
-	sc, err := spec.scenario()
+	sc, err := spec.Scenario()
 	if err != nil {
 		return sim.Result{}, nil, err
 	}
@@ -470,7 +468,22 @@ func VerifyFlight(spec Spec, res Result, tr sim.Tracer, rec *sim.Recorder) (sim.
 	if err != nil {
 		return sim.Result{}, nil, err
 	}
-	run, err := explore.SimulateCandidate(sc, cand, tr, rec)
+	ev, err := explore.EvaluateCandidate(sc, cand)
+	if err != nil {
+		return sim.Result{}, nil, err
+	}
+	var env solar.Environment
+	if len(sc.Envs) > 0 {
+		env = sc.Envs[0]
+	} else {
+		env = solar.Bright() // the default pair opens with bright
+	}
+	cfg, err := ev.SimConfig(env)
+	if err != nil {
+		return sim.Result{}, nil, err
+	}
+	cfg.Trace, cfg.Record = tr, rec
+	run, err := sim.RunMode(cfg, sc.SimMode)
 	if err != nil {
 		return sim.Result{}, nil, err
 	}

@@ -456,7 +456,7 @@ func TestParetoHeadlineEvaluatedOnce(t *testing.T) {
 
 	// The headline is what a fresh evaluator makes of the front's
 	// minimum-LatSP member (the first on ties).
-	sc, err := spec.scenario()
+	sc, err := spec.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,8 +93,8 @@ func maxCkpt(res Result) units.Bytes {
 	return m
 }
 
-// ReportWithVerification extends Report with a step-simulator replay
-// under the first environment.
+// ReportWithVerification extends Report with a Verify replay under the
+// first environment.
 func ReportWithVerification(spec Spec, res Result) (string, error) {
 	base, err := Report(spec, res)
 	if err != nil {

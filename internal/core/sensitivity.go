@@ -30,7 +30,7 @@ type SensitivityRow struct {
 // it to see which tolerance actually matters before committing to
 // hardware.
 func Sensitivity(spec Spec, res Result) ([]SensitivityRow, error) {
-	sc, err := spec.scenario()
+	sc, err := spec.Scenario()
 	if err != nil {
 		return nil, err
 	}

@@ -26,22 +26,14 @@ import (
 	"chrysalis/internal/units"
 )
 
-// simConfigFor builds a step-sim config for an MSP design point under
-// one environment.
-func simConfigFor(wl dnn.Workload, panel units.AreaCM2, capC units.Capacitance, env solar.Environment) (sim.Config, error) {
+// evaluateHAR evaluates an MSP430 design point running HAR for the
+// latency objective, with its mapping planned under env alone.
+func evaluateHAR(panel units.AreaCM2, capC units.Capacitance, env solar.Environment) (explore.Evaluation, error) {
 	sc := explore.Scenario{
-		Workload: wl, Platform: explore.MSP,
+		Workload: dnn.HAR(), Platform: explore.MSP,
 		Objective: explore.Lat, Envs: []solar.Environment{env},
 	}
-	ev, err := explore.EvaluateCandidate(sc, explore.Candidate{PanelArea: panel, Cap: capC})
-	if err != nil {
-		return sim.Config{}, err
-	}
-	es, err := energy.NewSolar(energy.Spec{PanelArea: panel, Cap: capC}, env)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	return sim.Config{Energy: es, HW: mspHW(), Plans: plansOf(ev)}, nil
+	return explore.EvaluateCandidate(sc, explore.Candidate{PanelArea: panel, Cap: capC})
 }
 
 // ExtPolicy compares checkpoint policies (every-tile, adaptive, none)
@@ -50,10 +42,13 @@ func simConfigFor(wl dnn.Workload, panel units.AreaCM2, capC units.Capacitance, 
 func ExtPolicy(w io.Writer, o Options) error {
 	t := report.NewTable("Extension — checkpoint policies (HAR on MSP430, 8cm², 100uF)",
 		"Environment", "Policy", "E2E lat", "Saves", "Retries", "Ckpt E", "Wasted E")
-	envs := []solar.Environment{solar.Bright(), solar.Dark()}
-	for _, env := range envs {
+	for _, env := range []solar.Environment{solar.Bright(), solar.Dark()} {
+		ev, err := evaluateHAR(8, 100e-6, env)
+		if err != nil {
+			return err
+		}
 		for _, pol := range []sim.Policy{sim.PolicyEveryTile, sim.PolicyAdaptive, sim.PolicyNone} {
-			cfg, err := simConfigFor(dnn.HAR(), 8, 100e-6, env)
+			cfg, err := ev.SimConfig(env)
 			if err != nil {
 				return err
 			}
@@ -99,6 +94,11 @@ func ExtDayRun(w io.Writer, o Options) error {
 
 	t := report.NewTable("Extension — day-scale deployment (HAR, 12cm², 470uF, compressed diurnal day)",
 		"Scenario", "Inferences done", "Throughput (inf/h)", "Harvested", "Leaked", "Wasted retries")
+	// The mapping is planned under bright light and replayed over the day.
+	ev, err := evaluateHAR(12, 470e-6, solar.Bright())
+	if err != nil {
+		return err
+	}
 	for _, sc := range []struct {
 		name string
 		env  solar.Environment
@@ -106,15 +106,10 @@ func ExtDayRun(w io.Writer, o Options) error {
 		{"clear day", day},
 		{"hot day (PV derated)", hot},
 	} {
-		cfg, err := simConfigFor(dnn.HAR(), 12, 470e-6, solar.Bright())
+		cfg, err := ev.SimConfig(sc.env)
 		if err != nil {
 			return err
 		}
-		es, err := energy.NewSolar(energy.Spec{PanelArea: 12, Cap: 470e-6}, sc.env)
-		if err != nil {
-			return err
-		}
-		cfg.Energy = es
 		cfg.MaxTime = dayLen
 		sr, err := sim.RunSeries(cfg, 10_000, 2)
 		if err != nil {
@@ -145,22 +140,23 @@ func ExtThermal(w io.Writer, o Options) error {
 		if err != nil {
 			return err
 		}
-		sc := explore.Scenario{
-			Workload: dnn.HAR(), Platform: explore.MSP,
-			Objective: explore.Lat, Envs: []solar.Environment{env},
-		}
-		ev, err := explore.EvaluateCandidate(sc, explore.Candidate{PanelArea: 8, Cap: 1e-3})
+		ev, err := evaluateHAR(8, 1e-3, env)
 		if err != nil {
 			return err
 		}
-		es, err := energy.NewSolar(energy.Spec{
+		cfg, err := ev.SimConfig(env)
+		if err != nil {
+			return err
+		}
+		cfg.Energy, err = energy.NewSolar(energy.Spec{
 			PanelArea: 8, Cap: 1e-3,
 			Kcap: thermal.AdjustedKcap(0, temp),
 		}, env)
 		if err != nil {
 			return err
 		}
-		res, err := sim.Run(sim.Config{Energy: es, HW: mspHW(), Plans: plansOf(ev), Step: 2e-3})
+		cfg.Step = 2e-3
+		res, err := sim.Run(cfg)
 		if err != nil {
 			return err
 		}
@@ -243,19 +239,20 @@ func ExtStorage(w io.Writer, o Options) error {
 		if err != nil {
 			return err
 		}
-		sc := explore.Scenario{
-			Workload: dnn.HAR(), Platform: explore.MSP,
-			Objective: explore.Lat, Envs: brightOnly(),
-		}
-		ev, err := explore.EvaluateCandidate(sc, explore.Candidate{PanelArea: 8, Cap: c.size})
+		ev, err := evaluateHAR(8, c.size, solar.Bright())
 		if err != nil {
 			return err
 		}
-		es, err := energy.NewSolar(energy.Spec{PanelArea: 8, Cap: c.size, Storage: c.tech}, solar.Bright())
+		cfg, err := ev.SimConfig(solar.Bright())
 		if err != nil {
 			return err
 		}
-		res, err := sim.Run(sim.Config{Energy: es, HW: mspHW(), Plans: plansOf(ev), Step: 2e-3})
+		cfg.Energy, err = energy.NewSolar(energy.Spec{PanelArea: 8, Cap: c.size, Storage: c.tech}, solar.Bright())
+		if err != nil {
+			return err
+		}
+		cfg.Step = 2e-3
+		res, err := sim.Run(cfg)
 		if err != nil {
 			return err
 		}

@@ -24,16 +24,15 @@ func coreComponents() [][4]string {
 	return rows
 }
 
-// mspHW returns the existing-AuT platform constants.
-func mspHW() dataflow.HW { return msp430.Config{}.HW() }
-
-// plansOf extracts the per-layer plans from an evaluation.
-func plansOf(ev explore.Evaluation) []intermittent.Plan {
-	plans := make([]intermittent.Plan, len(ev.Mappings))
-	for i, m := range ev.Mappings {
-		plans[i] = m.Plan
+// stepReplay replays an evaluation under env on the fixed-step
+// simulator at the 2 ms step the Figure 8/9 sweeps use.
+func stepReplay(ev explore.Evaluation, env solar.Environment) (sim.Result, error) {
+	cfg, err := ev.SimConfig(env)
+	if err != nil {
+		return sim.Result{}, err
 	}
-	return plans
+	cfg.Step = 2e-3
+	return sim.Run(cfg)
 }
 
 // evaluateConservative evaluates a candidate the way pre-CHRYSALIS
@@ -46,7 +45,7 @@ func evaluateConservative(sc explore.Scenario, cand explore.Candidate) (explore.
 	if scd.Envs == nil {
 		scd.Envs = []solar.Environment{solar.Bright(), solar.Dark()}
 	}
-	hw := mspHW()
+	hw := msp430.Config{}.HW()
 	w := sc.Workload
 	var plans []intermittent.Plan
 	for _, l := range w.Layers {

@@ -7,11 +7,9 @@ import (
 	"chrysalis/internal/accel"
 	"chrysalis/internal/dataflow"
 	"chrysalis/internal/dnn"
-	"chrysalis/internal/energy"
 	"chrysalis/internal/explore"
 	"chrysalis/internal/msp430"
 	"chrysalis/internal/report"
-	"chrysalis/internal/sim"
 	"chrysalis/internal/solar"
 	"chrysalis/internal/units"
 )
@@ -187,21 +185,4 @@ func workloadTable(w io.Writer, title string, wls []dnn.Workload, flopScale floa
 			fmt.Sprintf("%.1f", float64(wl.TotalMACs())/flopScale))
 	}
 	return t.Render(w)
-}
-
-// simBreakdown runs the step simulator on a candidate under one
-// environment and returns the result (shared by Fig. 8/9).
-func simBreakdown(sc explore.Scenario, cand explore.Candidate, env solar.Environment) (sim.Result, error) {
-	scOne := sc
-	scOne.Envs = []solar.Environment{env}
-	ev, err := explore.EvaluateCandidate(scOne, cand)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	plans := plansOf(ev)
-	es, err := energy.NewSolar(energy.Spec{PanelArea: cand.PanelArea, Cap: cand.Cap}, env)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return sim.Run(sim.Config{Energy: es, HW: mspHW(), Plans: plans, Step: 2e-3})
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"chrysalis/internal/dnn"
-	"chrysalis/internal/energy"
 	"chrysalis/internal/explore"
 	"chrysalis/internal/report"
 	"chrysalis/internal/sim"
@@ -109,18 +108,15 @@ func Fig7(w io.Writer, o Options) error {
 		// Pick the best capacitor for this panel (CHRYSALIS's EH search
 		// restricted to the sweep grid for reproducibility).
 		bestLat := math.Inf(1)
-		var bestCand explore.Candidate
-		var bestEval explore.Evaluation
+		var best explore.Evaluation
 		for _, c := range caps {
-			cand := explore.Candidate{PanelArea: sp, Cap: c}
-			ev, err := explore.EvaluateCandidate(app, cand)
+			ev, err := explore.EvaluateCandidate(app, explore.Candidate{PanelArea: sp, Cap: c})
 			if err != nil || !ev.Feasible {
 				continue
 			}
 			if l := float64(ev.PerEnv[0].Latency); l < bestLat {
 				bestLat = l
-				bestCand = cand
-				bestEval = ev
+				best = ev
 			}
 		}
 		if math.IsInf(bestLat, 1) {
@@ -128,14 +124,12 @@ func Fig7(w io.Writer, o Options) error {
 			continue
 		}
 		// "Platform": step simulation with 5% measurement jitter.
-		es, err := energy.NewSolar(energy.Spec{PanelArea: bestCand.PanelArea, Cap: bestCand.Cap}, solar.Bright())
+		cfg, err := best.SimConfig(solar.Bright())
 		if err != nil {
 			return err
 		}
-		run, err := sim.Run(sim.Config{
-			Energy: es, HW: mspHW(), Plans: plansOf(bestEval),
-			Jitter: 0.05, Seed: uint64(o.Seed) + uint64(sp*10),
-		})
+		cfg.Jitter, cfg.Seed = 0.05, uint64(o.Seed)+uint64(sp*10)
+		run, err := sim.Run(cfg)
 		if err != nil {
 			return err
 		}
@@ -143,7 +137,7 @@ func Fig7(w io.Writer, o Options) error {
 		if run.Completed {
 			dev = fmt.Sprintf("%+.1f%%", (float64(run.E2ELatency)/bestLat-1)*100)
 		}
-		t.AddRow(sp.String(), bestCand.Cap.String(),
+		t.AddRow(sp.String(), best.Candidate.Cap.String(),
 			fmtLat(units.Seconds(bestLat)), fmtLat(run.E2ELatency), dev)
 		bestAt[sp] = bestLat
 		if prevModel > 0 && bestLat > prevModel*1.02 {

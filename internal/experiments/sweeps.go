@@ -34,11 +34,14 @@ func Fig8(w io.Writer, o Options) error {
 		var prevCkptFrac float64 = -1
 		ckptShrinks := true
 		for _, sp := range panels {
-			cand := explore.Candidate{PanelArea: sp, Cap: cap100}
-			run, err := simBreakdown(sc, cand, solar.Bright())
+			ev, err := explore.EvaluateCandidate(sc, explore.Candidate{PanelArea: sp, Cap: cap100})
 			if err != nil {
 				t.AddRow(sp.String(), "unmappable", "-", "-", "-", "-", "-", "-")
 				continue
+			}
+			run, err := stepReplay(ev, solar.Bright())
+			if err != nil {
+				return err
 			}
 			if !run.Completed {
 				t.AddRow(sp.String(), "unavailable", "-", "-", "-", "-", "-", "-")
@@ -94,11 +97,14 @@ func Fig9(w io.Writer, o Options) error {
 		var bestCap units.Capacitance
 		var firstCkpt, lastLeak units.Energy
 		for i, c := range caps {
-			cand := explore.Candidate{PanelArea: panel8, Cap: c}
-			run, err := simBreakdown(sc, cand, solar.Bright())
+			ev, err := explore.EvaluateCandidate(sc, explore.Candidate{PanelArea: panel8, Cap: c})
 			if err != nil {
 				t.AddRow(c.String(), "unmappable", "-", "-", "-", "-")
 				continue
+			}
+			run, err := stepReplay(ev, solar.Bright())
+			if err != nil {
+				return err
 			}
 			if !run.Completed {
 				t.AddRow(c.String(), "unavailable", run.Breakdown.Ckpt.String(),

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -201,12 +200,6 @@ func fits(r *intermittent.Rung, budget intermittent.BudgetFunc) bool {
 	return avail > 0 && r.TileEnergy <= avail
 }
 
-// ladderIndex returns the index of the ladder for (layer, dataflow
-// context, partition).
-func (ls *ladderSet) ladderIndex(layer, ctx int, part dataflow.Partition) int {
-	return (layer*len(ls.ctxs)+ctx)*2 + int(part)
-}
-
 // header assembles ladder k's rung-less intermittent.Ladder: the inputs
 // the rung kernel and plan materialization read.
 func (ls *ladderSet) header(k int) intermittent.Ladder {
@@ -341,32 +334,6 @@ func (ls *ladderSet) best(li int, budget intermittent.BudgetFunc, built *int64) 
 		}
 	}
 	return bestK, best, bestK >= 0
-}
-
-// complete extends ladder k through its last candidate and returns its
-// rung count, adding the rung-kernel calls it makes to *built, which may
-// be nil.
-func (ls *ladderSet) complete(k int, built *int64) int {
-	ld := &ls.ladders[k]
-	s := ld.state.Load()
-	if s&ladderDone == 0 {
-		ls.extend(k, rungCount(s), nil, units.Energy(math.Inf(1)), built)
-		s = ld.state.Load()
-	}
-	return rungCount(s)
-}
-
-// byNTile completes ladder k and returns the rung whose requested tile
-// count is n, by binary search over the ascending rungs. ok is false
-// when that count was VM-infeasible (and therefore has no rung).
-func (ls *ladderSet) byNTile(k, n int, built *int64) (intermittent.Rung, bool) {
-	ld := &ls.ladders[k]
-	cnt := ls.complete(k, built)
-	i := sort.Search(cnt, func(i int) bool { return ld.rung(i).NTile >= n })
-	if i < cnt && ld.rung(i).NTile == n {
-		return *ld.rung(i), true
-	}
-	return intermittent.Rung{}, false
 }
 
 // planInto materializes the full Plan of ladder k at tile count n, a

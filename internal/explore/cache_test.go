@@ -178,68 +178,33 @@ func TestCachedMatchesUncached(t *testing.T) {
 }
 
 // TestInfeasibleLayerError pins the two forms of a candidate no mapping
-// fits, for both inner searches: the score path, which every search
-// loop discards, returns a bare sentinel and allocates nothing for it,
-// while Evaluate names the workload or layer and the candidate, still
-// matching the sentinel with errors.Is. The greedy path allocates
-// nothing at all; the GA mapper's own search allocates, so its
-// infeasible score must allocate exactly as much as a feasible one.
+// fits under the greedy inner search: the score path, which every
+// search loop discards, returns the bare sentinel and allocates nothing,
+// while Evaluate names the layer and the candidate, still matching the
+// sentinel with errors.Is.
 func TestInfeasibleLayerError(t *testing.T) {
-	infeasible := Candidate{PanelArea: 1, Cap: 1e-6}
-	for _, tc := range []struct {
-		name     string
-		sc       Scenario
-		sentinel error
-		want     func(sc Scenario) error
-		feasible *Candidate // nil: the score path allocates nothing
-	}{
-		{
-			name:     "greedy",
-			sc:       Scenario{Workload: dnn.VGG16(), Platform: MSP, Objective: LatSP},
-			sentinel: intermittent.ErrNoFeasibleTile,
-			want: func(sc Scenario) error {
-				_, err := directPlans(sc, infeasible)
-				return err
-			},
-		},
-		{
-			name:     "ga",
-			sc:       Scenario{Workload: dnn.HAR(), Platform: MSP, Objective: LatSP, Mapper: MapperGA},
-			sentinel: errNoGAMapping,
-			want: func(sc Scenario) error {
-				return fmt.Errorf("explore: gamma mapper found no feasible mapping for %s on %s", sc.Workload.Name, infeasible)
-			},
-			feasible: &Candidate{PanelArea: 8, Cap: 100e-6},
-		},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			e, err := NewEvaluator(tc.sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.score(infeasible); err != tc.sentinel {
-				t.Fatalf("score error %v, want the bare sentinel", err)
-			}
-			want := tc.want(tc.sc)
-			_, got := e.Evaluate(infeasible)
-			if want == nil || got == nil || got.Error() != want.Error() || !errors.Is(got, tc.sentinel) {
-				t.Fatalf("Evaluate error %q, want %q wrapping the sentinel", got, want)
-			}
-			if raceEnabled {
-				return // the race detector makes sync.Pool drop arenas at random
-			}
-			var base float64
-			if tc.feasible != nil {
-				if s, err := e.score(*tc.feasible); err != nil || !s.feasible {
-					t.Fatalf("reference candidate %s: feasible %v, err %v", tc.feasible, s.feasible, err)
-				}
-				base = testing.AllocsPerRun(20, func() { e.score(*tc.feasible) })
-			}
-			if n := testing.AllocsPerRun(20, func() { e.score(infeasible) }); n != base {
-				t.Errorf("an infeasible score allocates %v times, want %v", n, base)
-			}
-		})
-	}
+	t.Run("greedy", func(t *testing.T) {
+		sc := Scenario{Workload: dnn.VGG16(), Platform: MSP, Objective: LatSP}
+		infeasible := Candidate{PanelArea: 1, Cap: 1e-6}
+		e, err := NewEvaluator(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.score(infeasible); err != intermittent.ErrNoFeasibleTile {
+			t.Fatalf("score error %v, want the bare sentinel", err)
+		}
+		_, want := directPlans(sc, infeasible)
+		_, got := e.Evaluate(infeasible)
+		if want == nil || got == nil || got.Error() != want.Error() || !errors.Is(got, intermittent.ErrNoFeasibleTile) {
+			t.Fatalf("Evaluate error %q, want %q wrapping the sentinel", got, want)
+		}
+		if raceEnabled {
+			return // the race detector makes sync.Pool drop arenas at random
+		}
+		if n := testing.AllocsPerRun(20, func() { e.score(infeasible) }); n != 0 {
+			t.Errorf("an infeasible score allocates %v times, want 0", n)
+		}
+	})
 }
 
 // TestEvaluatorCacheConcurrent hammers one shared Evaluator from many

@@ -179,15 +179,10 @@ type Scenario struct {
 	// Arch, when non-nil, pins the accelerator architecture instead of
 	// searching it (the per-architecture columns of Figure 10).
 	Arch *accel.Arch
-	// Mapper selects the SW-level optimizer realization (greedy
-	// analytical planner by default, or the CHRYSALIS-GAMMA genetic
-	// mapper).
-	Mapper Mapper
-	// SimMode selects the simulator core used whenever a candidate of
-	// this scenario is co-simulated (SimulateCandidate and the
-	// verification paths built on it). Search scoring always stays on
-	// the analytic evaluator. The zero value is the event-driven
-	// simulator (sim.ModeEvent).
+	// SimMode selects the simulator core a replay of this scenario runs
+	// (core.VerifyFlight reads it). Search scoring always stays on the
+	// analytic evaluator. The zero value is the event-driven simulator
+	// (sim.ModeEvent).
 	SimMode sim.Mode
 	// Warm, when non-nil, attaches a process-lifetime warm-start tier:
 	// the evaluator resolves fingerprints through it, reusing ladder sets
@@ -565,17 +560,6 @@ func (e *Evaluator) innerSearch(cand Candidate, budget intermittent.BudgetFunc, 
 	return a.plans, nil
 }
 
-// searchPlans dispatches to the configured inner mapping search and
-// returns the chosen per-layer plans by pointer into the caller's
-// arena. The pointers are only valid until the arena is returned to
-// the pool.
-func (e *Evaluator) searchPlans(cand Candidate, budget intermittent.BudgetFunc, a *evalArena) ([]*intermittent.Plan, error) {
-	if e.sc.Mapper == MapperGA {
-		return e.innerSearchGA(cand, budget, a)
-	}
-	return e.innerSearch(cand, budget, a)
-}
-
 // quickScore is the allocation-lean evaluation the search loops consume:
 // just the objective ingredients, no per-layer mappings or per-env
 // reports materialized.
@@ -617,7 +601,7 @@ func (e *Evaluator) scoreInner(cand Candidate) (quickScore, error) {
 	}
 	a := takeArena(len(e.sc.Workload.Layers))
 	defer arenaPool.Put(a)
-	plans, err := e.searchPlans(cand, budget, a)
+	plans, err := e.innerSearch(cand, budget, a)
 	if err != nil {
 		return quickScore{}, err
 	}
@@ -689,13 +673,10 @@ func (e *Evaluator) evaluateInner(cand Candidate) (Evaluation, error) {
 
 	a := takeArena(len(sc.Workload.Layers))
 	defer arenaPool.Put(a)
-	plans, err := e.searchPlans(cand, budget, a)
+	plans, err := e.innerSearch(cand, budget, a)
 	if errors.Is(err, intermittent.ErrNoFeasibleTile) {
 		return ev, fmt.Errorf("explore: layer %s infeasible on %s: %w",
 			sc.Workload.Layers[len(plans)].Name, cand, err)
-	}
-	if errors.Is(err, errNoGAMapping) {
-		return ev, fmt.Errorf("%w for %s on %s", err, sc.Workload.Name, cand)
 	}
 	if err != nil {
 		return ev, err
@@ -748,35 +729,36 @@ func EvaluateCandidate(sc Scenario, cand Candidate) (Evaluation, error) {
 	return e.Evaluate(cand)
 }
 
-// SimulateCandidate replays one candidate through the co-simulator
-// under the scenario's first environment and SimMode, with optional
-// event tracer and flight recorder attached. The inner mapping search
-// runs first so the candidate executes its best achievable plans —
-// this is the verification counterpart of EvaluateCandidate.
-func SimulateCandidate(sc Scenario, cand Candidate, tr sim.Tracer, rec *sim.Recorder) (sim.Result, error) {
-	scd := sc.withDefaults()
-	ev, err := EvaluateCandidate(sc, cand)
+// SimConfig is the one place a design point becomes a simulator run:
+// it returns the co-simulator configuration that replays the evaluated
+// candidate under env — a copy of its per-layer plans, its inference
+// hardware (the MSP430, or the accelerator in its native dataflow) and
+// its energy subsystem built under env. The environments the
+// evaluation was planned under and the one that powers the replay may
+// differ (verification plans under every environment of a scenario and
+// replays the first). Trace, Record, Policy, Step and the other run
+// knobs are left for the caller to set.
+func (ev Evaluation) SimConfig(env solar.Environment) (sim.Config, error) {
+	cand := ev.Candidate
+	if len(ev.Mappings) == 0 {
+		return sim.Config{}, fmt.Errorf("explore: no feasible mapping for %s", cand)
+	}
+	hw := msp430.Config{}.HW()
+	if ac := cand.Accel; ac != nil {
+		var err error
+		if hw, err = ac.HW(ac.NativeDataflow()); err != nil {
+			return sim.Config{}, err
+		}
+	}
+	es, err := energy.NewSolar(energy.Spec{PanelArea: cand.PanelArea, Cap: cand.Cap}, env)
 	if err != nil {
-		return sim.Result{}, err
+		return sim.Config{}, err
 	}
 	plans := make([]intermittent.Plan, len(ev.Mappings))
 	for i, m := range ev.Mappings {
 		plans[i] = m.Plan
 	}
-	es, err := energy.NewSolar(energy.Spec{PanelArea: cand.PanelArea, Cap: cand.Cap}, scd.Envs[0])
-	if err != nil {
-		return sim.Result{}, err
-	}
-	var hw dataflow.HW
-	if cand.Accel == nil {
-		hw = msp430.Config{}.HW()
-	} else {
-		hw, err = cand.Accel.HW(cand.Accel.NativeDataflow())
-		if err != nil {
-			return sim.Result{}, err
-		}
-	}
-	return sim.RunMode(sim.Config{Energy: es, HW: hw, Plans: plans, Trace: tr, Record: rec}, scd.SimMode)
+	return sim.Config{Energy: es, HW: hw, Plans: plans}, nil
 }
 
 // objectiveOf scores a candidate's objective ingredients (lower is

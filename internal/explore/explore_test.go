@@ -8,6 +8,7 @@ import (
 
 	"chrysalis/internal/accel"
 	"chrysalis/internal/dnn"
+	"chrysalis/internal/energy"
 	"chrysalis/internal/search"
 	"chrysalis/internal/solar"
 	"chrysalis/internal/units"
@@ -120,6 +121,41 @@ func TestEvaluateCandidateAccel(t *testing.T) {
 	}
 	if !strings.Contains(ev.Candidate.String(), "eyeriss") {
 		t.Fatalf("candidate string = %q", ev.Candidate.String())
+	}
+}
+
+// TestSimConfig checks the one replay builder: it owns a copy of the
+// evaluation's plans, runs the accelerator in its native dataflow,
+// powers the replay from the environment it is given rather than the
+// ones that planned the mapping, and refuses an evaluation without
+// mappings.
+func TestSimConfig(t *testing.T) {
+	sc := Scenario{Workload: dnn.HAR(), Platform: Accel, Objective: LatSP}
+	ac := accel.Config{Arch: accel.Eyeriss, NPE: 32, CacheBytes: 512}
+	ev, err := EvaluateCandidate(sc, Candidate{PanelArea: 16, Cap: 1e-3, Accel: &ac})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := ev.SimConfig(solar.Dark())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cfg.Plans) != len(ev.Mappings) {
+		t.Fatalf("%d plans for %d mappings", len(cfg.Plans), len(ev.Mappings))
+	}
+	cfg.Plans[0].Energy = -1
+	if ev.Mappings[0].Plan.Energy == -1 {
+		t.Fatal("the config aliases the evaluation's plans")
+	}
+	if want, _ := ac.HW(ac.NativeDataflow()); cfg.HW != want {
+		t.Fatalf("HW %+v, want the native-dataflow %+v", cfg.HW, want)
+	}
+	if h, ok := cfg.Energy.Harvester.(energy.SolarHarvester); !ok || h.Env.Name() != solar.Dark().Name() {
+		t.Fatalf("replay powered by %s, want the dark environment", cfg.Energy.Harvester.Describe())
+	}
+	if _, err := (Evaluation{Candidate: ev.Candidate}).SimConfig(solar.Bright()); err == nil ||
+		!strings.Contains(err.Error(), "no feasible mapping") {
+		t.Fatalf("empty evaluation: err %v", err)
 	}
 }
 

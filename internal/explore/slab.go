@@ -11,8 +11,8 @@ package explore
 //
 // Storage that outlives a search stays on the heap: sets built for a
 // WarmCache (the tier owns them) and the sets of an evaluator the caller
-// owns (NewEvaluator, EvaluateCandidate, SimulateCandidate), which has no
-// point at which its storage is known to be dead.
+// owns (NewEvaluator, EvaluateCandidate), which has no point at which
+// its storage is known to be dead.
 
 import (
 	"sync"

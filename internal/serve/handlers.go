@@ -174,8 +174,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // SimulateRequest is the wire form of POST /v1/simulate: a workload
-// plus an explicit hardware configuration to replay on the step-based
-// simulator (no search).
+// plus an explicit hardware configuration to replay on the event-driven
+// co-simulator (no search).
 type SimulateRequest struct {
 	Workload     string          `json:"workload,omitempty"`
 	WorkloadJSON json.RawMessage `json:"workload_json,omitempty"`
@@ -190,7 +190,7 @@ type SimulateRequest struct {
 	CacheBytes float64 `json:"cache_bytes,omitempty"`
 }
 
-// handleSimulate runs a synchronous step-simulation of one explicit
+// handleSimulate runs a synchronous co-simulation of one explicit
 // design point.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest

@@ -557,7 +557,8 @@ func (m *manager) worker() {
 }
 
 // run executes one job: the GA search with live progress telemetry,
-// then (for verify jobs) a traced step-simulator replay.
+// then (for verify jobs) a traced co-simulator replay in the request's
+// sim_mode (event by default).
 func (m *manager) run(j *job) {
 	var (
 		ctx    context.Context
@@ -681,7 +682,7 @@ func (m *manager) run(j *job) {
 	j.mu.Unlock()
 
 	if j.js.verify {
-		// Replay on the step simulator with a flight recorder attached,
+		// Replay on the co-simulator with a flight recorder attached,
 		// streaming a bounded prefix of its events (the rest are
 		// summarized by the drop count) while the trace adapter maps the
 		// full stream onto Perfetto slices. The recorder is published on
