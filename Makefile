@@ -26,9 +26,10 @@ race:
 	$(GO) test -race ./...
 
 # The repository benchmark (perfbench/) is a module of its own that
-# `go test ./...` at the root does not reach; run its tests with the
-# module settings perfbench/run.sh builds it under.
+# `go vet ./...` and `go test ./...` at the root do not reach; vet and
+# test it with the module settings perfbench/run.sh builds it under.
 perfbench-test:
+	cd perfbench && GOWORK=off GOFLAGS=-mod=mod GOTOOLCHAIN=local $(GO) vet ./...
 	cd perfbench && GOWORK=off GOFLAGS=-mod=mod GOTOOLCHAIN=local $(GO) test ./...
 
 bench:
@@ -79,6 +80,7 @@ fuzz:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 30s
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzOpenSnapshot -fuzztime 30s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDesignRequest -fuzztime 30s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzOpenJournal -fuzztime 30s
 
 # End-to-end chrysalisd check: boot on a random port, run a design job
 # to completion, assert the resubmission is a cache hit.

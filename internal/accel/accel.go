@@ -186,23 +186,6 @@ func (c Config) StreamReuse() float64 {
 	return r
 }
 
-// ActivePower estimates the array's power draw while computing: the
-// all-in energy rate at full PE utilization. The simulator uses it as
-// the load the energy subsystem must sustain.
-func (c Config) ActivePower(df dataflow.Dataflow) (units.Power, error) {
-	hw, err := c.HW(df)
-	if err != nil {
-		return 0, err
-	}
-	// One MAC per PE per TMAC, plus roughly 2 bytes of buffer traffic
-	// per MAC after spatial reuse, plus static power.
-	macRate := float64(hw.NPE) / float64(hw.TMAC)
-	stream := 2.0 / c.StreamReuse()
-	dynamic := macRate * (float64(hw.EMAC) + stream*float64(hw.EVMPerByte))
-	static := float64(hw.PMemPerByte)*float64(hw.VMBytes) + float64(hw.PIdle)
-	return units.Power(dynamic + static), nil
-}
-
 // EyerissV1 returns the published full-chip Eyeriss V1 reference design
 // point used in Figure 2(a): 168 PEs with 512-B PE scratchpads.
 func EyerissV1() Config {

@@ -126,29 +126,6 @@ func TestEyerissAlexNetNearPublished(t *testing.T) {
 	}
 }
 
-func TestActivePower(t *testing.T) {
-	// Eyeriss V1 full chip should draw on the order of the published
-	// 278 mW while active.
-	p, err := EyerissV1().ActivePower(dataflow.OS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 20e-3 || p > 1 {
-		t.Fatalf("active power %v implausible vs published 278mW", p)
-	}
-	// A 4-PE array must draw far less than the 168-PE chip.
-	small, err := (Config{Arch: Eyeriss, NPE: 4, CacheBytes: 512}).ActivePower(dataflow.OS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small >= p/4 {
-		t.Fatalf("4-PE power %v should be far below full chip %v", small, p)
-	}
-	if _, err := (Config{Arch: TPU, NPE: 999, CacheBytes: 512}).ActivePower(dataflow.WS); err == nil {
-		t.Error("invalid config must not report power")
-	}
-}
-
 func TestArchesDiffer(t *testing.T) {
 	// The two archs must be genuinely different design points.
 	tpu, _ := Config{Arch: TPU, NPE: 64, CacheBytes: 512}.HW(dataflow.WS)

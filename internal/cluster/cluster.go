@@ -39,11 +39,6 @@ type Options struct {
 	BackoffMax     time.Duration
 	// Client is the HTTP client to use (nil builds one from Timeout).
 	Client *http.Client
-	// OnHop, when non-nil, observes the wall-clock duration of every
-	// completed HTTP exchange with a peer (any status; transport
-	// failures are not hops). Serving layers hang per-peer latency
-	// histograms off it. Must be fast and safe for concurrent use.
-	OnHop func(peer string, seconds float64)
 	// OnBreaker, when non-nil, fires on circuit-breaker state
 	// transitions: open=true when a peer's breaker trips closed→open,
 	// open=false when a call succeeds against a previously-open breaker.
@@ -128,12 +123,6 @@ func New(o Options) (*Client, error) {
 	}
 	return &Client{opts: o, ring: ring, http: hc, now: now, breakers: make(map[string]*breaker)}, nil
 }
-
-// Ring returns the client's ring (for tests and tooling).
-func (c *Client) Ring() *Ring { return c.ring }
-
-// Self returns this node's base URL.
-func (c *Client) Self() string { return c.opts.Self }
 
 // Stats snapshots the counters.
 func (c *Client) Stats() Stats {
@@ -261,13 +250,6 @@ type errPeer struct {
 func (e *errPeer) Error() string { return fmt.Sprintf("cluster: peer %s: %v", e.peer, e.err) }
 func (e *errPeer) Unwrap() error { return e.err }
 
-// IsPeerError reports whether err came from a failed peer call (as
-// opposed to a deliberate negative answer like a cache miss).
-func IsPeerError(err error) bool {
-	var pe *errPeer
-	return errors.As(err, &pe)
-}
-
 // FetchCached asks owner for its cached result of key (GET
 // /internal/cache/{key}). It returns (body, true, nil) on a hit,
 // (nil, false, nil) on a clean miss, and a peer error otherwise.
@@ -380,8 +362,7 @@ func WithTraceparent(ctx context.Context, traceparent string) context.Context {
 
 // do runs one bounded HTTP call against a peer. Transport errors open
 // the peer's breaker; HTTP statuses are returned for the caller to
-// interpret (only the caller knows which are failures). Completed
-// exchanges (any status) report their latency through OnHop.
+// interpret (only the caller knows which are failures).
 func (c *Client) do(ctx context.Context, peer, method, path string, body []byte) ([]byte, int, error) {
 	callCtx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
 	defer cancel()
@@ -399,7 +380,6 @@ func (c *Client) do(ctx context.Context, peer, method, path string, body []byte)
 	if tp, ok := ctx.Value(traceparentKey{}).(string); ok {
 		req.Header.Set("traceparent", tp)
 	}
-	start := c.now()
 	resp, err := c.http.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -415,9 +395,6 @@ func (c *Client) do(ctx context.Context, peer, method, path string, body []byte)
 	if err != nil {
 		c.fail(peer)
 		return nil, 0, &errPeer{peer: peer, err: err}
-	}
-	if c.opts.OnHop != nil {
-		c.opts.OnHop(peer, c.now().Sub(start).Seconds())
 	}
 	return data, resp.StatusCode, nil
 }

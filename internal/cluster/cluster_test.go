@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -59,7 +60,7 @@ func TestFetchCachedHitMissAndError(t *testing.T) {
 		t.Fatalf("miss: hit=%v err=%v", hit, err)
 	}
 	mode.Store(2)
-	if _, _, err := c.FetchCached(context.Background(), ts.URL, "k"); !IsPeerError(err) {
+	if _, _, err := c.FetchCached(context.Background(), ts.URL, "k"); !isPeerError(err) {
 		t.Fatalf("500 not reported as peer error: %v", err)
 	}
 	if s := c.Stats(); s.PeerErrors != 1 {
@@ -83,7 +84,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	var key string
 	for i := 0; ; i++ {
 		k := keys(i + 1)[i]
-		if c.Ring().Owner(k) == ts.URL {
+		if c.ring.Owner(k) == ts.URL {
 			key = k
 			break
 		}
@@ -91,7 +92,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if owner, remote := c.RemoteOwner(key); !remote || owner != ts.URL {
 		t.Fatalf("RemoteOwner = %q,%v before any failure", owner, remote)
 	}
-	if _, _, err := c.FetchCached(context.Background(), ts.URL, key); !IsPeerError(err) {
+	if _, _, err := c.FetchCached(context.Background(), ts.URL, key); !isPeerError(err) {
 		t.Fatalf("bad-gateway probe: %v", err)
 	}
 	if _, remote := c.RemoteOwner(key); remote {
@@ -108,7 +109,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		t.Error("breaker did not half-open after backoff")
 	}
 	// A second consecutive failure doubles the hold-off.
-	if _, _, err := c.FetchCached(context.Background(), ts.URL, key); !IsPeerError(err) {
+	if _, _, err := c.FetchCached(context.Background(), ts.URL, key); !isPeerError(err) {
 		t.Fatalf("second probe: %v", err)
 	}
 	now = now.Add(1100 * time.Millisecond)
@@ -173,7 +174,7 @@ func TestDelegateOwnerVanishesMidPoll(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := twoNode(t, ts.URL, Options{PollInterval: time.Millisecond})
-	if _, err := c.Delegate(context.Background(), ts.URL, []byte(`{}`)); !IsPeerError(err) {
+	if _, err := c.Delegate(context.Background(), ts.URL, []byte(`{}`)); !isPeerError(err) {
 		t.Fatalf("vanished owner: %v", err)
 	}
 }
@@ -203,7 +204,14 @@ func TestDelegateShedByOwner(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := twoNode(t, ts.URL, Options{})
-	if _, err := c.Delegate(context.Background(), ts.URL, []byte(`{}`)); !IsPeerError(err) {
+	if _, err := c.Delegate(context.Background(), ts.URL, []byte(`{}`)); !isPeerError(err) {
 		t.Fatalf("shed delegation: %v", err)
 	}
+}
+
+// isPeerError reports whether err came from a failed peer call (as
+// opposed to a deliberate negative answer like a cache miss).
+func isPeerError(err error) bool {
+	var pe *errPeer
+	return errors.As(err, &pe)
 }

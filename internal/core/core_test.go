@@ -346,7 +346,7 @@ func TestPresets(t *testing.T) {
 			t.Errorf("domain %q not covered", d)
 		}
 	}
-	if _, err := PresetByName("moonbase"); err == nil {
+	if _, err := presetByName("moonbase"); err == nil {
 		t.Fatal("unknown preset should fail")
 	}
 }

@@ -101,8 +101,8 @@ func Presets() []Preset {
 	}
 }
 
-// PresetByName resolves a preset.
-func PresetByName(name string) (Preset, error) {
+// presetByName resolves a preset.
+func presetByName(name string) (Preset, error) {
 	for _, p := range Presets() {
 		if p.Name == name {
 			return p, nil
@@ -118,7 +118,7 @@ func PresetByName(name string) (Preset, error) {
 
 // RunPreset designs an AuT for a preset scenario and workload.
 func RunPreset(preset, workload string, search SearchConfig) (Result, error) {
-	p, err := PresetByName(preset)
+	p, err := presetByName(preset)
 	if err != nil {
 		return Result{}, err
 	}

@@ -31,7 +31,7 @@ func TestVerifyFlightAuditsAllPresets(t *testing.T) {
 			if !rep.OK() {
 				t.Errorf("%s: audit failed: %s\nfindings: %+v", p.Name, rep, rep.Findings)
 			}
-			if rec.RawSamples() == 0 {
+			if rec.Waveform().RawSamples == 0 {
 				t.Errorf("%s: recorder saw no samples", p.Name)
 			}
 			if run.Completed && rep.Cycles == 0 {

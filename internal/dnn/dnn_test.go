@@ -145,7 +145,7 @@ func TestCatalogMatchesPaperMACs(t *testing.T) {
 func TestMNISTCNNMatchesFig2a(t *testing.T) {
 	// Figure 2(a): MNIST-CNN on MSP430 is 1.608 MOPs.
 	w := MNISTCNN()
-	mops := float64(w.TotalOps()) / 1e6
+	mops := float64(2*w.TotalMACs()) / 1e6 // ops = multiply + accumulate
 	if mops < 1.3 || mops > 1.9 {
 		t.Fatalf("MNIST-CNN = %.3f MOPs, want ≈1.608", mops)
 	}
@@ -195,7 +195,7 @@ func TestAllCatalogWorkloadsValidate(t *testing.T) {
 		if w.TotalMACs() <= 0 {
 			t.Errorf("workload %s: no compute", name)
 		}
-		if w.WeightBytes() <= 0 {
+		if w.TotalParams() <= 0 {
 			t.Errorf("workload %s: no weights", name)
 		}
 	}
@@ -238,21 +238,6 @@ func TestWorkloadValidateErrors(t *testing.T) {
 		Layers: []Layer{mustDense("d", 10, 4)}}
 	if err := w.Validate(); err == nil {
 		t.Error("shape mismatch should fail")
-	}
-}
-
-func TestTotalOpsIsTwiceMACs(t *testing.T) {
-	w := KWS()
-	if w.TotalOps() != 2*w.TotalMACs() {
-		t.Fatal("ops must be 2×MACs")
-	}
-}
-
-func TestActivationBytes(t *testing.T) {
-	w := FCNet()
-	// input 64 + fc1 out 32 + fc2 out 10 = 106 elems × 2 bytes.
-	if got := float64(w.ActivationBytes()); got != 212 {
-		t.Fatalf("activation bytes = %v, want 212", got)
 	}
 }
 

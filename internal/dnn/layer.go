@@ -11,11 +11,7 @@
 // carries dimensions and counts, not tensors.
 package dnn
 
-import (
-	"fmt"
-
-	"chrysalis/internal/units"
-)
+import "fmt"
 
 // Kind classifies a layer for the dataflow mapper.
 type Kind int
@@ -305,10 +301,6 @@ func (w Workload) TotalMACs() int64 {
 	return s
 }
 
-// TotalOps returns operation count as 2·MACs (multiply + accumulate),
-// the convention the paper's MOPs figures follow.
-func (w Workload) TotalOps() int64 { return 2 * w.TotalMACs() }
-
 // TotalParams sums parameters over all layers plus any storage-only
 // extras (embedding tables).
 func (w Workload) TotalParams() int64 {
@@ -317,21 +309,6 @@ func (w Workload) TotalParams() int64 {
 		s += l.Params()
 	}
 	return s
-}
-
-// WeightBytes returns the total model size in bytes.
-func (w Workload) WeightBytes() units.Bytes {
-	return units.Bytes(w.TotalParams() * int64(w.ElemBytes))
-}
-
-// ActivationBytes returns the input + all layer outputs in bytes: the
-// activation traffic lower bound for one inference.
-func (w Workload) ActivationBytes() units.Bytes {
-	var s int64 = int64(w.Input[0]) * int64(w.Input[1]) * int64(w.Input[2])
-	for _, l := range w.Layers {
-		s += l.OutputElems()
-	}
-	return units.Bytes(s * int64(w.ElemBytes))
 }
 
 // WeightLayers counts layers that carry parameters.

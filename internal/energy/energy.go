@@ -195,6 +195,8 @@ func (s *Subsystem) Reset() {
 // harvesting at the subsystem's time-0 rate. Conversion efficiency is
 // applied to both the harvest and the stored-energy discharge so the
 // closed form matches what the step simulator delivers to the load.
+// The product budgets cycles with CycleBudget; this closed form is the
+// reference the energy and simulator tests compare against.
 func (s *Subsystem) AvailablePerCycle(execTime units.Seconds) units.Energy {
 	raw := s.Harvester.Power(0)
 	pEh := s.Ctrl.HarvestToCap(raw)

@@ -288,6 +288,22 @@ func referenceCycleBudget(s *Subsystem, load units.Power) (units.Energy, units.S
 	return units.MulPT(load, units.Seconds(d)), units.Seconds(d)
 }
 
+// clouded is a non-steady environment: it attenuates a base
+// environment by up to depth with a sinusoidal cloud pattern of the
+// given period, so the harvest varies within an energy cycle.
+type clouded struct {
+	base   solar.Environment
+	depth  float64
+	period units.Seconds
+}
+
+func (c clouded) Keh(t units.Seconds) units.Power {
+	cover := 0.5 + 0.5*math.Sin(2*math.Pi*float64(t)/float64(c.period)+1)
+	return units.Power(float64(c.base.Keh(t)) * (1 - c.depth*cover))
+}
+
+func (c clouded) Name() string { return "clouded(" + c.base.Name() + ")" }
+
 // TestBudgeterBitIdentical pins the prepared cycle budget to the
 // unprepared formula bit for bit, for both results: under constant,
 // diurnal (dark and lit at t=0) and cloudy environments, on several
@@ -302,14 +318,8 @@ func TestBudgeterBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cloudyBright, err := solar.NewCloudy(solar.Bright(), 0.4, 600, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cloudyMorning, err := solar.NewCloudy(morning, 0.6, 300, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cloudyBright := clouded{base: solar.Bright(), depth: 0.4, period: 600}
+	cloudyMorning := clouded{base: morning, depth: 0.6, period: 300}
 	envs := []solar.Environment{solar.Bright(), solar.Dark(), solar.Constant{K: 0.15e-3, Label: "ash-dimmed"},
 		dawn, morning, cloudyBright, cloudyMorning}
 	lossy := pmic.Default()
@@ -370,6 +380,9 @@ func TestStorageTechSelection(t *testing.T) {
 	// Out-of-range per technology is rejected.
 	if _, err := NewSolar(Spec{PanelArea: 8, Cap: 1e-3, Storage: storage.Ceramic}, solar.Bright()); err == nil {
 		t.Fatal("1mF ceramic should be rejected")
+	}
+	if _, err := NewSolar(Spec{PanelArea: 8, Cap: 100e-6, Storage: storage.Supercap}, solar.Bright()); err == nil {
+		t.Fatal("100uF supercap should be rejected")
 	}
 	// Explicit Kcap overrides the technology coefficient.
 	custom, err := NewSolar(Spec{PanelArea: 8, Cap: 47e-6, Storage: storage.Ceramic, Kcap: 0.5}, solar.Bright())

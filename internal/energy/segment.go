@@ -68,13 +68,6 @@ func NewSegment(kcap, dt, h, d float64) (s Segment, ok bool) {
 	}, true
 }
 
-// Fixed returns the recurrence's fixed point e* = (A·H − D)/λ: the
-// stored energy the trajectory converges to (may be negative when the
-// load outruns harvest; the trajectory then heads for a brownout).
-func (s *Segment) Fixed() float64 {
-	return s.F
-}
-
 // EnergyAfter returns the stored energy after n steps from e0:
 // e* + Aⁿ·(e0 − e*). Aⁿ is computed by binary exponentiation — a few
 // multiplies instead of an exp, and with O(log n) ulp error it is as

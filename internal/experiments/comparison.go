@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"chrysalis/internal/accel"
-	"chrysalis/internal/dnn"
 	"chrysalis/internal/explore"
 	"chrysalis/internal/report"
 )
@@ -317,6 +316,3 @@ func Headline(w io.Writer, o Options) error {
 	}
 	return nil
 }
-
-// workloadNames is a convenience for the CLI.
-func workloadNames() []string { return dnn.Names() }

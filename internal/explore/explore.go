@@ -276,14 +276,6 @@ type Evaluation struct {
 	Feasible bool
 }
 
-// platformLoad returns the inference subsystem's active power draw.
-func platformLoad(sc Scenario, cand Candidate, df dataflow.Dataflow) (units.Power, error) {
-	if sc.Platform == MSP {
-		return msp430.Config{}.ActivePower(), nil
-	}
-	return cand.Accel.ActivePower(df)
-}
-
 // platformHW returns the dataflow cost constants.
 func platformHW(sc Scenario, cand Candidate, df dataflow.Dataflow) (dataflow.HW, error) {
 	if sc.Platform == MSP {
@@ -784,12 +776,6 @@ func objectiveOf(sc Scenario, panel units.AreaCM2, s quickScore) float64 {
 	default: // LatSP
 		return s.latSP
 	}
-}
-
-// objectiveValue scores an evaluation (lower is better, +Inf infeasible).
-func objectiveValue(sc Scenario, ev Evaluation) float64 {
-	return objectiveOf(sc, ev.Candidate.PanelArea,
-		quickScore{avgLatency: ev.AvgLatency, latSP: ev.LatSP, feasible: ev.Feasible})
 }
 
 // genomeSpec describes which dimensions the baseline searches.

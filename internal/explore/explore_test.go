@@ -298,12 +298,10 @@ func TestParetoScan(t *testing.T) {
 
 func TestObjectiveValueInfeasible(t *testing.T) {
 	sc := Scenario{Workload: dnn.SimpleConv(), Platform: MSP, Objective: Lat}.withDefaults()
-	ev := Evaluation{Feasible: false}
-	if !math.IsInf(objectiveValue(sc, ev), 1) {
+	if !math.IsInf(objectiveOf(sc, 10, quickScore{feasible: false}), 1) {
 		t.Fatal("infeasible evaluation must score +Inf")
 	}
-	ev = Evaluation{Feasible: true, AvgLatency: 5, Candidate: Candidate{PanelArea: 31}}
-	if !math.IsInf(objectiveValue(sc, ev), 1) {
+	if !math.IsInf(objectiveOf(sc, 31, quickScore{feasible: true, avgLatency: 5}), 1) {
 		t.Fatal("panel beyond MaxPanel must score +Inf under Lat")
 	}
 }

@@ -162,7 +162,7 @@ func randomAccelPoint(rng *rand.Rand) hwPoint {
 //     ladder's first feasible rung (and infeasibility where it has none),
 //     publishing at each step a prefix of the eager ladder;
 //   - materialize each winning plan by tile count exactly as the eager
-//     ladder's PlanAt does;
+//     ladder's PlanNTileInto does;
 //   - once every ladder is forced complete, hold exactly the eager
 //     ladder's rungs, compared with math.Float64bits, and find each of
 //     them, and no other candidate count, by tile count.
@@ -223,10 +223,11 @@ func TestLadderSetMatchesEagerLadders(t *testing.T) {
 								t.Fatalf("%s step %d: %v", where, step, err)
 							}
 							if ok && step == 0 {
-								var got intermittent.Plan
+								var got, want intermittent.Plan
 								ls.planInto(k, r.NTile, &got)
-								if !reflect.DeepEqual(got, eager[k].PlanAt(i)) {
-									t.Fatalf("%s ladder %d: plan by tile count %d differs from PlanAt", where, k, r.NTile)
+								eager[k].PlanNTileInto(eager[k].Rungs[i].NTile, &want)
+								if !reflect.DeepEqual(got, want) {
+									t.Fatalf("%s ladder %d: plan by tile count %d differs from the eager ladder's", where, k, r.NTile)
 								}
 							}
 						}

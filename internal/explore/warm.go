@@ -20,7 +20,7 @@ package explore
 //     searches extended it; warm and cold runs produce bit-identical
 //     Outcomes.
 //   - Entries are stamped with the process's cost-model fingerprint
-//     (ModelFingerprint), so a binary running a newer cost model never
+//     (modelFingerprint), so a binary running a newer cost model never
 //     serves ladders computed under an older one.
 
 import (
@@ -34,12 +34,12 @@ import (
 	"chrysalis/internal/intermittent"
 )
 
-// ModelFingerprint mixes the version constants of every model a ladder
+// modelFingerprint mixes the version constants of every model a ladder
 // set embeds (the dataflow cost model and the intermittent planner)
 // into one value. Warm-tier entries are keyed on fingerprint PLUS this
 // value: bumping either version constant invalidates every cached
 // ladder set instead of silently serving stale physics.
-func ModelFingerprint() uint64 {
+func modelFingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -171,7 +171,7 @@ func NewWarmCache(maxBytes int64) *WarmCache {
 	if maxBytes <= 0 {
 		return nil
 	}
-	c := &WarmCache{shardCap: maxBytes / warmShards, model: ModelFingerprint()}
+	c := &WarmCache{shardCap: maxBytes / warmShards, model: modelFingerprint()}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.entries = make(map[fingerprint]*warmEntry)

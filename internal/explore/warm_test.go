@@ -291,12 +291,12 @@ func TestNewWarmCacheDisabled(t *testing.T) {
 // process, and the value folds in both model versions (documented by
 // construction — this guards against the mixing loop degenerating).
 func TestModelFingerprintStable(t *testing.T) {
-	a, b := ModelFingerprint(), ModelFingerprint()
+	a, b := modelFingerprint(), modelFingerprint()
 	if a != b {
-		t.Fatalf("ModelFingerprint not stable: %#x vs %#x", a, b)
+		t.Fatalf("modelFingerprint not stable: %#x vs %#x", a, b)
 	}
 	if a == 0 {
-		t.Fatal("ModelFingerprint = 0; FNV mixing degenerated")
+		t.Fatal("modelFingerprint = 0; FNV mixing degenerated")
 	}
 }
 

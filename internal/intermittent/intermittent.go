@@ -35,15 +35,6 @@ func SaveEnergy(hw dataflow.HW, b units.Bytes) units.Energy { return saveEnergy(
 // ResumeEnergy returns the energy to restore b bytes from NVM.
 func ResumeEnergy(hw dataflow.HW, b units.Bytes) units.Energy { return resumeEnergy(&hw, b) }
 
-// CheckpointEnergy is the paper's per-checkpoint cost N_ckpt·(e_r+e_w):
-// one save plus the matching resume.
-func CheckpointEnergy(hw dataflow.HW, b units.Bytes) units.Energy { return checkpointEnergy(&hw, b) }
-
-// CheckpointTime returns the time to stream b bytes to or from NVM.
-// Unbounded-bandwidth hardware checkpoints "instantly" (the energy cost
-// still applies).
-func CheckpointTime(hw dataflow.HW, b units.Bytes) units.Seconds { return checkpointTime(&hw, b) }
-
 // The pointer forms below are the single definitions of the checkpoint
 // costs; the exported wrappers above and the rung kernel share them.
 
@@ -55,10 +46,15 @@ func resumeEnergy(hw *dataflow.HW, b units.Bytes) units.Energy {
 	return units.Energy(float64(hw.ENVMReadPerByte) * float64(b))
 }
 
+// checkpointEnergy is the paper's per-checkpoint cost N_ckpt·(e_r+e_w):
+// one save plus the matching resume.
 func checkpointEnergy(hw *dataflow.HW, b units.Bytes) units.Energy {
 	return saveEnergy(hw, b) + resumeEnergy(hw, b)
 }
 
+// checkpointTime returns the time to stream b bytes to or from NVM.
+// Unbounded-bandwidth hardware checkpoints "instantly" (the energy cost
+// still applies).
 func checkpointTime(hw *dataflow.HW, b units.Bytes) units.Seconds {
 	if hw.NVMBytesPerSec <= 0 {
 		return 0
@@ -126,7 +122,7 @@ func PlanLayer(l dnn.Layer, elemBytes int, m dataflow.Mapping, hw dataflow.HW, r
 // tileCost is the checkpoint accounting of Eq. 4–5 for one evaluated
 // dataflow cost, reduced to the scalars a Plan and a Rung are built
 // from. tileCostOf is the one place it is computed, so a ladder's rungs
-// and the plans PlanAt rematerializes cannot drift apart.
+// and the plans PlanNTileInto rematerializes cannot drift apart.
 type tileCost struct {
 	perCkpt    units.Energy // N_ckpt·(e_r+e_w): one save plus its resume
 	n          float64      // effective tile count
@@ -155,7 +151,7 @@ func tileCostOf(c *dataflow.Cost, hw *dataflow.HW, rexc float64) tileCost {
 // energy is the layer's total E_all (Eq. 5).
 func (tc *tileCost) energy() units.Energy { return units.Energy(float64(tc.tileE) * tc.n) }
 
-// power is the average draw during one tile (Plan.TilePower).
+// power is the average draw during one tile, TileEnergy/TileTime.
 func (tc *tileCost) power() units.Power { return units.DivET(tc.tileE, tc.tileT) }
 
 // LayerSizes are the mapping-independent sizes of one layer that an
@@ -302,16 +298,11 @@ func planFromCost(l *dnn.Layer, c *dataflow.Cost, hw *dataflow.HW, rexc float64,
 // gets a shorter powered phase (the T term of Eq. 3).
 type BudgetFunc func(load units.Power) units.Energy
 
-// FixedBudget adapts a constant per-cycle energy to a BudgetFunc, for
-// callers that precomputed the budget at a representative load.
+// FixedBudget adapts a constant per-cycle energy to a BudgetFunc. The
+// product budgets each tile at its own draw; tests use a fixed budget
+// to plan against a known energy.
 func FixedBudget(e units.Energy) BudgetFunc {
 	return func(units.Power) units.Energy { return e }
-}
-
-// TilePower returns a plan's average power draw during one tile,
-// including amortized static and checkpoint costs.
-func (p Plan) TilePower() units.Power {
-	return units.DivET(p.TileEnergy, p.TileTime)
 }
 
 // ErrNoFeasibleTile reports that no candidate tile count fits one
@@ -335,9 +326,9 @@ func noFeasibleTileError(layer string) error {
 // smaller per-tile energy but more checkpoint overhead, so the smallest
 // feasible count is also the cheapest.
 //
-// Callers that probe the same (layer, dataflow, partition, hardware,
-// rexc) tuple under many different budgets should BuildLadder once and
-// scan it instead — the plans do not depend on the budget.
+// The plans do not depend on the budget, so a search that probes one
+// (layer, dataflow, partition, hardware, rexc) tuple under many budgets
+// builds that tuple's rungs once (RungFor) and scans them instead.
 func MinFeasibleTiles(l dnn.Layer, elemBytes int, df dataflow.Dataflow, part dataflow.Partition,
 	hw dataflow.HW, rexc float64, budget BudgetFunc) (Plan, error) {
 	if budget == nil {
@@ -371,13 +362,14 @@ func MinFeasibleTiles(l dnn.Layer, elemBytes int, df dataflow.Dataflow, part dat
 // whole mapping space of a deep workload used to pin hundreds of
 // ~400-byte plans per (layer, dataflow, partition) tuple, which
 // dominated the search's allocation profile; a Rung is 32 bytes, and
-// PlanAt rematerializes the one winning plan on demand, bit-identical
-// to the plan the build pass computed.
+// PlanNTileInto rematerializes the one winning plan on demand,
+// bit-identical to the plan the build pass computed.
 type Rung struct {
 	// NTile is the requested tile count (a candidate divisor of the
 	// partition dimension).
 	NTile int
-	// Power memoizes Plan.TilePower() for budget queries.
+	// Power is the plan's average draw during one tile,
+	// TileEnergy/TileTime, memoized for budget queries.
 	Power units.Power
 	// TileEnergy is the per-tile cycle budget requirement (Eq. 8 LHS).
 	TileEnergy units.Energy
@@ -395,8 +387,9 @@ type Rung struct {
 // budget-independent: Eq. 4–6 depend only on the layer, the mapping and
 // the inference-side hardware constants, never on the energy subsystem.
 // The cycle budget (panel area, capacitance, environment) only selects
-// WHICH rung is chosen, via MinFeasible — so one ladder serves every
-// energy-gene candidate the outer search proposes.
+// WHICH rung is chosen, the first whose tile energy fits the budget at
+// its own power draw — so one ladder serves every energy-gene
+// candidate the outer search proposes.
 //
 // Layer and HW point at storage the ladder shares with its builder's
 // caller. Neither may be mutated while the ladder is in use. A ladder
@@ -410,7 +403,7 @@ type Ladder struct {
 	Partition dataflow.Partition
 	Rexc      float64
 	// HW holds the cost constants the rungs were evaluated under, kept
-	// so PlanAt can re-run the cost model for a chosen rung.
+	// so PlanNTileInto can re-run the cost model for a chosen rung.
 	HW    *dataflow.HW
 	Rungs []Rung
 }
@@ -418,7 +411,7 @@ type Ladder struct {
 // BuildLadder evaluates the full sorted sequence of VM-feasible tile
 // counts for a layer once, storing one slim Rung per count. rexc < 0
 // selects DefaultExceptionRate; rexc >= 1 is rejected. It is
-// BuildLadderShared over the candidate tile counts of (l, part); the
+// buildLadderShared over the candidate tile counts of (l, part); the
 // returned ladder points at its own copies of l and hw.
 //
 // BuildLadder is small enough to inline, so those copies live in the
@@ -436,10 +429,10 @@ func BuildLadder(l dnn.Layer, elemBytes int, df dataflow.Dataflow, part dataflow
 func buildCandidates(l *dnn.Layer, elemBytes int, df dataflow.Dataflow, part dataflow.Partition,
 	hw *dataflow.HW, rexc float64) (Ladder, error) {
 	var buf [128]int
-	return BuildLadderShared(l, elemBytes, df, part, dataflow.AppendCandidateNTiles(buf[:0], *l, part), hw, rexc)
+	return buildLadderShared(l, elemBytes, df, part, dataflow.AppendCandidateNTiles(buf[:0], *l, part), hw, rexc)
 }
 
-// BuildLadderShared is the copy-free eager ladder build: it runs the
+// buildLadderShared is the copy-free eager ladder build: it runs the
 // rung kernel (RungFor) over every count in ntiles. ntiles must be the
 // candidate tile counts of (*l, part), as dataflow.AppendCandidateNTiles
 // lists them. The returned ladder points at *l and *hw (see Ladder) and
@@ -449,7 +442,7 @@ func buildCandidates(l *dnn.Layer, elemBytes int, df dataflow.Dataflow, part dat
 // invalid element width, mapping or hardware every candidate would fail
 // them, so the ladder has zero rungs (and a nil error), as it always
 // had.
-func BuildLadderShared(l *dnn.Layer, elemBytes int, df dataflow.Dataflow,
+func buildLadderShared(l *dnn.Layer, elemBytes int, df dataflow.Dataflow,
 	part dataflow.Partition, ntiles []int, hw *dataflow.HW, rexc float64) (Ladder, error) {
 	rexc, err := NormalizeRexc(rexc)
 	if err != nil {
@@ -487,16 +480,6 @@ func (ld *Ladder) RungFor(n int, c *dataflow.Cost) (Rung, bool) {
 	return Rung{NTile: n, Power: tc.power(), TileEnergy: tc.tileE, Energy: tc.energy()}, true
 }
 
-// PlanAt rematerializes the full Plan of rung i by re-running the cost
-// model under the ladder's stored inputs. Because planFromCost is a
-// pure function of (layer, cost, hw, rexc), the result is bit-identical
-// to the plan the build pass evaluated for that rung.
-func (ld *Ladder) PlanAt(i int) Plan {
-	var p Plan
-	ld.PlanNTileInto(ld.Rungs[i].NTile, &p)
-	return p
-}
-
 // PlanNTileInto writes the full Plan of tile count n into caller-owned
 // storage (a reusable evaluation arena), so hot search loops
 // materialize winning plans with zero allocations. n must be a count
@@ -514,7 +497,8 @@ func (ld *Ladder) PlanNTileInto(n int, dst *Plan) {
 // MinFeasibleIndex returns the index of the first (smallest-NTile) rung
 // whose tile energy fits the budget at its own power draw, scanning the
 // precomputed ladder without allocating. ok is false when no rung fits
-// (or the ladder is empty).
+// (or the ladder is empty). It is the eager reference scan the
+// intermittent and explore tests check the on-demand ladders against.
 func (ld *Ladder) MinFeasibleIndex(budget BudgetFunc) (int, bool) {
 	if budget == nil {
 		return 0, false
@@ -526,19 +510,6 @@ func (ld *Ladder) MinFeasibleIndex(budget BudgetFunc) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// MinFeasible is the ladder-scan equivalent of MinFeasibleTiles: it
-// returns the plan of the smallest feasible tile count under the given
-// budget, bit-identical to what the per-call scan would compute.
-func (ld *Ladder) MinFeasible(budget BudgetFunc) (Plan, error) {
-	if budget == nil {
-		return Plan{}, errNilBudget
-	}
-	if i, ok := ld.MinFeasibleIndex(budget); ok {
-		return ld.PlanAt(i), nil
-	}
-	return Plan{}, noFeasibleTileError(ld.Layer.Name)
 }
 
 // PlanWorkload plans every layer of a workload with a fixed dataflow,

@@ -35,7 +35,7 @@ func TestCheckpointEnergySymmetry(t *testing.T) {
 	if save <= 0 || resume <= 0 {
 		t.Fatal("checkpoint costs must be positive")
 	}
-	if CheckpointEnergy(hw, b) != save+resume {
+	if checkpointEnergy(&hw, b) != save+resume {
 		t.Fatal("checkpoint = save + resume")
 	}
 	// FRAM writes cost more than reads.
@@ -46,13 +46,13 @@ func TestCheckpointEnergySymmetry(t *testing.T) {
 
 func TestCheckpointTime(t *testing.T) {
 	hw := hwMSP()
-	got := CheckpointTime(hw, 4096)
+	got := checkpointTime(&hw, 4096)
 	want := 4096.0 / hw.NVMBytesPerSec
 	if !units.ApproxEqual(float64(got), want, 1e-12) {
 		t.Fatalf("time = %v, want %v", got, want)
 	}
 	hw.NVMBytesPerSec = 0
-	if CheckpointTime(hw, 4096) != 0 {
+	if checkpointTime(&hw, 4096) != 0 {
 		t.Fatal("unbounded bandwidth checkpoints take no modeled time")
 	}
 }
@@ -67,7 +67,7 @@ func TestPlanLayerEquationFive(t *testing.T) {
 	}
 	// Eq. 5 checkpoint term: N_tile·(1+r_exc)·N_ckpt·(e_r+e_w).
 	n := float64(p.Cost.NTileEffective)
-	wantCkpt := n * 1.05 * float64(CheckpointEnergy(hw, p.CkptBytes))
+	wantCkpt := n * 1.05 * float64(checkpointEnergy(&hw, p.CkptBytes))
 	if !units.ApproxEqual(float64(p.CkptEnergy), wantCkpt, 1e-9) {
 		t.Fatalf("ckpt energy %v, want %v", p.CkptEnergy, wantCkpt)
 	}
@@ -223,6 +223,22 @@ func TestTileEnergyFitsBudgetProperty(t *testing.T) {
 	}
 }
 
+// planAt rematerializes the full plan of rung i of an eager ladder.
+func planAt(ld *Ladder, i int) Plan {
+	var p Plan
+	ld.PlanNTileInto(ld.Rungs[i].NTile, &p)
+	return p
+}
+
+// minFeasible is the eager-ladder equivalent of MinFeasibleTiles: the
+// plan of the first rung that fits the budget.
+func minFeasible(ld *Ladder, budget BudgetFunc) (Plan, error) {
+	if i, ok := ld.MinFeasibleIndex(budget); ok {
+		return planAt(ld, i), nil
+	}
+	return Plan{}, noFeasibleTileError(ld.Layer.Name)
+}
+
 // TestLadderMatchesPerCallScan is the differential check backing the
 // memoized evaluation engine: for every seed workload, dataflow,
 // partition and a spread of budgets, scanning a precomputed Ladder must
@@ -244,7 +260,7 @@ func TestLadderMatchesPerCallScan(t *testing.T) {
 					}
 					for _, b := range budgets {
 						want, wantErr := MinFeasibleTiles(l, w.ElemBytes, df, part, hw, 0.05, FixedBudget(b))
-						got, gotErr := ld.MinFeasible(FixedBudget(b))
+						got, gotErr := minFeasible(&ld, FixedBudget(b))
 						if (wantErr == nil) != (gotErr == nil) {
 							t.Fatalf("%s/%s/%s/%v budget %v: scan err %v, ladder err %v",
 								w.Name, l.Name, df, part, b, wantErr, gotErr)
@@ -297,8 +313,8 @@ func ladderHWs() []ladderHW {
 //   - every rung's scalars are bit-identical (math.Float64bits) to a
 //     direct PlanLayer evaluation of the same mapping — the copy-free
 //     kernel does the same arithmetic in the same order;
-//   - PlanAt rematerializes the full plan bit-identically;
-//   - BuildLadderShared over the same candidates builds the same rungs.
+//   - PlanNTileInto rematerializes the full plan bit-identically;
+//   - buildLadderShared over the same candidates builds the same rungs.
 func TestLadderEntriesAscendingAndBudgetFree(t *testing.T) {
 	bits := func(v float64) uint64 { return math.Float64bits(v) }
 	rexcs := []float64{0, -1, 0.5} // -1 selects DefaultExceptionRate
@@ -343,20 +359,20 @@ func TestLadderEntriesAscendingAndBudgetFree(t *testing.T) {
 								if err != nil {
 									t.Fatalf("%s NTile=%d: %v", where, r.NTile, err)
 								}
-								if bits(float64(r.Power)) != bits(float64(p.TilePower())) ||
+								if bits(float64(r.Power)) != bits(float64(units.DivET(p.TileEnergy, p.TileTime))) ||
 									bits(float64(r.TileEnergy)) != bits(float64(p.TileEnergy)) ||
 									bits(float64(r.Energy)) != bits(float64(p.Energy)) {
 									t.Fatalf("%s NTile=%d: rung scalars %+v differ from plan (power %v tile %v energy %v)",
-										where, r.NTile, r, p.TilePower(), p.TileEnergy, p.Energy)
+										where, r.NTile, r, units.DivET(p.TileEnergy, p.TileTime), p.TileEnergy, p.Energy)
 								}
-								if !reflect.DeepEqual(ld.PlanAt(i), p) {
-									t.Fatalf("%s NTile=%d: PlanAt differs from direct PlanLayer", where, r.NTile)
+								if !reflect.DeepEqual(planAt(&ld, i), p) {
+									t.Fatalf("%s NTile=%d: PlanNTileInto differs from direct PlanLayer", where, r.NTile)
 								}
 							}
-							shared, err := BuildLadderShared(&l, w.ElemBytes, df, part,
+							shared, err := buildLadderShared(&l, w.ElemBytes, df, part,
 								dataflow.CandidateNTiles(l, part), &hw, rexc)
 							if err != nil || !reflect.DeepEqual(shared.Rungs, ld.Rungs) {
-								t.Fatalf("%s: BuildLadderShared rungs differ from BuildLadder (err %v)", where, err)
+								t.Fatalf("%s: buildLadderShared rungs differ from BuildLadder (err %v)", where, err)
 							}
 							rungs += len(ld.Rungs)
 						}
@@ -405,9 +421,9 @@ func TestLadderInvalidInputs(t *testing.T) {
 			t.Errorf("%s: BuildLadder = %d rungs, err %v; want 0 rungs, nil error", tc.name, len(ld.Rungs), err)
 		}
 		ntiles := dataflow.CandidateNTiles(l, tc.part)
-		ld, err = BuildLadderShared(&l, tc.elemBytes, tc.df, tc.part, ntiles, &tc.hw, 0.05)
+		ld, err = buildLadderShared(&l, tc.elemBytes, tc.df, tc.part, ntiles, &tc.hw, 0.05)
 		if err != nil || len(ld.Rungs) != 0 {
-			t.Errorf("%s: BuildLadderShared = %d rungs, err %v; want 0 rungs, nil error", tc.name, len(ld.Rungs), err)
+			t.Errorf("%s: buildLadderShared = %d rungs, err %v; want 0 rungs, nil error", tc.name, len(ld.Rungs), err)
 		}
 	}
 	if _, err := BuildLadder(l, 2, dataflow.OS, dataflow.ByChannel, hwMSP(), 1); err == nil {
@@ -433,12 +449,12 @@ func TestBuildLadderAllocs(t *testing.T) {
 	}
 	ntiles := dataflow.CandidateNTiles(l, dataflow.BySpatial)
 	if got := testing.AllocsPerRun(100, func() {
-		ld, err := BuildLadderShared(&l, 2, dataflow.WS, dataflow.BySpatial, ntiles, &hw, 0.05)
+		ld, err := buildLadderShared(&l, 2, dataflow.WS, dataflow.BySpatial, ntiles, &hw, 0.05)
 		if err != nil || len(ld.Rungs) == 0 {
-			panic("BuildLadderShared built no rungs")
+			panic("buildLadderShared built no rungs")
 		}
 	}); got > 1 {
-		t.Errorf("BuildLadderShared: %v allocations per build, want at most 1", got)
+		t.Errorf("buildLadderShared: %v allocations per build, want at most 1", got)
 	}
 }
 
@@ -449,9 +465,6 @@ func TestLadderNilBudget(t *testing.T) {
 	ld, err := BuildLadder(l, 2, dataflow.OS, dataflow.ByChannel, hwMSP(), 0.05)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := ld.MinFeasible(nil); !errors.Is(err, errNilBudget) {
-		t.Fatalf("ladder nil budget: %v", err)
 	}
 	if _, ok := ld.MinFeasibleIndex(nil); ok {
 		t.Fatal("MinFeasibleIndex(nil) must report no rung")

@@ -8,19 +8,13 @@
 package msp430
 
 import (
-	"fmt"
-
 	"chrysalis/internal/dataflow"
 	"chrysalis/internal/units"
 )
 
-// Memory geometry of the MSP430FR5994.
-const (
-	// SRAMBytes is the on-chip SRAM used as volatile working memory.
-	SRAMBytes units.Bytes = 8 * units.KB
-	// FRAMBytes is the non-volatile FRAM capacity.
-	FRAMBytes units.Bytes = 256 * units.KB
-)
+// SRAMBytes is the MSP430FR5994's on-chip SRAM, used as volatile
+// working memory.
+const SRAMBytes units.Bytes = 8 * units.KB
 
 // Config selects platform options. The zero value is the stock
 // LaunchPad with the LEA enabled.
@@ -77,24 +71,14 @@ func (c Config) HW() dataflow.HW {
 }
 
 // ActivePower is the board's draw while executing at full tilt: the
-// published 7.5 mW operating point.
+// published 7.5 mW operating point. The search budgets each tile at its
+// own draw; tests plan against this fixed load.
 func (c Config) ActivePower() units.Power {
 	hw := c.HW()
 	macRate := 1 / float64(hw.TMAC)
 	dynamic := macRate * (float64(hw.EMAC) + 4*float64(hw.EVMPerByte))
 	static := float64(hw.PMemPerByte)*float64(hw.VMBytes) + float64(hw.PIdle)
 	return units.Power(dynamic + static)
-}
-
-// CheckFits verifies a model's weights fit the FRAM alongside the
-// checkpoint region; the paper cites the 256 KB FRAM as a limiting
-// factor of MSP-class AuT.
-func CheckFits(weightBytes, ckptBytes units.Bytes) error {
-	if total := weightBytes + ckptBytes; total > FRAMBytes {
-		return fmt.Errorf("msp430: weights (%v) + checkpoint region (%v) exceed %v FRAM",
-			weightBytes, ckptBytes, FRAMBytes)
-	}
-	return nil
 }
 
 // Fig2aRow is the published MSP430/HAWAII column of Figure 2(a).

@@ -67,15 +67,6 @@ func TestActivePowerNearPublished(t *testing.T) {
 	}
 }
 
-func TestCheckFits(t *testing.T) {
-	if err := CheckFits(100*units.KB, 16*units.KB); err != nil {
-		t.Fatalf("100KB + 16KB should fit 256KB FRAM: %v", err)
-	}
-	if err := CheckFits(250*units.KB, 16*units.KB); err == nil {
-		t.Fatal("overflow should be rejected")
-	}
-}
-
 func TestTableIVWorkloadsMappable(t *testing.T) {
 	// All four existing-AuT workloads must have a feasible mapping for
 	// every layer on the stock platform (the premise of Table IV).

@@ -295,56 +295,12 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
 	return math.Float64frombits(h.sum.Load())
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) from the bucket
-// counts by linear interpolation inside the selected bucket. The +Inf
-// bucket clamps to the highest finite bound. Returns 0 with no samples.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	// Nearest-rank target over the cumulative bucket counts.
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if cum+c >= rank {
-			if i >= len(h.bounds) { // +Inf bucket
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := float64(rank-cum) / float64(c)
-			return lo + (hi-lo)*frac
-		}
-		cum += c
-	}
-	return h.bounds[len(h.bounds)-1]
 }
 
 func (h *Histogram) renderProm(w io.Writer, name, labels string) {
@@ -378,30 +334,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	}
 	f := r.lookup(name, help, "histogram", nil)
 	return f.child(nil, func() renderable { return newHistogram(bounds) }).(*Histogram)
-}
-
-// HistogramVec is a histogram family partitioned by label values —
-// e.g. peer-hop latency keyed by peer URL.
-type HistogramVec struct {
-	f      *family
-	bounds []float64
-}
-
-// HistogramVec returns the labeled histogram family with the given
-// name. bounds follow the Histogram convention (nil selects
-// DefaultLatencyBuckets).
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labelKeys ...string) *HistogramVec {
-	if bounds == nil {
-		bounds = DefaultLatencyBuckets
-	}
-	return &HistogramVec{f: r.lookup(name, help, "histogram", labelKeys), bounds: bounds}
-}
-
-// With returns the child histogram for the given label values. Callers
-// on hot paths should cache the result; the child's Observe is
-// lock-free.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	return v.f.child(values, func() renderable { return newHistogram(v.bounds) }).(*Histogram)
 }
 
 // --- Rendering ---

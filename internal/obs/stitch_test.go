@@ -65,21 +65,6 @@ func TestTraceContextInExport(t *testing.T) {
 	}
 }
 
-func TestSpanLink(t *testing.T) {
-	tr := NewTrace(16)
-	remote := NewTraceContext()
-	sp := tr.Start("net", "delegate")
-	sp.Link(remote)
-	sp.End()
-	evs := tr.Events()
-	if len(evs) != 1 {
-		t.Fatalf("got %d events", len(evs))
-	}
-	if evs[0].Args["link_trace_id"] != remote.TraceID || evs[0].Args["link_span_id"] != remote.SpanID {
-		t.Fatalf("span link args missing: %v", evs[0].Args)
-	}
-}
-
 func TestSliceBetweenBackdates(t *testing.T) {
 	tr := NewTrace(16)
 	// A phase that started before the tracer existed must land at a

@@ -35,7 +35,7 @@ type Attr struct {
 func A(key string, value any) Attr { return Attr{Key: key, Value: value} }
 
 // event is one recorded trace event in Chrome trace-event terms: a
-// complete slice (ph X), an instant (ph i) or a counter sample (ph C).
+// complete slice (ph X) or an instant (ph i).
 type event struct {
 	name  string
 	ph    byte
@@ -197,27 +197,6 @@ func (t *Trace) Start(track, name string, attrs ...Attr) *Span {
 	return &Span{t: t, track: track, name: name, start: t.now(), attrs: attrs}
 }
 
-// SetAttr annotates the span before it ends.
-func (s *Span) SetAttr(key string, value any) {
-	if s == nil {
-		return
-	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
-}
-
-// Link records a causal reference to a span in another trace segment
-// (typically on another node): the linked trace/span IDs land in the
-// span's args, so stitched exports and timeline consumers can follow
-// the request across the process boundary.
-func (s *Span) Link(tc TraceContext) {
-	if s == nil || !tc.Valid() {
-		return
-	}
-	s.attrs = append(s.attrs,
-		Attr{Key: "link_trace_id", Value: tc.TraceID},
-		Attr{Key: "link_span_id", Value: tc.SpanID})
-}
-
 // End closes the span, recording it with any extra attributes appended.
 func (s *Span) End(attrs ...Attr) {
 	if s == nil {
@@ -275,16 +254,6 @@ func (t *Trace) InstantAt(track, name string, at float64, attrs ...Attr) {
 	t.record(event{name: name, ph: 'i', track: track, ts: at * 1e6, attrs: attrs})
 }
 
-// CounterAt records a counter sample (rendered as a filled track in
-// Perfetto) at an explicit time in seconds.
-func (t *Trace) CounterAt(track, series string, at, value float64) {
-	if t == nil {
-		return
-	}
-	t.record(event{name: track, ph: 'C', track: track, ts: at * 1e6,
-		attrs: []Attr{{Key: series, Value: value}}})
-}
-
 // jsonEvent is the wire form of one Chrome trace event.
 type jsonEvent struct {
 	Name string         `json:"name"`
@@ -324,7 +293,7 @@ func (t *Trace) snapshot() ([]event, int64) {
 // Perfetto export.
 type TraceEvent struct {
 	Name  string         `json:"name"`
-	Phase string         `json:"ph"` // "X" slice, "i" instant, "C" counter
+	Phase string         `json:"ph"` // "X" slice, "i" instant
 	Track string         `json:"track"`
 	TS    float64        `json:"ts_us"`
 	Dur   float64        `json:"dur_us,omitempty"`

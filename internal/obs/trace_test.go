@@ -26,12 +26,10 @@ func decode(t *testing.T, tr *Trace) jsonTrace {
 func TestNilTraceIsSafe(t *testing.T) {
 	var tr *Trace
 	sp := tr.Start("x", "y", A("k", 1))
-	sp.SetAttr("a", 2)
 	sp.End()
 	tr.Instant("x", "i")
 	tr.SliceAt("x", "s", 0, 1)
 	tr.InstantAt("x", "i", 0.5)
-	tr.CounterAt("x", "v", 0, 1)
 	if tr.Len() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil trace should report zero events")
 	}
@@ -74,8 +72,7 @@ func TestSpansAndExport(t *testing.T) {
 	inner := tr.Start("search", "generation 1")
 	inner.End(A("evals", 40), A("best", 1.5))
 	tr.Instant("search", "converged")
-	outer.SetAttr("evals", 40)
-	outer.End()
+	outer.End(A("evals", 40))
 	tr.SliceAt("power", "powered", 0.001, 0.004, A("cycle", 1))
 	tr.InstantAt("ckpt", "checkpoint", 0.003)
 

@@ -1,11 +1,10 @@
-// Package report renders experiment output: aligned text tables, CSV,
-// and ASCII bar charts. The experiment harness (cmd/experiments) uses
+// Package report renders experiment output: aligned text tables, ASCII
+// bar charts and strip charts. The experiment harness (cmd/experiments) uses
 // it to print the rows and series behind every figure and table of the
 // paper's evaluation.
 package report
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -27,16 +26,6 @@ func NewTable(title string, headers ...string) *Table {
 // surfaced at render time (kept simple for harness code).
 func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
-}
-
-// AddRowf appends a row of formatted cells: each argument is rendered
-// with %v.
-func (t *Table) AddRowf(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		row[i] = fmt.Sprintf("%v", c)
-	}
-	t.Rows = append(t.Rows, row)
 }
 
 // Render writes the table as aligned text.
@@ -92,23 +81,6 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// CSV writes the table as CSV (headers first).
-func (t *Table) CSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if len(t.Headers) > 0 {
-		if err := cw.Write(t.Headers); err != nil {
-			return err
-		}
-	}
-	for _, r := range t.Rows {
-		if err := cw.Write(r); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // Bar renders a labeled ASCII bar of width proportional to frac in
 // [0,1], e.g. for the Figure 8/9 energy breakdowns.
 func Bar(label string, frac float64, width int) string {
@@ -124,30 +96,6 @@ func Bar(label string, frac float64, width int) string {
 	n := int(frac*float64(width) + 0.5)
 	return fmt.Sprintf("%-14s |%s%s| %5.1f%%", label,
 		strings.Repeat("█", n), strings.Repeat(" ", width-n), frac*100)
-}
-
-// Series is a named sequence of (x, y) samples for figure regeneration.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// Add appends a sample.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Render writes the series as two aligned columns.
-func (s Series) Render(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("# " + s.Name + "\n")
-	for i := range s.X {
-		fmt.Fprintf(&b, "%12.6g  %12.6g\n", s.X[i], s.Y[i])
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }
 
 // Waveform renders an ASCII strip chart of (t, v) samples: rows are

@@ -8,7 +8,7 @@ import (
 func TestTableRender(t *testing.T) {
 	tb := NewTable("Demo", "name", "value")
 	tb.AddRow("alpha", "1")
-	tb.AddRowf("beta", 2.5)
+	tb.AddRow("beta", "2.5")
 	var sb strings.Builder
 	if err := tb.Render(&sb); err != nil {
 		t.Fatal(err)
@@ -37,22 +37,6 @@ func TestTableRenderRaggedRows(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("x", "h1", "h2")
-	tb.AddRow("a", "b,with,commas")
-	var sb strings.Builder
-	if err := tb.CSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.HasPrefix(out, "h1,h2\n") {
-		t.Fatalf("csv header missing: %q", out)
-	}
-	if !strings.Contains(out, `"b,with,commas"`) {
-		t.Fatalf("csv quoting missing: %q", out)
-	}
-}
-
 func TestBar(t *testing.T) {
 	full := Bar("ckpt", 1.0, 10)
 	if !strings.Contains(full, strings.Repeat("█", 10)) {
@@ -72,24 +56,6 @@ func TestBar(t *testing.T) {
 	neg := Bar("x", -0.5, 0)
 	if !strings.Contains(neg, "0.0%") {
 		t.Fatalf("negative should clamp: %q", neg)
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Name = "lat-vs-sp"
-	s.Add(1, 10)
-	s.Add(2, 5)
-	var sb strings.Builder
-	if err := s.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "# lat-vs-sp") || !strings.Contains(out, "10") {
-		t.Fatalf("series output: %q", out)
-	}
-	if len(s.X) != 2 || s.Y[1] != 5 {
-		t.Fatal("Add should append")
 	}
 }
 

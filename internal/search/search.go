@@ -506,8 +506,3 @@ func ParetoFront(pts []Point2) []Point2 {
 	}
 	return front
 }
-
-// Dominates reports whether a dominates b (minimization).
-func Dominates(a, b Point2) bool {
-	return a.X <= b.X && a.Y <= b.Y && (a.X < b.X || a.Y < b.Y)
-}

@@ -439,3 +439,8 @@ func TestDominates(t *testing.T) {
 		t.Fatal("a point does not dominate itself")
 	}
 }
+
+// Dominates reports whether a dominates b (minimization).
+func Dominates(a, b Point2) bool {
+	return a.X <= b.X && a.Y <= b.Y && (a.X < b.X || a.Y < b.Y)
+}

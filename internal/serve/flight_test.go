@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"chrysalis/internal/sim"
 )
 
 // TestAuditSmoke is the end-to-end flight-recorder check behind `make
@@ -52,12 +54,12 @@ func TestAuditSmoke(t *testing.T) {
 	if wr.Waveform.RawSamples < 1 || len(wr.Waveform.Cycles) < 1 {
 		t.Fatalf("empty waveform: %+v", wr.Waveform)
 	}
-	vcap := wr.Waveform.Channel("v_cap")
+	vcap := waveChannel(&wr.Waveform, "v_cap")
 	if vcap == nil || len(vcap.Points) == 0 {
 		t.Fatal("v_cap channel missing or empty")
 	}
 	for _, name := range []string{"e_stored", "p_harvest", "p_load", "p_leak", "e_harvest", "cycle"} {
-		if wr.Waveform.Channel(name) == nil {
+		if waveChannel(&wr.Waveform, name) == nil {
 			t.Errorf("channel %s missing", name)
 		}
 	}
@@ -164,4 +166,14 @@ func TestAuditSmoke(t *testing.T) {
 	if !found {
 		t.Error("chrysalis_build_info metric missing from /metrics")
 	}
+}
+
+// waveChannel returns the named channel of w, or nil.
+func waveChannel(w *sim.Waveform, name string) *sim.WaveChannel {
+	for i := range w.Channels {
+		if w.Channels[i].Name == name {
+			return &w.Channels[i]
+		}
+	}
+	return nil
 }

@@ -227,9 +227,6 @@ func newManager(opts Options) (*manager, error) {
 		m.adm = newAdmission(opts.QuotaRPS, opts.QuotaBurst)
 	}
 	if len(opts.Peers) > 0 {
-		hops := m.met.reg.HistogramVec("chrysalisd_cluster_hop_seconds",
-			"Latency of completed peer exchanges (probes, delegations, polls), by peer.",
-			nil, "peer")
 		transitions := m.met.reg.CounterVec("chrysalisd_cluster_breaker_transitions_total",
 			"Circuit-breaker state transitions, by peer and new state.",
 			"peer", "state")
@@ -237,9 +234,6 @@ func newManager(opts Options) (*manager, error) {
 			Self:    opts.Self,
 			Peers:   opts.Peers,
 			Timeout: opts.ClusterTimeout,
-			OnHop: func(peer string, seconds float64) {
-				hops.With(peer).Observe(seconds)
-			},
 			OnBreaker: func(peer string, open bool) {
 				state := "closed"
 				if open {

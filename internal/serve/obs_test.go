@@ -296,7 +296,6 @@ func TestMetricsInventory(t *testing.T) {
 		"chrysalisd_cluster_breaker_open",
 		"chrysalisd_cluster_breaker_transitions_total",
 		"chrysalisd_cluster_fallbacks_total",
-		"chrysalisd_cluster_hop_seconds",
 		"chrysalisd_cluster_peer_errors_total",
 		"chrysalisd_cluster_peers_up",
 		"chrysalisd_evaluations_total",

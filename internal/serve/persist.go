@@ -253,16 +253,6 @@ func (jn *journal) append(rec walRecord) int {
 	return jn.since
 }
 
-// records reports log records since the last snapshot.
-func (jn *journal) records() int {
-	jn.mu.Lock()
-	defer jn.mu.Unlock()
-	if jn.detached {
-		return 0
-	}
-	return jn.log.Records()
-}
-
 // snapshot compacts the log to the job table: frame 0 holds nextID,
 // then one frame per job of order, each encoded in turn into the
 // journal's one buffer. The snapshot so never holds more than one job's
@@ -299,19 +289,6 @@ func (jn *journal) snapshot(nextID int64, order []string, jobs map[string]*job) 
 	if err != nil {
 		jn.logger.Warn("wal: snapshot failed", "error", err)
 	}
-}
-
-// detach simulates a crash for tests: the WAL file is closed in place,
-// all later appends are silently lost, and no cleanup runs — exactly
-// the state a kill -9 leaves behind.
-func (jn *journal) detach() {
-	jn.mu.Lock()
-	defer jn.mu.Unlock()
-	if jn.detached {
-		return
-	}
-	jn.detached = true
-	_ = jn.log.Close()
 }
 
 // close syncs and closes the WAL.

@@ -413,3 +413,26 @@ func TestWALFailedSnapshotWaitsAThreshold(t *testing.T) {
 		t.Errorf("journal holds %d records after a successful snapshot", got)
 	}
 }
+
+// records reports log records since the last snapshot.
+func (jn *journal) records() int {
+	jn.mu.Lock()
+	defer jn.mu.Unlock()
+	if jn.detached {
+		return 0
+	}
+	return jn.log.Records()
+}
+
+// detach simulates a crash for tests: the WAL file is closed in place,
+// all later appends are silently lost, and no cleanup runs — exactly
+// the state a kill -9 leaves behind.
+func (jn *journal) detach() {
+	jn.mu.Lock()
+	defer jn.mu.Unlock()
+	if jn.detached {
+		return
+	}
+	jn.detached = true
+	_ = jn.log.Close()
+}

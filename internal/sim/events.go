@@ -97,14 +97,3 @@ func (r *EventRecorder) Trace(e Event) {
 	}
 	r.Events = append(r.Events, e)
 }
-
-// Count returns how many events of kind k were recorded.
-func (r *EventRecorder) Count(k EventKind) int {
-	n := 0
-	for _, e := range r.Events {
-		if e.Kind == k {
-			n++
-		}
-	}
-	return n
-}

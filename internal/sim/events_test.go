@@ -142,3 +142,14 @@ func TestTracerNilIsFree(t *testing.T) {
 		t.Fatal("tracing must not perturb the simulation")
 	}
 }
+
+// Count returns how many events of kind k were recorded.
+func (r *EventRecorder) Count(k EventKind) int {
+	n := 0
+	for _, e := range r.Events {
+		if e.Kind == k {
+			n++
+		}
+	}
+	return n
+}

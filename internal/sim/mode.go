@@ -56,7 +56,7 @@ func RunMode(cfg Config, mode Mode) (Result, error) {
 	case ModeStep:
 		return Run(cfg)
 	case ModeDifferential:
-		return RunDifferential(cfg)
+		return runDifferential(cfg)
 	default:
 		return RunEvent(cfg)
 	}
@@ -67,12 +67,12 @@ func RunMode(cfg Config, mode Mode) (Result, error) {
 // counters must match exactly.
 const DiffRelTol = 1e-6
 
-// RunDifferential runs the step oracle and the event simulator on the
+// runDifferential runs the step oracle and the event simulator on the
 // same configuration and returns the event result, or an error naming
 // the first diverging quantity. The oracle runs first on a copy with
 // observers stripped, so the caller's Trace, Recorder and final
 // subsystem state all reflect the event-simulator pass.
-func RunDifferential(cfg Config) (Result, error) {
+func runDifferential(cfg Config) (Result, error) {
 	oracle := cfg
 	oracle.Trace = nil
 	oracle.Record = nil

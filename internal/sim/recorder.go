@@ -253,16 +253,6 @@ type Waveform struct {
 	binCounts []int64
 }
 
-// Channel returns the named channel, or nil.
-func (w *Waveform) Channel(name string) *WaveChannel {
-	for i := range w.Channels {
-		if w.Channels[i].Name == name {
-			return &w.Channels[i]
-		}
-	}
-	return nil
-}
-
 // WriteCSV renders the waveform in wide CSV form: one row per bin with
 // t_s, the raw-sample count, and min/max/mean/last columns per channel.
 func (w *Waveform) WriteCSV(out io.Writer) error {
@@ -862,26 +852,6 @@ func (r *Recorder) compactBinsLocked() {
 	r.nbins = half
 }
 
-// RawSamples returns the number of raw samples folded into the bins.
-func (r *Recorder) RawSamples() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.raw
-}
-
-// Points returns the current bin count (≤ the configured budget + 1).
-func (r *Recorder) Points() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.nbins
-}
-
 // EnergySpec returns the (defaults-filled) spec of the subsystem the
 // recorder observed — the constants the audit pass reconstructs
 // leakage and voltage bounds from. Zero before the first run.
@@ -892,16 +862,6 @@ func (r *Recorder) EnergySpec() energy.Spec {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.espec
-}
-
-// Policy returns the checkpoint policy of the recorded run.
-func (r *Recorder) Policy() Policy {
-	if r == nil {
-		return PolicyEveryTile
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.policy
 }
 
 // Violations returns the event-stream invariant violations observed so

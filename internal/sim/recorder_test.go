@@ -482,3 +482,33 @@ func TestWaveformCSV(t *testing.T) {
 		t.Errorf("unexpected header: %s", lines[0])
 	}
 }
+
+// Channel returns the named channel, or nil.
+func (w *Waveform) Channel(name string) *WaveChannel {
+	for i := range w.Channels {
+		if w.Channels[i].Name == name {
+			return &w.Channels[i]
+		}
+	}
+	return nil
+}
+
+// RawSamples returns the number of raw samples folded into the bins.
+func (r *Recorder) RawSamples() int64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.raw
+}
+
+// Points returns the current bin count (≤ the configured budget + 1).
+func (r *Recorder) Points() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.nbins
+}

@@ -7,12 +7,11 @@
 // The paper assumes light is stable within a single inference (<5 min)
 // but varies across inferences and across the day, so this package
 // provides both constant environments (the "brighter"/"darker" pair
-// used for search) and a diurnal clear-sky profile with optional cloud
-// attenuation for trace-driven simulation.
+// used for search) and a diurnal clear-sky profile for day-scale
+// simulation.
 package solar
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -120,63 +119,6 @@ func (d Diurnal) Name() string {
 	return "diurnal"
 }
 
-// Cloudy wraps an Environment and attenuates it with a deterministic
-// pseudo-random cloud pattern. Attenuation is reproducible for a given
-// seed, which keeps searches and tests deterministic.
-type Cloudy struct {
-	Base Environment
-	// Depth is the maximum fractional attenuation in [0,1): 0.4 means
-	// clouds can remove up to 40% of the light.
-	Depth float64
-	// Period is the characteristic cloud passage time.
-	Period units.Seconds
-	Seed   uint64
-}
-
-// NewCloudy validates and builds a cloudy wrapper.
-func NewCloudy(base Environment, depth float64, period units.Seconds, seed uint64) (Cloudy, error) {
-	if base == nil {
-		return Cloudy{}, errors.New("solar: cloudy environment needs a base environment")
-	}
-	if depth < 0 || depth >= 1 {
-		return Cloudy{}, fmt.Errorf("solar: cloud depth must be in [0,1), got %g", depth)
-	}
-	if period <= 0 {
-		return Cloudy{}, fmt.Errorf("solar: cloud period must be positive, got %v", period)
-	}
-	return Cloudy{Base: base, Depth: depth, Period: period, Seed: seed}, nil
-}
-
-// Keh implements Environment. The attenuation is a smooth value-noise
-// function of time so adjacent steps see coherent cloud cover.
-func (c Cloudy) Keh(t units.Seconds) units.Power {
-	base := c.Base.Keh(t)
-	if base <= 0 || c.Depth == 0 {
-		return base
-	}
-	phase := float64(t) / float64(c.Period)
-	i := math.Floor(phase)
-	frac := phase - i
-	// Smoothstep between two hash-derived levels.
-	a := hash01(uint64(int64(i)) ^ c.Seed)
-	b := hash01(uint64(int64(i)+1) ^ c.Seed)
-	s := frac * frac * (3 - 2*frac)
-	atten := c.Depth * (a + (b-a)*s)
-	return units.Power(float64(base) * (1 - atten))
-}
-
-// Name implements Environment.
-func (c Cloudy) Name() string { return "cloudy(" + c.Base.Name() + ")" }
-
-// hash01 maps a 64-bit value to [0,1) via splitmix64 finalization.
-func hash01(x uint64) float64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / float64(1<<53)
-}
-
 // Panel is a photovoltaic module of a given area. Per paper Eq. 1 the
 // electrical output is area times the environment coefficient; module
 // inefficiencies are folded into k_eh exactly as in the paper.
@@ -202,62 +144,4 @@ func NewPanel(area units.AreaCM2) (Panel, error) {
 // Power returns P_eh = A_eh · k_eh(t) for the given environment and time.
 func (p Panel) Power(env Environment, t units.Seconds) units.Power {
 	return units.Power(float64(p.Area) * float64(env.Keh(t)))
-}
-
-// HarvestEnergy integrates the panel output over [t0, t0+dt] using the
-// midpoint rule, which is exact for constant environments and
-// second-order accurate for smooth profiles.
-func (p Panel) HarvestEnergy(env Environment, t0, dt units.Seconds) units.Energy {
-	mid := t0 + dt/2
-	return units.MulPT(p.Power(env, mid), dt)
-}
-
-// TraceEnv replays a recorded irradiance trace: a sequence of k_eh
-// samples at a fixed interval, linearly interpolated between samples
-// and clamped at the ends. It supports driving the simulator with
-// measured field data (the paper's pvlib-based describer consumes the
-// same kind of series).
-type TraceEnv struct {
-	Samples  []units.Power
-	Interval units.Seconds
-	Label    string
-}
-
-// NewTraceEnv validates and builds a trace-driven environment.
-func NewTraceEnv(samples []units.Power, interval units.Seconds, label string) (TraceEnv, error) {
-	if len(samples) < 2 {
-		return TraceEnv{}, fmt.Errorf("solar: trace needs at least 2 samples, got %d", len(samples))
-	}
-	if interval <= 0 {
-		return TraceEnv{}, fmt.Errorf("solar: trace interval must be positive, got %v", interval)
-	}
-	for i, s := range samples {
-		if s < 0 {
-			return TraceEnv{}, fmt.Errorf("solar: trace sample %d is negative (%v)", i, s)
-		}
-	}
-	return TraceEnv{Samples: samples, Interval: interval, Label: label}, nil
-}
-
-// Keh implements Environment by linear interpolation.
-func (tr TraceEnv) Keh(t units.Seconds) units.Power {
-	if t <= 0 {
-		return tr.Samples[0]
-	}
-	pos := float64(t) / float64(tr.Interval)
-	i := int(pos)
-	if i >= len(tr.Samples)-1 {
-		return tr.Samples[len(tr.Samples)-1]
-	}
-	frac := pos - float64(i)
-	a, b := float64(tr.Samples[i]), float64(tr.Samples[i+1])
-	return units.Power(a + (b-a)*frac)
-}
-
-// Name implements Environment.
-func (tr TraceEnv) Name() string {
-	if tr.Label != "" {
-		return tr.Label
-	}
-	return fmt.Sprintf("trace(%d samples)", len(tr.Samples))
 }

@@ -76,18 +76,6 @@ func (c *Capacitor) UsableAbove(uOff units.Voltage) units.Energy {
 	return units.CapacitorEnergy(c.C, c.v, uOff)
 }
 
-// LeakageCurrent returns I_R = k_cap·C·U at the present voltage (Eq. 2).
-func (c *Capacitor) LeakageCurrent() units.Current {
-	return units.Current(c.Kcap * float64(c.C) * float64(c.v))
-}
-
-// LeakagePower returns the instantaneous leakage power I_R·U =
-// k_cap·C·U². The paper's Eq. 3 approximates this with U fixed at U_on
-// during execution; the step simulator uses the instantaneous value.
-func (c *Capacitor) LeakagePower() units.Power {
-	return units.Power(c.Kcap * float64(c.C) * float64(c.v) * float64(c.v))
-}
-
 // StepResult reports the energy flows during one simulation step.
 type StepResult struct {
 	// Charged is the energy actually absorbed into the capacitor.
@@ -255,18 +243,4 @@ func SpecFor(t Tech) (TechSpec, error) {
 		}
 	}
 	return TechSpec{}, fmt.Errorf("storage: unknown technology %v", t)
-}
-
-// NewWithTech builds a capacitor of the given technology, enforcing its
-// size range and leakage coefficient.
-func NewWithTech(t Tech, c units.Capacitance, rated units.Voltage) (*Capacitor, error) {
-	spec, err := SpecFor(t)
-	if err != nil {
-		return nil, err
-	}
-	if c < spec.Min || c > spec.Max {
-		return nil, fmt.Errorf("storage: %v capacitor %v outside its range [%v, %v]",
-			t, c, spec.Min, spec.Max)
-	}
-	return New(c, spec.Kcap, rated)
 }

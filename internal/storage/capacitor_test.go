@@ -64,24 +64,23 @@ func TestSetVoltageClamping(t *testing.T) {
 }
 
 func TestLeakageEq2(t *testing.T) {
-	// Eq. 2: I_R = k_cap·C·U. For 1mF at 3V with k=0.01 => 30uA.
+	// Eq. 2: I_R = k_cap·C·U. For 1mF at 3V with k=0.01 => 30uA, so the
+	// leakage power I_R·U is 90uW.
 	c := mustCap(t, 1e-3)
 	c.SetVoltage(3)
-	if got := c.LeakageCurrent(); !units.ApproxEqual(float64(got), 30e-6, 1e-12) {
-		t.Fatalf("I_R = %v, want 30uA", got)
+	p := c.LeakagePowerAt(c.Voltage())
+	if got := float64(p) / float64(c.Voltage()); !units.ApproxEqual(got, 30e-6, 1e-12) {
+		t.Fatalf("I_R = %vA, want 30uA", got)
 	}
-	// Power = I·U = 90uW.
-	if got := c.LeakagePower(); !units.ApproxEqual(float64(got), 90e-6, 1e-12) {
-		t.Fatalf("P_leak = %v, want 90uW", got)
+	if !units.ApproxEqual(float64(p), 90e-6, 1e-12) {
+		t.Fatalf("P_leak = %v, want 90uW", p)
 	}
 }
 
 func TestLeakageScalesWithSize(t *testing.T) {
 	small := mustCap(t, 10e-6)
 	big := mustCap(t, 10e-3)
-	small.SetVoltage(3)
-	big.SetVoltage(3)
-	if small.LeakagePower() >= big.LeakagePower() {
+	if small.LeakagePowerAt(3) >= big.LeakagePowerAt(3) {
 		t.Fatal("larger capacitor must leak more (paper Fig. 9 premise)")
 	}
 }
@@ -315,32 +314,5 @@ func TestTechSpecs(t *testing.T) {
 	}
 	if su.Kcap <= el.Kcap {
 		t.Fatal("supercap must self-discharge faster than electrolytic")
-	}
-}
-
-func TestNewWithTech(t *testing.T) {
-	// Ceramic at 47uF works and leaks less than electrolytic.
-	ce, err := NewWithTech(Ceramic, 47e-6, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	el, err := NewWithTech(Electrolytic, 47e-6, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ce.SetVoltage(3)
-	el.SetVoltage(3)
-	if ce.LeakagePower() >= el.LeakagePower() {
-		t.Fatal("ceramic should leak less at the same size")
-	}
-	// Out-of-range sizes are rejected per technology.
-	if _, err := NewWithTech(Ceramic, 1e-3, 5); err == nil {
-		t.Fatal("1mF ceramic should be rejected")
-	}
-	if _, err := NewWithTech(Supercap, 100e-6, 5); err == nil {
-		t.Fatal("100uF supercap should be rejected")
-	}
-	if _, err := NewWithTech(Tech(9), 100e-6, 5); err == nil {
-		t.Fatal("unknown tech should be rejected")
 	}
 }

@@ -31,9 +31,6 @@ type Capacitance float64
 // Voltage is an electric potential in volts.
 type Voltage float64
 
-// Current is an electric current in amperes.
-type Current float64
-
 // AreaCM2 is an area in square centimeters (the unit used by the paper
 // for solar panels: 1 cm² to 30 cm²).
 type AreaCM2 float64
@@ -41,34 +38,14 @@ type AreaCM2 float64
 // Bytes is a data size in bytes.
 type Bytes float64
 
-// Common scale helpers.
+// Data-size scale helpers.
 const (
-	Microjoule Energy = 1e-6
-	Millijoule Energy = 1e-3
-
-	Microwatt Power = 1e-6
-	Milliwatt Power = 1e-3
-
-	Microfarad Capacitance = 1e-6
-	Millifarad Capacitance = 1e-3
-
-	Millisecond Seconds = 1e-3
-
 	KB Bytes = 1024
 	MB Bytes = 1024 * 1024
 )
 
 // MulPT returns the energy delivered by power p over duration t.
 func MulPT(p Power, t Seconds) Energy { return Energy(float64(p) * float64(t)) }
-
-// DivEP returns the time needed to accumulate energy e at power p.
-// It returns +Inf for non-positive power.
-func DivEP(e Energy, p Power) Seconds {
-	if p <= 0 {
-		return Seconds(math.Inf(1))
-	}
-	return Seconds(float64(e) / float64(p))
-}
 
 // DivET returns the average power of energy e spent over duration t.
 // It returns 0 for non-positive durations.
@@ -135,7 +112,6 @@ func (t Seconds) String() string {
 }
 func (c Capacitance) String() string { return siString(float64(c), "F") }
 func (v Voltage) String() string     { return siString(float64(v), "V") }
-func (i Current) String() string     { return siString(float64(i), "A") }
 func (a AreaCM2) String() string     { return fmt.Sprintf("%.2fcm²", float64(a)) }
 
 func (b Bytes) String() string {

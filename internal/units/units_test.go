@@ -15,18 +15,6 @@ func TestMulPT(t *testing.T) {
 	}
 }
 
-func TestDivEP(t *testing.T) {
-	if got := DivEP(6, 2); got != 3 {
-		t.Fatalf("DivEP(6J, 2W) = %v, want 3s", got)
-	}
-	if got := DivEP(1, 0); !math.IsInf(float64(got), 1) {
-		t.Fatalf("DivEP with zero power = %v, want +Inf", got)
-	}
-	if got := DivEP(1, -2); !math.IsInf(float64(got), 1) {
-		t.Fatalf("DivEP with negative power = %v, want +Inf", got)
-	}
-}
-
 func TestDivET(t *testing.T) {
 	if got := DivET(6, 3); got != 2 {
 		t.Fatalf("DivET(6J, 3s) = %v, want 2W", got)
@@ -51,7 +39,7 @@ func TestCapacitorEnergy(t *testing.T) {
 
 func TestVoltageEnergyRoundTrip(t *testing.T) {
 	f := func(cMicro, vRaw uint16) bool {
-		c := Capacitance(float64(cMicro)+1) * Microfarad
+		c := Capacitance(float64(cMicro)+1) * 1e-6
 		v := Voltage(float64(vRaw%500)/100 + 0.01) // 0.01..5.0 V
 		e := EnergyAtVoltage(c, v)
 		back := VoltageForEnergy(c, e)
@@ -110,7 +98,6 @@ func TestStringFormatting(t *testing.T) {
 		{Capacitance(100e-6).String(), "100uF"},
 		{Capacitance(10e-3).String(), "10mF"},
 		{Voltage(3.3).String(), "3.3V"},
-		{Current(30e-6).String(), "30uA"},
 		{AreaCM2(8).String(), "8.00cm²"},
 		{Bytes(8 * 1024).String(), "8.00KB"},
 		{Bytes(512).String(), "512B"},
@@ -140,7 +127,7 @@ func TestCapacitorEnergyProperty(t *testing.T) {
 		if hi < mid {
 			hi, mid = mid, hi
 		}
-		cap := Capacitance(470) * Microfarad
+		cap := Capacitance(470e-6)
 		whole := CapacitorEnergy(cap, Voltage(hi), Voltage(lo))
 		split := CapacitorEnergy(cap, Voltage(hi), Voltage(mid)) + CapacitorEnergy(cap, Voltage(mid), Voltage(lo))
 		return ApproxEqual(float64(whole), float64(split), 1e-9)

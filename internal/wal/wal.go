@@ -211,11 +211,6 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// encodeRecord frames a payload for the log.
-func encodeRecord(payload []byte) []byte {
-	return appendFrame(make([]byte, 0, headerSize+len(payload)), payload)
-}
-
 // Append writes one record. The frame is written with a single write
 // call, so a crash leaves at worst one torn frame at the tail — exactly
 // what recovery detects and drops.

@@ -333,3 +333,8 @@ func TestManyRecordsSurviveTearAtEveryBoundary(t *testing.T) {
 		}
 	}
 }
+
+// encodeRecord frames a payload for the log.
+func encodeRecord(payload []byte) []byte {
+	return appendFrame(make([]byte, 0, headerSize+len(payload)), payload)
+}
